@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .exact_core import (
     FactoredTriangular,
-    Rational,
     RationalMatrix,
     Side,
     SpectralNormError,

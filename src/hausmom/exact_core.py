@@ -1,11 +1,13 @@
 """Exact rational kernels for the Hilbert matrix and its triangular factors.
 
-Everything in this module is exact: matrices are stored entrywise as
-``fractions.Fraction`` and the irrational square-root factors of the
-triangular operators are never materialized.  A factored triangular matrix
-keeps its integer weights ``2k-1`` separate from the rational part, so all
-product identities (Cholesky, inversion, Gram) can be verified with zero
-residual even where the condition number grows like exp(3.5 n).
+Everything in this module is exact: matrix entries are ``int`` where
+they are integers (the inverse factor and the inverse Hilbert segment)
+and ``fractions.Fraction`` otherwise, and the irrational square-root
+factors of the triangular operators are never materialized.  A factored
+triangular matrix keeps its integer weights ``2k-1`` separate from the
+rational part, so all product identities (Cholesky, inversion, Gram) can
+be verified with zero residual even where the condition number grows
+like exp(3.5 n).
 
 Only ``spectral_norm`` leaves the rational world: it runs power iteration
 in mpmath at a configurable precision (default 256 bits), which is required
@@ -24,12 +26,6 @@ from math import comb
 import mpmath as mp
 import numpy as np
 
-# The entries 1/(i+j-1), the triangular factors and all diagnostics are
-# plain reduced rationals; stdlib Fraction already guarantees gcd-reduced
-# form and a positive denominator.
-Rational = Fraction
-
-
 class SpectralNormError(RuntimeError):
     """Power iteration failed to certify the requested tolerance."""
 
@@ -40,12 +36,16 @@ class SpectralNormError(RuntimeError):
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions with exact arithmetic."""
+    """Dense matrix with exact entries, each an ``int`` or a ``Fraction``.
+
+    ``int`` entries stay ``int``, so integer matrices multiply in native
+    integer arithmetic; anything else is converted exactly by ``Fraction``.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
+        self.entries = [[x if type(x) is int else Fraction(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.cols for row in self.entries):
@@ -86,9 +86,6 @@ class RationalMatrix:
     def is_identity(self):
         return self == RationalMatrix.identity(self.rows)
 
-    def to_float(self):
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
-
     def abs_row_sums(self):
         """Exact maximum absolute row sum (the matrix infinity-norm)."""
         return max(sum(abs(x) for x in row) for row in self.entries)
@@ -126,11 +123,6 @@ class FactoredTriangular:
         r = self.rational_part[i - 1, j - 1]
         w = self.diag_weights[j - 1] if self.side is Side.SCALE_COLUMNS else self.diag_weights[i - 1]
         return float(r) * np.sqrt(w)
-
-    def to_float(self):
-        a = self.rational_part.to_float()
-        s = np.sqrt(np.array(self.diag_weights, dtype=float))
-        return a * s[np.newaxis, :] if self.side is Side.SCALE_COLUMNS else a * s[:, np.newaxis]
 
     def gram(self):
         """Exact Gram product with the weights folded in.
@@ -200,10 +192,7 @@ def inverse_factor_Linv(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     part = [
-        [
-            Fraction((-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1)) if j <= i else Fraction(0)
-            for j in range(1, n + 1)
-        ]
+        [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
     return FactoredTriangular(RationalMatrix(part), tuple(2 * i - 1 for i in range(1, n + 1)), Side.SCALE_ROWS)

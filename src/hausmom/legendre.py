@@ -72,21 +72,13 @@ class QuadratureRule:
 
 
 def legendre_eval(k, t):
-    """L_k(t) via the stable three-term recurrence for P_k(2t-1)."""
+    """L_k(t) for scalar or array t, the last row of :func:`basis_matrix`."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > 1):
         raise ValueError("t must lie in [0, 1]")
-    x = 2 * t_arr - 1
-    if k == 0:
-        out = np.ones_like(x)
-    elif k == 1:
-        out = x
-    else:
-        pkm1, pk = np.ones_like(x), x
-        for j in range(2, k + 1):
-            pkm1, pk = pk, ((2 * j - 1) * x * pk - (j - 1) * pkm1) / j
-        out = pk
-    out = sqrt(2 * k + 1) * out
+    out = basis_matrix(k + 1, t_arr.ravel())[k].reshape(t_arr.shape)
     return out if out.shape else float(out)
 
 

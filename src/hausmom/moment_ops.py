@@ -53,7 +53,8 @@ class MomentSequence:
         return np.array([float(v) for v in self.values])
 
     def to_fractions(self):
-        return [v if isinstance(v, Fraction) else Fraction(float(v)) for v in self.values]
+        """Exact values: int and Fraction kept, anything else via float."""
+        return [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def adjoint_apply(y, t):
 
 
 def _exact_inner_products(y):
-    """Inner products M y (exact Fractions) for Ln^{-1} = diag(sqrt(w)) M."""
+    """Inner products M y (exact int or Fraction) for Ln^{-1} = diag(sqrt(w)) M."""
     n = y.n
     m = inverse_factor_Linv(n).rational_part
     yy = y.to_fractions()
@@ -153,7 +154,7 @@ def pseudoinverse_exact(y):
 
 
 def reconstruction_norm_sq_exact(y):
-    """||A_n^+ P_n y||^2 = sum w_i inner_i^2, an exact Fraction."""
+    """||A_n^+ P_n y||^2 = sum w_i inner_i^2, exact (int or Fraction)."""
     inners, weights = pseudoinverse_exact(y)
     return sum(w * v * v for w, v in zip(weights, inners))
 

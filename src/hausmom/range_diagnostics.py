@@ -20,6 +20,7 @@ from math import comb, fsum
 import numpy as np
 
 from .exact_core import RationalMatrix, cholesky_factor_L, inverse_factor_Linv
+from .moment_ops import MomentSequence, reconstruction_norm_sq_exact
 
 __all__ = [
     "HausdorffStats",
@@ -158,11 +159,9 @@ def verify_TN_identity(N):
 
 def _picard_partial(y, N):
     """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2, exact for rational y."""
-    part = inverse_factor_Linv(N).rational_part
     if _is_exact(y):
-        vals = [Fraction(v) for v in y.values[:N]]
-        inners = [sum(part[i, j] * vals[j] for j in range(i + 1)) for i in range(N)]
-        return sum((2 * i + 1) * v * v for i, v in enumerate(inners))
+        return reconstruction_norm_sq_exact(MomentSequence.from_values(y.values[:N]))
+    part = inverse_factor_Linv(N).rational_part
     vals = [float(v) for v in y.values[:N]]
     inners = [fsum(float(part[i, j]) * vals[j] for j in range(i + 1)) for i in range(N)]
     return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))

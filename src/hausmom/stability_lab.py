@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad
 
-from .exact_core import inverse_factor_Linv, inverse_hilbert, spectral_norm
+from .exact_core import inverse_factor_Linv, spectral_norm
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -146,14 +146,18 @@ def stability_bound(delta, E, C_hat):
     )
 
 
+def _perturbed(y, delta, rng):
+    """y plus a Gaussian direction drawn from rng, scaled to l2 size exactly delta."""
+    e = rng.standard_normal(y.n)
+    e *= delta / np.linalg.norm(e)
+    return MomentSequence.from_values(y.to_array() + e)
+
+
 def noisy_data(y, model):
     """y plus a normalized Gaussian perturbation of l2 size exactly delta."""
     if model.delta == 0.0:
         return MomentSequence.from_values([float(v) for v in y.values])
-    rng = np.random.default_rng(model.seed)
-    e = rng.standard_normal(y.n)
-    e *= model.delta / np.linalg.norm(e)
-    return MomentSequence.from_values(y.to_array() + e)
+    return _perturbed(y, model.delta, np.random.default_rng(model.seed))
 
 
 def _as_moments(data, n):
@@ -188,10 +192,7 @@ def amplification_experiment(f, n, deltas=None, R=20, seed=42):
         rng = np.random.default_rng([seed, n, r])
         err2 = np.empty(len(deltas))
         for i, delta in enumerate(deltas):
-            e = rng.standard_normal(n)
-            e *= delta / np.linalg.norm(e)
-            noisy = MomentSequence.from_values(y.to_array() + e)
-            err2[i] = l2_distance(pseudoinverse(noisy), clean) ** 2
+            err2[i] = l2_distance(pseudoinverse(_perturbed(y, delta, rng)), clean) ** 2
         if np.all(err2 < 1e-30):
             raise RuntimeError(f"degenerate fit at n={n}: all errors below float noise")
         slopes.append(float(np.dot(err2, d2) / np.dot(d2, d2)))
@@ -219,9 +220,7 @@ def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2, m_ref=16
             tots = []
             for r in range(R):
                 rng = np.random.default_rng([seed, n, r, k])
-                e = rng.standard_normal(n)
-                e *= delta / np.linalg.norm(e)
-                lam = pseudoinverse(MomentSequence.from_values(y.to_array() + e)).coefficients
+                lam = pseudoinverse(_perturbed(y, delta, rng)).coefficients
                 tots.append(sqrt(float(np.sum((lam - ref[:n]) ** 2)) + tail_sq))
             total = fsum(tots) / R
             envelope = sqrt(est.f_n**2 * delta**2 + tail_sq)
@@ -232,15 +231,16 @@ def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2, m_ref=16
     return rows
 
 
-def _factored_gram_norm(n, precision):
+def _factored_gram_norm(part, precision):
     """lambda_max of Linv Linv^T by power iteration on the factored form.
 
-    Applies z -> S M M^T S z with S = diag(sqrt(2i-1)) entirely in mpmath
-    floats; an independent code path from the exact rational Gram matrix.
+    ``part`` is the integer matrix M of Linv = S M.  Applies
+    z -> S M M^T S z with S = diag(sqrt(2i-1)) entirely in mpmath floats;
+    an independent code path from the exact Gram matrix.
     """
-    part = inverse_factor_Linv(n).rational_part
+    n = part.rows
     with mp.workprec(precision):
-        m_rows = [[mp.mpf(part[i, j].numerator) for j in range(i + 1)] for i in range(n)]
+        m_rows = [[mp.mpf(part[i, j]) for j in range(i + 1)] for i in range(n)]
         s = [mp.sqrt(2 * i + 1) for i in range(n)]
         z = [mp.mpf(1)] * n
         lam_old = mp.mpf(0)
@@ -272,14 +272,15 @@ def linv_growth_study(n_max, precision=256):
         raise ValueError("n_max must be >= 1")
     rows = []
     for i in range(1, n_max + 1):
-        hinv = inverse_hilbert(i)
+        fac = inverse_factor_Linv(i)
+        part = fac.rational_part
+        hinv = fac.gram()
         lam = spectral_norm(hinv, precision=precision)
-        lam_indep = _factored_gram_norm(i, precision)
+        lam_indep = _factored_gram_norm(part, precision)
         rel = abs(lam - lam_indep) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
         # so the argmax over j is that of the integer rational part
-        part = inverse_factor_Linv(i).rational_part
         best_j, best = 1, 0.0
         for j in range(i):
             v = sqrt(2 * i - 1) * abs(float(part[i - 1, j]))

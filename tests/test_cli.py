@@ -1,8 +1,24 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from hausmom.cli import _parse_deltas, _parse_poly, emit_plotdata, run
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _cli_calls():
+    """The benchmark's CLI_CALLS, read from bench/child.py without importing it."""
+    tree = ast.parse((BENCH / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CLI_CALLS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("CLI_CALLS not found in bench/child.py")
+
+
+CLI_CALLS = _cli_calls()
 
 
 def _capture(capsys, argv):
@@ -117,3 +133,13 @@ class TestConfigFile:
         monkeypatch.setitem(cli._COMMANDS, "growth", boom)
         code, _ = _capture(capsys, ["growth", "--n-max", "3"])
         assert code == 2
+
+
+class TestGoldenGate:
+    """Every benchmarked CLI call prints exactly its golden stdout."""
+
+    @pytest.mark.parametrize("name,argv", CLI_CALLS, ids=[name for name, _ in CLI_CALLS])
+    def test_stdout_matches_golden(self, capsys, name, argv):
+        code, out = _capture(capsys, list(argv))
+        assert code == 0
+        assert out.encode() == (BENCH / "golden" / "cli" / f"{name}.out").read_bytes()

@@ -109,6 +109,9 @@ class TestInverseHilbert:
     def test_integer_entries(self):
         hinv = inverse_hilbert(6)
         assert all(x.denominator == 1 for row in hinv.entries for x in row)
+        # stored as native ints, not as Fractions with denominator 1
+        for m in (hinv, inverse_factor_Linv(6).rational_part):
+            assert all(type(x) is int for row in m.entries for x in row)
 
 
 class TestSpectralNorm:

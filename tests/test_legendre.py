@@ -29,12 +29,17 @@ class TestLegendreEval:
     def test_domain_check(self):
         with pytest.raises(ValueError):
             legendre_eval(3, 1.5)
+        with pytest.raises(ValueError):
+            legendre_eval(-1, 0.5)
 
     def test_amplitude_bound(self):
         # |P_k| <= 1 on the interval, so |L_k| <= sqrt(2k+1)
         t = np.linspace(0.0, 1.0, 1001)
-        for k in (5, 50, 200):
-            assert np.max(np.abs(legendre_eval(k, t))) <= math.sqrt(2 * k + 1) + 1e-9
+        for ts in (t, t.reshape(7, 143)):
+            for k in (5, 50, 200):
+                v = legendre_eval(k, ts)
+                assert v.shape == ts.shape
+                assert np.max(np.abs(v)) <= math.sqrt(2 * k + 1) + 1e-9
 
 
 class TestQuadrature:

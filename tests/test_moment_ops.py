@@ -116,6 +116,14 @@ class TestPseudoinverse:
             got = float(np.sum(pseudoinverse(y).coefficients ** 2))
             assert got == pytest.approx(float(expect), rel=1e-9)
 
+    def test_large_int_moments_stay_exact(self):
+        # 2**53 + 1 has no double; routing it through float drops the 1
+        from hausmom.range_diagnostics import picard_partial_sums
+
+        y = MomentSequence.from_values([2**53 + 1])
+        assert reconstruction_norm_sq_exact(y) == (2**53 + 1) ** 2
+        assert picard_partial_sums(y, [1])[0]["partial"] == (2**53 + 1) ** 2
+
     def test_deep_truncation_stays_exact(self):
         # double-precision Cholesky of the Hilbert segment dies near n=13;
         # the rational route does not
