@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .exact_core import (
     FactoredTriangular,
     RationalMatrix,
-    Side,
     SpectralNormError,
     back_substitution_inverse,
     binomial,

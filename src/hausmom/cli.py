@@ -9,13 +9,14 @@ sidecar recording the configuration, library version and wall time.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 import time
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from pathlib import Path
-
-import sympy as sp
 
 from . import __version__
 from .exact_core import SpectralNormError, hilbert_matrix, inverse_factor_Linv
@@ -92,13 +93,64 @@ def _parse_deltas(text):
     return [float(x) for x in text.split(",")]
 
 
+_MAX_DEGREE = 1000
+
+
 def _parse_poly(text):
-    """Coefficients (c_0, c_1, ...) of a polynomial in t, e.g. '3t^2-1'."""
-    t = sp.symbols("t")
-    expr = sp.sympify(_insert_mul(text.replace("^", "**")), locals={"t": t})
-    poly = sp.Poly(sp.expand(expr), t)
-    coeffs = [sp.nsimplify(c) for c in poly.all_coeffs()[::-1]]
-    return [Fraction(int(sp.fraction(c)[0]), int(sp.fraction(c)[1])) for c in coeffs]
+    """Coefficients (c_0, c_1, ...) of a polynomial in t, e.g. '3t^2-1'.
+
+    The text is parsed, never evaluated.  Accepted: int and decimal
+    numbers (taken as written, so 0.5 is 1/2), t, unary and binary + and
+    -, *, division by a constant and powers by an integer literal, with
+    the degree at most 1000.  ``2t`` and ``)t`` imply the product.
+    """
+    def refuse():
+        return ValueError(f"not a polynomial in t: {text!r}")
+
+    def mul(a, b):
+        if len(a) + len(b) - 2 > _MAX_DEGREE:
+            raise refuse()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def poly(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return [Fraction(str(node.value))]
+        if isinstance(node, ast.Name) and node.id == "t":
+            return [Fraction(0), Fraction(1)]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            a = poly(node.operand)
+            return a if isinstance(node.op, ast.UAdd) else [-x for x in a]
+        if not isinstance(node, ast.BinOp):
+            raise refuse()
+        a = poly(node.left)
+        if isinstance(node.op, ast.Pow):
+            k = node.right
+            if not (isinstance(k, ast.Constant) and type(k.value) is int and 0 <= k.value <= _MAX_DEGREE):
+                raise refuse()
+            return reduce(mul, [a] * k.value, [Fraction(1)])
+        b = poly(node.right)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            sign = 1 if isinstance(node.op, ast.Add) else -1
+            return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+        if isinstance(node.op, ast.Mult):
+            return mul(a, b)
+        if isinstance(node.op, ast.Div) and len(b) == 1 and b[0] != 0:
+            return [x / b[0] for x in a]
+        raise refuse()
+
+    try:
+        coeffs = poly(ast.parse(_insert_mul(text.replace("^", "**")), mode="eval").body)
+    except (SyntaxError, ValueError, MemoryError, RecursionError):
+        # ValueError: 1e999 is inf; ast.parse reports too deep nesting as
+        # MemoryError, the walk as RecursionError
+        raise refuse() from None
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def _insert_mul(text):
@@ -290,10 +342,11 @@ def _build_parser():
 
 
 def _apply_config(parser, argv, args):
-    """Config file keys fill in options the command line left at default."""
+    """Parse again with each config line key=value as --key=value ahead of
+    the command line's own options, so argparse checks it and flags win."""
     if not args.config:
         return args
-    overrides = {}
+    options = []
     for line in Path(args.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -301,17 +354,15 @@ def _apply_config(parser, argv, args):
         if "=" not in line:
             raise ValueError(f"malformed config line: {line!r}")
         key, _, val = line.partition("=")
-        overrides[key.strip().replace("-", "_")] = val.strip()
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-    for key, val in overrides.items():
-        if key in explicit:
-            continue
+        key = key.strip().replace("-", "_")
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        cur = getattr(args, key)
-        cast = type(cur) if cur is not None and not isinstance(cur, bool) else str
-        setattr(args, key, cast(val))
-    return args
+        options.append(f"--{key.replace('_', '-')}={val.strip()}")
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + options + argv[at:])
+    except SystemExit:
+        raise ValueError(f"invalid value in config file {args.config}") from None
 
 
 def run(argv=None):

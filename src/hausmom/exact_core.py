@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
 
@@ -94,25 +93,20 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-class Side(Enum):
-    SCALE_COLUMNS = "scale-columns"
-    SCALE_ROWS = "scale-rows"
-
-
 @dataclass(frozen=True)
 class FactoredTriangular:
     """Lower-triangular matrix split as rational part times sqrt-weights.
 
-    ``side == SCALE_COLUMNS`` represents ``rational_part @ diag(sqrt(w))``
-    (the forward Cholesky factor of the Hilbert matrix), ``SCALE_ROWS``
-    represents ``diag(sqrt(w)) @ rational_part`` (its inverse).  The
-    weights are the odd integers 2k-1, kept as integers so that Gram
-    products fold them back exactly.
+    With ``scale_rows`` false it represents ``rational_part @ diag(sqrt(w))``
+    (the forward Cholesky factor of the Hilbert matrix), with ``scale_rows``
+    true ``diag(sqrt(w)) @ rational_part`` (its inverse).  The weights are
+    the odd integers 2k-1, kept as integers so that Gram products fold them
+    back exactly.
     """
 
     rational_part: RationalMatrix
     diag_weights: tuple
-    side: Side
+    scale_rows: bool
 
     @property
     def n(self):
@@ -121,7 +115,7 @@ class FactoredTriangular:
     def entry(self, i, j):
         """Float value of entry (i, j), 1-based, including the sqrt-weight."""
         r = self.rational_part[i - 1, j - 1]
-        w = self.diag_weights[j - 1] if self.side is Side.SCALE_COLUMNS else self.diag_weights[i - 1]
+        w = self.diag_weights[i - 1] if self.scale_rows else self.diag_weights[j - 1]
         return float(r) * np.sqrt(w)
 
     def gram(self):
@@ -131,28 +125,11 @@ class FactoredTriangular:
         which equals the Hilbert segment. For Ln^{-1} (scale-rows) it is
         (Ln^{-1})^T Ln^{-1} = M^T diag(w) M, the inverse Hilbert segment.
         """
-        a = self.rational_part
+        a = self.rational_part.entries
+        vecs = list(zip(*a)) if self.scale_rows else a
         w = self.diag_weights
-        if self.side is Side.SCALE_COLUMNS:
-            rows = a.entries
-            return RationalMatrix(
-                [
-                    [
-                        sum(wk * rows[i][k] * rows[j][k] for k, wk in enumerate(w))
-                        for j in range(a.rows)
-                    ]
-                    for i in range(a.rows)
-                ]
-            )
-        cols = list(zip(*a.entries))
         return RationalMatrix(
-            [
-                [
-                    sum(wk * cols[i][k] * cols[j][k] for k, wk in enumerate(w))
-                    for j in range(a.cols)
-                ]
-                for i in range(a.cols)
-            ]
+            [[sum(wk * x * y for wk, x, y in zip(w, u, v)) for v in vecs] for u in vecs]
         )
 
 
@@ -180,7 +157,7 @@ def cholesky_factor_L(n):
         ]
         for i in range(1, n + 1)
     ]
-    return FactoredTriangular(RationalMatrix(part), tuple(2 * j - 1 for j in range(1, n + 1)), Side.SCALE_COLUMNS)
+    return FactoredTriangular(RationalMatrix(part), tuple(2 * j - 1 for j in range(1, n + 1)), scale_rows=False)
 
 
 def inverse_factor_Linv(n):
@@ -195,7 +172,7 @@ def inverse_factor_Linv(n):
         [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    return FactoredTriangular(RationalMatrix(part), tuple(2 * i - 1 for i in range(1, n + 1)), Side.SCALE_ROWS)
+    return FactoredTriangular(RationalMatrix(part), tuple(2 * i - 1 for i in range(1, n + 1)), scale_rows=True)
 
 
 def inverse_hilbert(n):
@@ -212,7 +189,7 @@ def back_substitution_inverse(lfac):
     Ln^{-1} = S^{-1} Ltilde^{-1} = S (S^{-2} Ltilde^{-1}); the rational
     part returned is diag(1/w) @ Ltilde^{-1}.
     """
-    if lfac.side is not Side.SCALE_COLUMNS:
+    if lfac.scale_rows:
         raise ValueError("expected a scale-columns factor")
     n = lfac.n
     a = lfac.rational_part
@@ -224,7 +201,7 @@ def back_substitution_inverse(lfac):
             inv[i][j] = -s / a[i, i]
     w = lfac.diag_weights
     part = [[inv[i][j] / w[i] for j in range(n)] for i in range(n)]
-    return FactoredTriangular(RationalMatrix(part), w, Side.SCALE_ROWS)
+    return FactoredTriangular(RationalMatrix(part), w, scale_rows=True)
 
 
 def binomial(a, k):

@@ -87,9 +87,8 @@ def basis_matrix(m, t):
     t = np.asarray(t, dtype=float)
     x = 2 * t - 1
     out = np.empty((m, len(t)))
-    out[0] = 1.0
-    if m > 1:
-        out[1] = sqrt(3) * x
+    out[:1] = 1.0
+    out[1:2] = sqrt(3) * x
     pkm1, pk = np.ones_like(x), x
     for k in range(2, m):
         pkm1, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pkm1) / k

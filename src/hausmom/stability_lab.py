@@ -16,7 +16,6 @@ from math import comb, exp, fsum, log, sqrt
 
 import mpmath as mp
 import numpy as np
-import sympy as sp
 from scipy.integrate import quad
 
 from .exact_core import inverse_factor_Linv, spectral_norm
@@ -339,6 +338,8 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
 
 def _mother_bump_derivative(m):
     """Vectorized m-th derivative of exp(-1/(s(1-s))) on (0,1), zero outside."""
+    import sympy as sp  # the only user; importing it at module level costs every import about 0.4 s
+
     s = sp.symbols("s")
     expr = sp.diff(sp.exp(-1 / (s * (1 - s))), s, m)
     core = sp.lambdify(s, expr, modules="numpy")

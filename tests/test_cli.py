@@ -1,5 +1,9 @@
 import ast
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,10 +39,24 @@ class TestParsing:
         assert _parse_deltas("0.1,0.001") == [0.1, 0.001]
 
     def test_poly(self):
-        from fractions import Fraction
-
         assert _parse_poly("3t^2-1") == [Fraction(-1), Fraction(0), Fraction(3)]
         assert _parse_poly("t") == [Fraction(0), Fraction(1)]
+        assert _parse_poly("(t-1)^2") == [Fraction(1), Fraction(-2), Fraction(1)]
+        assert _parse_poly("0.5t+1") == [Fraction(1), Fraction(1, 2)]
+        assert _parse_poly("t/2") == [Fraction(0), Fraction(1, 2)]
+        assert _parse_poly("t-t") == [Fraction(0)]
+        assert _parse_poly("-t^2") == [Fraction(0), Fraction(0), Fraction(-1)]
+
+    @pytest.mark.parametrize("text", ["x", "1/t", "t^(1/2)", "t^1000001", "(t^2)^501",
+                                      "__import__('os').getpid()"])
+    def test_poly_rejected(self, capsys, text):
+        assert run(["reconstruct", "--poly", text]) == 1
+        assert capsys.readouterr().err.startswith("error: not a polynomial in t")
+
+    def test_import_leaves_sympy_out(self):
+        code = "import hausmom.cli, sys; assert 'sympy' not in sys.modules"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 class TestCommands:
@@ -123,6 +141,21 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         code, _ = _capture(capsys, ["hilbert", "--config", str(cfg)])
         assert code == 1
+
+    @pytest.mark.parametrize("line", ["format=xml", "sigma=bogus"])
+    def test_config_value_outside_choices(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        code, out = _capture(capsys, ["eit", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+
+    def test_abbreviated_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("n_max=3\n")
+        code, out = _capture(capsys, ["growth", "--n-m", "2", "--config", str(cfg)])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         import hausmom.cli as cli

@@ -55,6 +55,7 @@ class TestQuadrature:
         b = basis_matrix(13, rule.nodes)
         gram = (b * rule.weights) @ b.T
         assert np.allclose(gram, np.eye(13), atol=1e-12)
+        assert basis_matrix(0, rule.nodes).shape == (0, 30)
 
 
 class TestProject:
