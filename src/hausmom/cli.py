@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 from pathlib import Path
 
@@ -112,6 +111,8 @@ def _parse_poly(text):
             raise refuse()
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
+            if not x:
+                continue
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return out
@@ -131,7 +132,17 @@ def _parse_poly(text):
             k = node.right
             if not (isinstance(k, ast.Constant) and type(k.value) is int and 0 <= k.value <= _MAX_DEGREE):
                 raise refuse()
-            return reduce(mul, [a] * k.value, [Fraction(1)])
+            k = k.value
+            if (len(a) - 1) * k > _MAX_DEGREE:
+                raise refuse()
+            out = [Fraction(1)]
+            while k:
+                if k & 1:
+                    out = mul(out, a)
+                k >>= 1
+                if k:
+                    a = mul(a, a)
+            return out
         b = poly(node.right)
         if isinstance(node.op, (ast.Add, ast.Sub)):
             sign = 1 if isinstance(node.op, ast.Add) else -1

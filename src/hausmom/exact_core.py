@@ -10,9 +10,11 @@ be verified with zero residual even where the condition number grows
 like exp(3.5 n).
 
 Only ``spectral_norm`` leaves the rational world: it runs power iteration
-in mpmath at a configurable precision (default 256 bits), which is required
-because the entries of the inverse Hilbert matrix grow roughly like
-exp(3.5 n) and double precision is useless long before n = 65.
+on the exact integer-scaled matrix with the vector in fixed point, Python
+ints carrying a configurable precision (default 256 bits), and returns an
+mpmath float.  That precision is required because the entries of the
+inverse Hilbert matrix grow roughly like exp(3.5 n) and double precision
+is useless long before n = 65.
 """
 
 from __future__ import annotations
@@ -20,10 +22,16 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, lcm
+from operator import mul
 
 import mpmath as mp
 import numpy as np
+
+# Fixed-point vectors in the power iterations carry this many bits beyond
+# the requested precision.
+_GUARD_BITS = 32
+
 
 class SpectralNormError(RuntimeError):
     """Power iteration failed to certify the requested tolerance."""
@@ -226,45 +234,57 @@ def binomial(a, k):
     return out
 
 
-def _to_mp_matrix(m):
-    return mp.matrix([[mp.mpf(x.numerator) / mp.mpf(x.denominator) for x in row] for row in m.entries])
-
-
 def spectral_norm(m, precision=256, tol=1e-20, max_iter=1000):
-    """Largest eigenvalue of a symmetric PSD RationalMatrix.
+    """Power-iteration eigenvalue of a symmetric PSD RationalMatrix.
 
-    Power iteration in mpmath at ``precision`` bits, started from the
-    all-ones vector.  Converged when the Rayleigh quotient's relative
-    change and the relative residual ||Av - lv|| / (l ||v||) both drop
-    below ``tol``; for symmetric matrices the residual bounds the
-    eigenvalue error, so the result is certified to relative ``tol``.
+    Started from the all-ones vector.  The matrix is scaled to integers by
+    the lcm ``d`` of its denominators and the vector is held in fixed
+    point, as ints scaled by 2^(precision + _GUARD_BITS), so each product
+    A v is exact.  The Rayleigh quotient and both stopping tests are exact
+    rationals; the quotient, divided by ``d``, is returned as an mpf at
+    ``precision`` bits (at least 64).  Converged when the Rayleigh
+    quotient's relative change and the relative residual
+    ||Av - lv|| / (l ||v||) both drop below ``tol``.  For a symmetric
+    matrix the residual proves that the result is within relative ``tol``
+    of *an* eigenvalue, not that it is the largest: if the start vector
+    has no component along the top eigenvector, the iteration settles on
+    a lower one.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    with mp.workprec(max(int(precision), 64)):
-        a = _to_mp_matrix(m)
-        n = m.rows
-        if n == 1:
-            return +a[0, 0]
-        v = mp.matrix([mp.mpf(1)] * n)
-        lam_prev = None
-        for it in range(max_iter):
-            w = a * v
-            nv2 = mp.fsum(x * x for x in v)
-            lam = mp.fsum(x * y for x, y in zip(v, w)) / nv2
-            nw = mp.sqrt(mp.fsum(x * x for x in w))
-            if nw == 0:
-                return mp.mpf(0)
-            resid = mp.sqrt(mp.fsum((y - lam * x) ** 2 for x, y in zip(v, w))) / mp.sqrt(nv2)
-            v = w / nw
-            if lam_prev is not None and lam > 0:
-                if abs(lam - lam_prev) / lam < tol and resid / lam < tol:
-                    return +lam
-            lam_prev = lam
-        raise SpectralNormError(
-            f"power iteration did not certify tol={tol} in {max_iter} iterations",
-            last_estimate=lam_prev,
-            iterations=max_iter,
-        )
+    prec = max(int(precision), 64)
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+
+    def value(lam):
+        with mp.workprec(prec):
+            return mp.mpf(lam.numerator) / (lam.denominator * d)
+
+    if m.rows == 1:
+        return value(Fraction(a[0][0]))
+    shift = prec + _GUARD_BITS
+    q = Fraction(tol)
+    v = [1 << shift] * m.rows
+    lam_prev = None
+    for _ in range(max_iter):
+        w = [sum(map(mul, row, v)) for row in a]
+        vv = sum(x * x for x in v)
+        vw = sum(map(mul, v, w))
+        ww = sum(y * y for y in w)
+        if ww == 0:
+            return mp.mpf(0)
+        lam = Fraction(vw, vv)
+        # ||w - lam v||^2 ||v||^2 = ww vv - vw^2, so the residual test is exact
+        if (lam_prev is not None and lam > 0 and abs(lam - lam_prev) < q * lam
+                and ww * vv - vw * vw < q * q * vw * vw):
+            return value(lam)
+        nw = isqrt(ww)
+        v = [(y << shift) // nw for y in w]
+        lam_prev = lam
+    raise SpectralNormError(
+        f"power iteration did not certify tol={tol} in {max_iter} iterations",
+        last_estimate=None if lam_prev is None else value(lam_prev),
+        iterations=max_iter,
+    )

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, exp, fsum, log, sqrt
+from fractions import Fraction
+from math import comb, exp, fsum, isqrt, log, sqrt
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .exact_core import inverse_factor_Linv, spectral_norm
+from .exact_core import _GUARD_BITS, inverse_factor_Linv, spectral_norm
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -234,26 +236,33 @@ def _factored_gram_norm(part, precision):
     """lambda_max of Linv Linv^T by power iteration on the factored form.
 
     ``part`` is the integer matrix M of Linv = S M.  Applies
-    z -> S M M^T S z with S = diag(sqrt(2i-1)) entirely in mpmath floats;
-    an independent code path from the exact Gram matrix.
+    z -> S M M^T S z with S = diag(sqrt(2i-1)) in fixed point: z and S
+    are ints scaled by 2^(precision + _GUARD_BITS), sqrt(2i-1) is
+    isqrt((2i-1) << 2 * that), and M^T and M multiply exactly.  The
+    Rayleigh quotient and the stopping test are exact rationals; the
+    quotient is returned as an mpf at ``precision`` bits.  An independent
+    code path from the exact Gram matrix.
     """
     n = part.rows
-    with mp.workprec(precision):
-        m_rows = [[mp.mpf(part[i, j]) for j in range(i + 1)] for i in range(n)]
-        s = [mp.sqrt(2 * i + 1) for i in range(n)]
-        z = [mp.mpf(1)] * n
-        lam_old = mp.mpf(0)
-        for _ in range(2000):
-            u = [s[i] * z[i] for i in range(n)]
-            # w = M^T u, then v = S M w
-            w = [mp.fsum(m_rows[i][j] * u[i] for i in range(j, n)) for j in range(n)]
-            v = [s[i] * mp.fsum(m_rows[i][j] * w[j] for j in range(i + 1)) for i in range(n)]
-            lam = mp.fsum(vi * zi for vi, zi in zip(v, z)) / mp.fsum(zi * zi for zi in z)
-            nv = mp.sqrt(mp.fsum(vi * vi for vi in v))
-            z = [vi / nv for vi in v]
-            if lam_old and abs(lam - lam_old) <= mp.mpf(10) ** (-precision // 4) * lam:
-                return lam
-            lam_old = lam
+    shift = precision + _GUARD_BITS
+    m_rows = [row[: i + 1] for i, row in enumerate(part.entries)]
+    m_cols = [col[j:] for j, col in enumerate(zip(*part.entries))]
+    s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
+    z = [1 << shift] * n
+    eps = Fraction(10) ** (-precision // 4)
+    lam_old = 0
+    for _ in range(2000):
+        u = [(si * zi) >> shift for si, zi in zip(s, z)]
+        # w = M^T u, then v = S M w
+        w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
+        v = [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
+        lam = Fraction(sum(map(mul, v, z)), sum(zi * zi for zi in z))
+        nv = isqrt(sum(vi * vi for vi in v))
+        z = [(vi << shift) // nv for vi in v]
+        if lam_old and abs(lam - lam_old) <= eps * lam:
+            with mp.workprec(precision):
+                return mp.mpf(lam.numerator) / lam.denominator
+        lam_old = lam
     raise RuntimeError(f"factored power iteration did not settle at n={n}")
 
 

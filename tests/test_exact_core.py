@@ -139,6 +139,22 @@ class TestSpectralNorm:
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
 
+    @pytest.mark.parametrize("m", [inverse_hilbert(12), hilbert_matrix(6)], ids=["inverse_hilbert", "hilbert"])
+    def test_matches_eigsy(self, m):
+        # hilbert_matrix has Fraction entries, so this also covers the
+        # lcm-scaled path; tol 1e-20 leaves a Rayleigh quotient error ~1e-40
+        lam = spectral_norm(m)
+        with mp.workprec(256):
+            ref = max(mp.eigsy(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in m.entries]),
+                               eigvals_only=True))
+            assert abs(lam - ref) / ref < mp.mpf("1e-35")
+
+    @pytest.mark.xfail(strict=True, reason="the all-ones start vector is the eigenvector for 1; "
+                                           "a start vector that reaches the top eigenvalue is ROADMAP item 3")
+    def test_largest_eigenvalue_of_orthogonal_start(self):
+        m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
+        assert spectral_norm(m) == 2
+
 
 class TestBinomial:
     def test_integer(self):

@@ -1,8 +1,12 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from hausmom.exact_core import inverse_factor_Linv, inverse_hilbert
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -21,6 +25,9 @@ from hausmom.stability_lab import (
     point_value_noise_study,
     stability_bound,
 )
+from hausmom.stability_lab import _factored_gram_norm
+
+GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
 
 class TestLambertW:
@@ -128,6 +135,17 @@ class TestGrowthStudy:
     def test_diagonal_formula(self):
         rows = linv_growth_study(5)
         assert rows[4]["diag"] == pytest.approx(math.sqrt(9) * math.comb(8, 4))
+
+    def test_matches_golden(self):
+        # every float of the benchmark's growth table, bit for bit
+        rows = linv_growth_study(24, precision=256)
+        assert json.loads(json.dumps(rows)) == json.loads(GROWTH_GOLDEN.read_text())
+
+    def test_factored_norm_matches_eigsy(self):
+        lam = _factored_gram_norm(inverse_factor_Linv(12).rational_part, 256)
+        with mp.workprec(256):
+            ref = max(mp.eigsy(mp.matrix(inverse_hilbert(12).entries), eigvals_only=True))
+            assert abs(lam - ref) / ref < mp.mpf("1e-60")
 
 
 class TestPointValue:
