@@ -15,6 +15,8 @@ import sys
 import time
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
+from operator import add
 from pathlib import Path
 
 from . import __version__
@@ -102,29 +104,32 @@ def _parse_poly(text):
     numbers (taken as written, so 0.5 is 1/2), t, unary and binary + and
     -, *, division by a constant and powers by an integer literal, with
     the degree at most 1000.  ``2t`` and ``)t`` imply the product.
+    Intermediate polynomials are integer numerators over one common
+    denominator, so products are integer convolutions.
     """
     def refuse():
         return ValueError(f"not a polynomial in t: {text!r}")
 
     def mul(a, b):
-        if len(a) + len(b) - 2 > _MAX_DEGREE:
+        (x, dx), (y, dy) = a, b
+        if len(x) + len(y) - 2 > _MAX_DEGREE:
             raise refuse()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
+        out = [0] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                out[i:i + len(y)] = map(add, out[i:i + len(y)], map(c.__mul__, y))
+        g = gcd(dx * dy, *out)  # keeps e.g. (3/3)^1000 from growing
+        return [c // g for c in out], dx * dy // g
 
     def poly(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return [Fraction(str(node.value))]
+            c = Fraction(str(node.value))
+            return [c.numerator], c.denominator
         if isinstance(node, ast.Name) and node.id == "t":
-            return [Fraction(0), Fraction(1)]
+            return [0, 1], 1
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            a = poly(node.operand)
-            return a if isinstance(node.op, ast.UAdd) else [-x for x in a]
+            x, d = poly(node.operand)
+            return (x, d) if isinstance(node.op, ast.UAdd) else ([-c for c in x], d)
         if not isinstance(node, ast.BinOp):
             raise refuse()
         a = poly(node.left)
@@ -133,9 +138,9 @@ def _parse_poly(text):
             if not (isinstance(k, ast.Constant) and type(k.value) is int and 0 <= k.value <= _MAX_DEGREE):
                 raise refuse()
             k = k.value
-            if (len(a) - 1) * k > _MAX_DEGREE:
+            if (len(a[0]) - 1) * k > _MAX_DEGREE:
                 raise refuse()
-            out = [Fraction(1)]
+            out = [1], 1
             while k:
                 if k & 1:
                     out = mul(out, a)
@@ -144,24 +149,25 @@ def _parse_poly(text):
                     a = mul(a, a)
             return out
         b = poly(node.right)
+        (x, dx), (y, dy) = a, b
         if isinstance(node.op, (ast.Add, ast.Sub)):
             sign = 1 if isinstance(node.op, ast.Add) else -1
-            return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+            return [c * dy + sign * e * dx for c, e in zip_longest(x, y, fillvalue=0)], dx * dy
         if isinstance(node.op, ast.Mult):
             return mul(a, b)
-        if isinstance(node.op, ast.Div) and len(b) == 1 and b[0] != 0:
-            return [x / b[0] for x in a]
+        if isinstance(node.op, ast.Div) and len(y) == 1 and y[0] != 0:
+            return [c * dy for c in x], dx * y[0]
         raise refuse()
 
     try:
-        coeffs = poly(ast.parse(_insert_mul(text.replace("^", "**")), mode="eval").body)
+        nums, den = poly(ast.parse(_insert_mul(text.replace("^", "**")), mode="eval").body)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
         # ValueError: 1e999 is inf; ast.parse reports too deep nesting as
         # MemoryError, the walk as RecursionError
         raise refuse() from None
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    while len(nums) > 1 and nums[-1] == 0:
+        nums.pop()
+    return [Fraction(c, den) for c in nums]
 
 
 def _insert_mul(text):
@@ -301,8 +307,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--precision-bits", type=int, default=256)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--config", default=None, help="key=value config file; flags win")
@@ -328,9 +332,11 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--deltas", default="1e-2..1e-7")
     p.add_argument("--R", type=int, default=20)
+    p.add_argument("--seed", type=int, default=42)
     common(p)
     p = sub.add_parser("growth", help="inverse-factor growth study")
     p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--precision-bits", type=int, default=256, help="power-iteration precision, at least 64")
     common(p)
     p = sub.add_parser("pointvalue", help="point-value recovery at t=1")
     p.add_argument("--deltas", default="1e-2..1e-6")

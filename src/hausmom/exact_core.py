@@ -9,12 +9,13 @@ rational part, so all product identities (Cholesky, inversion, Gram) can
 be verified with zero residual even where the condition number grows
 like exp(3.5 n).
 
-Only ``spectral_norm`` leaves the rational world: it runs power iteration
-on the exact integer-scaled matrix with the vector in fixed point, Python
-ints carrying a configurable precision (default 256 bits), and returns an
-mpmath float.  That precision is required because the entries of the
-inverse Hilbert matrix grow roughly like exp(3.5 n) and double precision
-is useless long before n = 65.
+Only the power iterations leave the rational world, in one fixed-point
+kernel, ``_power_iteration``, called by ``spectral_norm`` and
+``factored_gram_norm``: Python ints carry a configurable precision
+(default 256 bits, at least 64) and the result is an mpmath float.  That
+precision is required because the entries of the inverse Hilbert matrix
+grow roughly like exp(3.5 n) and double precision is useless long before
+n = 65.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _GUARD_BITS = 32
 
 
 class SpectralNormError(RuntimeError):
-    """Power iteration failed to certify the requested tolerance."""
+    """Power iteration failed to converge to the requested tolerance."""
 
     def __init__(self, message, last_estimate=None, iterations=0):
         super().__init__(message)
@@ -234,57 +235,86 @@ def binomial(a, k):
     return out
 
 
+def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
+    """Power iteration on a symmetric PSD map, from the all-ones vector.
+
+    Vectors are ints scaled by 2^(precision + _GUARD_BITS); ``matvec`` maps
+    one to ``d`` times the matrix applied to it, at the same scale.  Stops
+    when the Rayleigh quotient l changes by less than relative ``tol`` and
+    the relative residual ||w - l v|| / (l ||v||) is below ``tol``, both
+    decided exactly; then l is within relative ``tol`` of *an* eigenvalue
+    (not certainly the largest) and, as a Rayleigh quotient, off by about
+    tol^2.  Returns l / ``d`` as an mpf at ``precision`` bits (>= 64).
+    """
+    if precision < 64:
+        raise ValueError("precision must be >= 64 bits")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    def value(lam):
+        with mp.workprec(precision):
+            return mp.mpf(lam.numerator) / (lam.denominator * d)
+
+    shift = precision + _GUARD_BITS
+    qn, qd = Fraction(tol).as_integer_ratio()
+    v = [1 << shift] * n
+    prev = None  # (v.w, v.v) of the previous step
+    for _ in range(max_iter):
+        w = matvec(v)
+        vv = sum(map(mul, v, v))
+        vw = sum(map(mul, v, w))
+        ww = sum(map(mul, w, w))
+        if ww == 0:
+            return mp.mpf(0)
+        # l = vw/vv; the tests with denominators cleared, using
+        # ||w - l v||^2 ||v||^2 = ww vv - vw^2.  A 1x1 quotient is exact.
+        if n == 1 or (prev is not None and vw > 0
+                      and abs(vw * prev[1] - prev[0] * vv) * qd < qn * vw * prev[1]
+                      and (ww * vv - vw * vw) * qd * qd < qn * qn * vw * vw):
+            return value(Fraction(vw, vv))
+        nw = isqrt(ww)
+        v = [(y << shift) // nw for y in w]
+        prev = vw, vv
+    raise SpectralNormError(
+        f"power iteration did not converge to tol={float(tol):g} in {max_iter} iterations",
+        last_estimate=None if prev is None else value(Fraction(*prev)),
+        iterations=max_iter,
+    )
+
+
 def spectral_norm(m, precision=256, tol=1e-20, max_iter=1000):
     """Power-iteration eigenvalue of a symmetric PSD RationalMatrix.
 
-    Started from the all-ones vector.  The matrix is scaled to integers by
-    the lcm ``d`` of its denominators and the vector is held in fixed
-    point, as ints scaled by 2^(precision + _GUARD_BITS), so each product
-    A v is exact.  The Rayleigh quotient and both stopping tests are exact
-    rationals; the quotient, divided by ``d``, is returned as an mpf at
-    ``precision`` bits (at least 64).  Converged when the Rayleigh
-    quotient's relative change and the relative residual
-    ||Av - lv|| / (l ||v||) both drop below ``tol``.  For a symmetric
-    matrix the residual proves that the result is within relative ``tol``
-    of *an* eigenvalue, not that it is the largest: if the start vector
-    has no component along the top eigenvector, the iteration settles on
-    a lower one.
+    The matrix is scaled to integers by the lcm ``d`` of its denominators,
+    so each product A v is exact.  If the all-ones start has no component
+    along the top eigenvector, the result is a lower eigenvalue.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    prec = max(int(precision), 64)
     d = lcm(*(x.denominator for row in m.entries for x in row))
     a = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+    return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in a],
+                            m.rows, precision, tol, max_iter, d)
 
-    def value(lam):
-        with mp.workprec(prec):
-            return mp.mpf(lam.numerator) / (lam.denominator * d)
 
-    if m.rows == 1:
-        return value(Fraction(a[0][0]))
-    shift = prec + _GUARD_BITS
-    q = Fraction(tol)
-    v = [1 << shift] * m.rows
-    lam_prev = None
-    for _ in range(max_iter):
-        w = [sum(map(mul, row, v)) for row in a]
-        vv = sum(x * x for x in v)
-        vw = sum(map(mul, v, w))
-        ww = sum(y * y for y in w)
-        if ww == 0:
-            return mp.mpf(0)
-        lam = Fraction(vw, vv)
-        # ||w - lam v||^2 ||v||^2 = ww vv - vw^2, so the residual test is exact
-        if (lam_prev is not None and lam > 0 and abs(lam - lam_prev) < q * lam
-                and ww * vv - vw * vw < q * q * vw * vw):
-            return value(lam)
-        nw = isqrt(ww)
-        v = [(y << shift) // nw for y in w]
-        lam_prev = lam
-    raise SpectralNormError(
-        f"power iteration did not certify tol={tol} in {max_iter} iterations",
-        last_estimate=None if lam_prev is None else value(lam_prev),
-        iterations=max_iter,
-    )
+def factored_gram_norm(part, precision):
+    """lambda_max of Linv Linv^T by power iteration on the factored form.
+
+    ``part`` is the integer matrix M of Linv = S M; the map is
+    z -> S M M^T S z with S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
+    Tolerance 10^-(precision // 8) leaves an error of about
+    10^-(precision // 4).  Independent of the exact Gram matrix.
+    """
+    n = part.rows
+    shift = precision + _GUARD_BITS
+    m_rows = [row[: i + 1] for i, row in enumerate(part.entries)]
+    m_cols = [col[j:] for j, col in enumerate(zip(*part.entries))]
+    s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
+
+    def matvec(z):
+        u = [(si * zi) >> shift for si, zi in zip(s, z)]
+        # w = M^T u, then S M w
+        w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
+        return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
+
+    return _power_iteration(matvec, n, precision, Fraction(10) ** -(precision // 8))

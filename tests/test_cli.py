@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,8 @@ class TestParsing:
         assert _parse_poly("t-t") == [Fraction(0)]
         assert _parse_poly("-t^2") == [Fraction(0), Fraction(0), Fraction(-1)]
         assert _parse_poly("t^1000") == [Fraction(0)] * 1000 + [Fraction(1)]
+        assert _parse_poly("(t+1)^1000") == [Fraction(comb(1000, k)) for k in range(1001)]
+        assert _parse_poly("(0.5t-1)^37") == [Fraction(comb(37, k) * (-1) ** (37 - k), 2**k) for k in range(38)]
 
     @pytest.mark.parametrize("text", ["x", "1/t", "t^(1/2)", "t^1000001", "(t^2)^501",
                                       "__import__('os').getpid()"])
@@ -82,6 +85,30 @@ class TestCommands:
         code, out = _capture(capsys, ["growth", "--n-max", "5"])
         assert code == 0
         assert len(out.strip().split("\n")) == 6
+
+    def test_growth_precision_bits(self, capsys):
+        code, out = _capture(capsys, ["growth", "--n-max", "3", "--precision-bits", "64"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+
+    def test_growth_precision_floor(self, capsys):
+        assert run(["growth", "--n-max", "6", "--precision-bits", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: precision must be >= 64 bits\n"
+
+    def test_seed_reaches_amplification(self, capsys):
+        argv = ["amplification", "--n-min", "2", "--n-max", "2", "--deltas", "1e-2..1e-4", "--R", "3"]
+        runs = [_capture(capsys, argv + ["--seed", seed]) for seed in ("1", "1", "2")]
+        assert [code for code, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] != runs[2][1]
+
+    @pytest.mark.parametrize("argv", [["hilbert", "--seed", "1"], ["amplification", "--precision-bits", "64"]])
+    def test_option_of_another_command_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_round_trip(self, capsys):
         code, out = _capture(capsys, ["eit", "--modes", "3", "--format", "json"])
@@ -142,6 +169,14 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         code, _ = _capture(capsys, ["hilbert", "--config", str(cfg)])
         assert code == 1
+
+    def test_option_of_another_command_is_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=1\n")
+        assert run(["growth", "--n-max", "2", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config key 'seed'\n"
 
     @pytest.mark.parametrize("line", ["format=xml", "sigma=bogus"])
     def test_config_value_outside_choices(self, tmp_path, capsys, line):

@@ -11,6 +11,7 @@ from hausmom.exact_core import (
     back_substitution_inverse,
     binomial,
     cholesky_factor_L,
+    factored_gram_norm,
     hilbert_matrix,
     inverse_factor_Linv,
     inverse_hilbert,
@@ -131,9 +132,17 @@ class TestSpectralNorm:
         assert 2.5 < mp.log(lam) / 5 < 2.6
 
     def test_iteration_cap(self):
-        with pytest.raises(SpectralNormError) as exc:
+        with pytest.raises(SpectralNormError, match="did not converge") as exc:
             spectral_norm(inverse_hilbert(8), max_iter=2)
         assert exc.value.iterations == 2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_precision_floor(self, n):
+        # refused, not silently raised to 64 bits
+        with pytest.raises(ValueError, match="precision must be >= 64 bits"):
+            spectral_norm(inverse_hilbert(n), precision=63)
+        with pytest.raises(ValueError, match="precision must be >= 64 bits"):
+            factored_gram_norm(inverse_factor_Linv(n).rational_part, 63)
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hausmom.exact_core import inverse_factor_Linv, inverse_hilbert
+from hausmom.exact_core import factored_gram_norm, inverse_factor_Linv, inverse_hilbert
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -25,7 +25,6 @@ from hausmom.stability_lab import (
     point_value_noise_study,
     stability_bound,
 )
-from hausmom.stability_lab import _factored_gram_norm
 
 GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
@@ -141,11 +140,13 @@ class TestGrowthStudy:
         rows = linv_growth_study(24, precision=256)
         assert json.loads(json.dumps(rows)) == json.loads(GROWTH_GOLDEN.read_text())
 
-    def test_factored_norm_matches_eigsy(self):
-        lam = _factored_gram_norm(inverse_factor_Linv(12).rational_part, 256)
-        with mp.workprec(256):
+    @pytest.mark.parametrize("precision,bound", [(256, "1e-60"), (512, "1e-120")])
+    def test_factored_norm_matches_eigsy(self, precision, bound):
+        # tolerance 10^-(precision // 8) leaves a Rayleigh quotient error ~10^-(precision // 4)
+        lam = factored_gram_norm(inverse_factor_Linv(12).rational_part, precision)
+        with mp.workprec(precision):
             ref = max(mp.eigsy(mp.matrix(inverse_hilbert(12).entries), eigvals_only=True))
-            assert abs(lam - ref) / ref < mp.mpf("1e-60")
+            assert abs(lam - ref) / ref < mp.mpf(bound)
 
 
 class TestPointValue:
