@@ -376,10 +376,7 @@ def _apply_config(parser, argv, args):
             raise ValueError(f"unknown config key {key!r}")
         options.append(f"--{key.replace('_', '-')}={val.strip()}")
     at = argv.index(args.command) + 1
-    try:
-        return parser.parse_args(argv[:at] + options + argv[at:])
-    except SystemExit:
-        raise ValueError(f"invalid value in config file {args.config}") from None
+    return parser.parse_args(argv[:at] + options + argv[at:])
 
 
 def run(argv=None):
@@ -390,6 +387,8 @@ def run(argv=None):
         args = _apply_config(parser, argv, args)
         start = time.monotonic()
         records, series = _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: 0 after --help, else a usage error
+        return 1 if exc.code else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -417,3 +416,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,8 @@
 """Exact rational kernels for the Hilbert matrix and its triangular factors.
 
-Everything in this module is exact: matrix entries are ``int`` where
-they are integers (the inverse factor and the inverse Hilbert segment)
-and ``fractions.Fraction`` otherwise, and the irrational square-root
+Everything in this module is exact: a matrix is a list of ``int`` rows
+over one common denominator (1 for the inverse factor and the inverse
+Hilbert segment, lcm(1..2n-1) for H_n), and the irrational square-root
 factors of the triangular operators are never materialized.  A factored
 triangular matrix keeps its integer weights ``2k-1`` separate from the
 rational part, so all product identities (Cholesky, inversion, Gram) can
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 import mpmath as mp
@@ -44,59 +44,71 @@ class SpectralNormError(RuntimeError):
 
 
 class RationalMatrix:
-    """Dense matrix with exact entries, each an ``int`` or a ``Fraction``.
+    """Dense exact matrix: int rows ``num`` over one positive ``den``.
 
-    ``int`` entries stay ``int``, so integer matrices multiply in native
-    integer arithmetic; anything else is converted exactly by ``Fraction``.
+    Kept in lowest terms, so ``==`` compares ``(den, num)``.  Rows of other
+    exact numbers are taken with ``den`` 1 and put over the lcm of their
+    denominators.  ``entries`` and ``m[i, j]`` are exact views: ``int`` where
+    ``den`` divides the entry, ``Fraction`` otherwise.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, entries):
-        self.entries = [[x if type(x) is int else Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(row) != self.cols for row in self.entries):
+    def __init__(self, entries, den=1):
+        num = [list(row) for row in entries]
+        if den == 1 and not all(type(x) is int for row in num for x in row):
+            num = [[Fraction(x) for x in row] for row in num]
+            den = lcm(*(x.denominator for row in num for x in row))
+            num = [[x.numerator * (den // x.denominator) for x in row] for row in num]
+        g = gcd(den, *(x for row in num for x in row)) if den != 1 else 1
+        self.num = [[x // g for x in row] for row in num] if g != 1 else num
+        self.den = den // g
+        self.rows = len(num)
+        self.cols = len(num[0]) if num else 0
+        if any(len(row) != self.cols for row in num):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def _view(self, x):
+        return x // self.den if x % self.den == 0 else Fraction(x, self.den)
+
+    @property
+    def entries(self):
+        return [[self._view(x) for x in row] for row in self.num]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self._view(self.num[i][j])
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.den, self.num) == (other.den, other.num)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        )
+        ot = list(zip(*other.num))
+        return RationalMatrix([[sum(map(mul, row, col)) for col in ot] for row in self.num],
+                              self.den * other.den)
 
     def __sub__(self, other):
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
+        return RationalMatrix([[x * other.den - y * self.den for x, y in zip(r1, r2)]
+                               for r1, r2 in zip(self.num, other.num)], self.den * other.den)
 
     def transpose(self):
-        return RationalMatrix(list(zip(*self.entries)))
+        return RationalMatrix(zip(*self.num), self.den)
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def is_identity(self):
-        return self == RationalMatrix.identity(self.rows)
+        return self.den == 1 and self.num == [[int(i == j) for j in range(self.rows)] for i in range(self.rows)]
 
     def abs_row_sums(self):
         """Exact maximum absolute row sum (the matrix infinity-norm)."""
-        return max(sum(abs(x) for x in row) for row in self.entries)
+        return self._view(max(sum(map(abs, row)) for row in self.num))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -134,11 +146,11 @@ class FactoredTriangular:
         which equals the Hilbert segment. For Ln^{-1} (scale-rows) it is
         (Ln^{-1})^T Ln^{-1} = M^T diag(w) M, the inverse Hilbert segment.
         """
-        a = self.rational_part.entries
+        a, d = self.rational_part.num, self.rational_part.den
         vecs = list(zip(*a)) if self.scale_rows else a
         w = self.diag_weights
         return RationalMatrix(
-            [[sum(wk * x * y for wk, x, y in zip(w, u, v)) for v in vecs] for u in vecs]
+            [[sum(wk * x * y for wk, x, y in zip(w, u, v)) for v in vecs] for u in vecs], d * d
         )
 
 
@@ -146,9 +158,8 @@ def hilbert_matrix(n):
     """Hilbert segment H_n with entries 1/(i+j-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RationalMatrix(
-        [[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    d = lcm(*range(1, 2 * n))
+    return RationalMatrix([[d // (i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)], d)
 
 
 def cholesky_factor_L(n):
@@ -201,13 +212,13 @@ def back_substitution_inverse(lfac):
     if lfac.scale_rows:
         raise ValueError("expected a scale-columns factor")
     n = lfac.n
-    a = lfac.rational_part
+    a = lfac.rational_part.entries
     inv = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        inv[j][j] = 1 / a[j, j]
+        inv[j][j] = Fraction(1) / a[j][j]
         for i in range(j + 1, n):
-            s = sum(a[i, k] * inv[k][j] for k in range(j, i))
-            inv[i][j] = -s / a[i, i]
+            s = sum(a[i][k] * inv[k][j] for k in range(j, i))
+            inv[i][j] = -s / a[i][i]
     w = lfac.diag_weights
     part = [[inv[i][j] / w[i] for j in range(n)] for i in range(n)]
     return FactoredTriangular(RationalMatrix(part), w, scale_rows=True)
@@ -285,30 +296,27 @@ def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
 def spectral_norm(m, precision=256, tol=1e-20, max_iter=1000):
     """Power-iteration eigenvalue of a symmetric PSD RationalMatrix.
 
-    The matrix is scaled to integers by the lcm ``d`` of its denominators,
-    so each product A v is exact.  If the all-ones start has no component
-    along the top eigenvector, the result is a lower eigenvalue.
+    Exact products on the int rows ``m.num``, divided by ``m.den``.  If the
+    all-ones start misses the top eigenvector, the result is a lower one.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    d = lcm(*(x.denominator for row in m.entries for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
-    return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in a],
-                            m.rows, precision, tol, max_iter, d)
+    return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in m.num],
+                            m.rows, precision, tol, max_iter, m.den)
 
 
 def factored_gram_norm(part, precision):
     """lambda_max of Linv Linv^T by power iteration on the factored form.
 
-    ``part`` is the integer matrix M of Linv = S M; the map is
-    z -> S M M^T S z with S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
+    ``part`` is M of Linv = S M, as ``part.num`` over ``part.den``; the map
+    is z -> S M M^T S z, S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
     Tolerance 10^-(precision // 8) leaves an error of about
     10^-(precision // 4).  Independent of the exact Gram matrix.
     """
     n = part.rows
     shift = precision + _GUARD_BITS
-    m_rows = [row[: i + 1] for i, row in enumerate(part.entries)]
-    m_cols = [col[j:] for j, col in enumerate(zip(*part.entries))]
+    m_rows = [row[: i + 1] for i, row in enumerate(part.num)]
+    m_cols = [col[j:] for j, col in enumerate(zip(*part.num))]
     s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
 
     def matvec(z):
@@ -317,4 +325,4 @@ def factored_gram_norm(part, precision):
         w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
         return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
 
-    return _power_iteration(matvec, n, precision, Fraction(10) ** -(precision // 8))
+    return _power_iteration(matvec, n, precision, Fraction(10) ** -(precision // 8), d=part.den ** 2)

@@ -1,11 +1,10 @@
 """The forward moment map, its truncation, adjoint and pseudoinverse.
 
-The truncated pseudoinverse is applied through the exact factored inverse
-of the triangular moment factor: the rational inner products are computed
-in Fraction arithmetic (float inputs are converted exactly) and rounded to
-doubles only once at the output.  That is what keeps the reconstruction
-usable where a floating Cholesky of the Hilbert segment would have failed
-long ago (around n = 13).
+The truncated pseudoinverse is applied through the exact inverse factor,
+an integer ``RationalMatrix`` (int rows over denominator 1): its inner
+products with the data, taken exactly as ``Fraction``, are rounded to
+doubles only once at the output.  That keeps the reconstruction usable
+where a floating Cholesky of the Hilbert segment fails (around n = 13).
 """
 
 from __future__ import annotations

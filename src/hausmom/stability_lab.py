@@ -49,13 +49,10 @@ class NoiseModel:
 
     delta: float
     seed: int = 42
-    mode: str = "gaussian-normalized"
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if self.mode != "gaussian-normalized":
-            raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

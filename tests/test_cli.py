@@ -105,10 +105,22 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [["hilbert", "--seed", "1"], ["amplification", "--precision-bits", "64"]])
     def test_option_of_another_command_refused(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+        assert run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: hausmom")
+
+    @pytest.mark.parametrize("module", ["hausmom", "hausmom.cli"])
+    def test_python_dash_m(self, capsys, module):
+        _, expected = _capture(capsys, ["hilbert"])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", module, "hilbert"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert proc.stdout == expected
 
     def test_json_round_trip(self, capsys):
         code, out = _capture(capsys, ["eit", "--modes", "3", "--format", "json"])

@@ -18,6 +18,40 @@ from hausmom.exact_core import (
     spectral_norm,
 )
 
+_FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+def _rows(r, c):
+    return st.lists(st.lists(_FRACTIONS, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+def _in_lowest_terms(m):
+    return m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+class TestRationalMatrix:
+    # A (r x k), B (k x c) and C (r x k), as Fraction rows
+    @given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(
+        lambda d: st.tuples(_rows(d[0], d[1]), _rows(d[1], d[2]), _rows(d[0], d[1]))))
+    def test_matches_fraction_reference(self, abc):
+        a, b, c = abc
+        ma, mb, mc = (RationalMatrix(x) for x in abc)
+        assert (ma @ mb).entries == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        assert (ma - mc).entries == [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, c)]
+        assert ma.transpose().entries == [list(col) for col in zip(*a)]
+        assert ma.abs_row_sums() == max(sum(abs(x) for x in row) for row in a)
+        assert all(_in_lowest_terms(m) for m in (ma, ma @ mb, ma - mc, ma.transpose()))
+
+    def test_lowest_terms(self):
+        assert RationalMatrix([[Fraction(2, 4)]]) == RationalMatrix([[1]], 2)
+        m = RationalMatrix([[2, 3]], 2)
+        assert (m.num, m.den) == ([[2, 3]], 2)
+        assert m.entries == [[1, Fraction(3, 2)]] and type(m[0, 0]) is int
+
+    def test_sub_shape_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hilbert_matrix(3) - hilbert_matrix(2)
+
 
 class TestHilbertMatrix:
     def test_entries_n1(self):
@@ -150,8 +184,8 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("m", [inverse_hilbert(12), hilbert_matrix(6)], ids=["inverse_hilbert", "hilbert"])
     def test_matches_eigsy(self, m):
-        # hilbert_matrix has Fraction entries, so this also covers the
-        # lcm-scaled path; tol 1e-20 leaves a Rayleigh quotient error ~1e-40
+        # hilbert_matrix has den > 1, so this also covers the division by
+        # den; tol 1e-20 leaves a Rayleigh quotient error ~1e-40
         lam = spectral_norm(m)
         with mp.workprec(256):
             ref = max(mp.eigsy(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in m.entries]),

@@ -87,7 +87,7 @@ class TestNoise:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(delta=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NoiseModel(delta=1.0, mode="uniform")
 
 
