@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, inf, isqrt, lcm
 from operator import mul
 
 import mpmath as mp
@@ -46,16 +46,21 @@ class SpectralNormError(RuntimeError):
 class RationalMatrix:
     """Dense exact matrix: int rows ``num`` over one positive ``den``.
 
-    Kept in lowest terms, so ``==`` compares ``(den, num)``.  Rows of other
-    exact numbers are taken with ``den`` 1 and put over the lcm of their
-    denominators.  ``entries`` and ``m[i, j]`` are exact views: ``int`` where
-    ``den`` divides the entry, ``Fraction`` otherwise.
+    Kept in lowest terms, so ``==`` compares ``(den, num)``: the sign of a
+    negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Rows of
+    other exact numbers are taken with ``den`` 1 and put over the lcm of
+    their denominators.  ``entries`` and ``m[i, j]`` are exact views:
+    ``int`` where ``den`` divides the entry, ``Fraction`` otherwise.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries, den=1):
         num = [list(row) for row in entries]
+        if den == 0:
+            raise ValueError("den must be nonzero")
+        if den < 0:
+            num, den = [[-x for x in row] for row in num], -den
         if den == 1 and not all(type(x) is int for row in num for x in row):
             num = [[Fraction(x) for x in row] for row in num]
             den = lcm(*(x.denominator for row in num for x in row))
@@ -259,8 +264,10 @@ def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
     def value(lam):
         with mp.workprec(precision):

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .exact_core import factored_gram_norm, inverse_factor_Linv, spectral_norm
+from .exact_core import RationalMatrix, factored_gram_norm, inverse_factor_Linv, spectral_norm
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -236,23 +236,33 @@ def linv_growth_study(n_max, precision=256):
     and its column, the last diagonal entry, the reference curve
     exp(1.763 i), and the exact infinity-norm of the inverse Hilbert
     segment with its logarithmic rate.
+
+    The integer factor M of Linv_{n_max} = diag(sqrt(2k-1)) M is built
+    once; level i reads its leading i x i block M_i.  H_i^{-1} =
+    M_i^T diag(2k-1) M_i is kept as int rows and grown by a rank-one
+    update: pad H_{i-1}^{-1} with a zero row and column and add
+    (2i-1) r r^T, r the first i entries of row i of M.  That is O(i^2)
+    exact work per level, so the exact part of the study is O(n_max^3).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    m = inverse_factor_Linv(n_max).rational_part.num
+    h = []  # int rows of H_i^{-1}
     rows = []
     for i in range(1, n_max + 1):
-        fac = inverse_factor_Linv(i)
-        part = fac.rational_part
-        hinv = fac.gram()
+        r = m[i - 1][:i]
+        h = [[a + (2 * i - 1) * rj * rk for a, rk in zip(row + [0], r)]
+             for row, rj in zip(h + [[0] * (i - 1)], r)]
+        hinv = RationalMatrix(h)
         lam = spectral_norm(hinv, precision=precision)
-        lam_indep = factored_gram_norm(part, precision)
+        lam_indep = factored_gram_norm(RationalMatrix([row[:i] for row in m[:i]]), precision)
         rel = abs(lam - lam_indep) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
         # so the argmax over j is that of the integer rational part
         best_j, best = 1, 0.0
         for j in range(i):
-            v = sqrt(2 * i - 1) * abs(float(part[i - 1, j]))
+            v = sqrt(2 * i - 1) * abs(float(r[j]))
             if v > best:
                 best, best_j = v, j + 1
         diag = sqrt(2 * i - 1) * comb(2 * i - 2, i - 1)

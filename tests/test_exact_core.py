@@ -48,6 +48,15 @@ class TestRationalMatrix:
         assert (m.num, m.den) == ([[2, 3]], 2)
         assert m.entries == [[1, Fraction(3, 2)]] and type(m[0, 0]) is int
 
+    def test_negative_den(self):
+        m = RationalMatrix([[2, -4]], -6)
+        assert (m.num, m.den) == ([[-1, 2]], 3)
+        assert RationalMatrix([[1]], -2) == RationalMatrix([[-1]], 2)
+
+    def test_zero_den(self):
+        with pytest.raises(ValueError, match="den must be nonzero"):
+            RationalMatrix([[1]], 0)
+
     def test_sub_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             hilbert_matrix(3) - hilbert_matrix(2)
@@ -169,6 +178,13 @@ class TestSpectralNorm:
         with pytest.raises(SpectralNormError, match="did not converge") as exc:
             spectral_norm(inverse_hilbert(8), max_iter=2)
         assert exc.value.iterations == 2
+
+    @pytest.mark.parametrize("name,value", [("tol", math.inf), ("tol", math.nan), ("tol", 0), ("tol", -1e-20),
+                                            ("max_iter", 0), ("max_iter", -1)])
+    def test_invalid_arguments(self, name, value):
+        # invalid input (exit 1), not a SpectralNormError or an escaping OverflowError
+        with pytest.raises(ValueError, match=f"{name} must be (finite and positive|>= 1)"):
+            spectral_norm(inverse_hilbert(3), **{name: value})
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_precision_floor(self, n):

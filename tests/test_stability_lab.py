@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hausmom.exact_core import factored_gram_norm, inverse_factor_Linv, inverse_hilbert
+from hausmom.exact_core import factored_gram_norm, inverse_factor_Linv, inverse_hilbert, spectral_norm
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -139,6 +139,14 @@ class TestGrowthStudy:
         # every float of the benchmark's growth table, bit for bit
         rows = linv_growth_study(24, precision=256)
         assert json.loads(json.dumps(rows)) == json.loads(GROWTH_GOLDEN.read_text())
+
+    def test_rank_one_update_matches_closed_form(self):
+        # every level of the updated H_i^{-1} against the Gram of the closed
+        # form, through the two columns that read it, bit for bit
+        for i, row in enumerate(linv_growth_study(40), 1):
+            hinv = inverse_hilbert(i)
+            assert row["ln_inf_over_i"] == math.log(float(hinv.abs_row_sums())) / i
+            assert row["norm"] == float(mp.sqrt(spectral_norm(hinv)))
 
     @pytest.mark.parametrize("precision,bound", [(256, "1e-60"), (512, "1e-120")])
     def test_factored_norm_matches_eigsy(self, precision, bound):
