@@ -40,7 +40,6 @@ from .moment_ops import (
     h1_rate_check,
     projection_error,
     pseudoinverse,
-    pseudoinverse_exact,
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )

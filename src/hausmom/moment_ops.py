@@ -2,7 +2,8 @@
 
 The truncated pseudoinverse is applied through the exact inverse factor,
 an integer ``RationalMatrix`` (int rows over denominator 1): its inner
-products with the data, taken exactly as ``Fraction``, are rounded to
+products M y with the data are one integer product over the data's
+common denominator (a float is an exact dyadic rational), rounded to
 doubles only once at the output.  That keeps the reconstruction usable
 where a floating Cholesky of the Hilbert segment fails (around n = 13).
 """
@@ -17,7 +18,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .exact_core import cholesky_factor_L, inverse_factor_Linv
+from .exact_core import RationalMatrix, cholesky_factor_L, inverse_factor_Linv
 from .legendre import LegendreExpansion, project
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "forward_from_expansion",
     "adjoint_apply",
     "pseudoinverse",
-    "pseudoinverse_exact",
     "reconstruction_norm_sq_exact",
     "projection_error",
     "h1_rate_check",
@@ -41,19 +41,17 @@ class MomentSequence:
     """First n moments y_j = integral of t^(j-1) x(t); zeros beyond n."""
 
     values: tuple
-    n: int
+
+    @property
+    def n(self):
+        return len(self.values)
 
     @classmethod
     def from_values(cls, values):
-        vals = tuple(values)
-        return cls(vals, len(vals))
+        return cls(tuple(values))
 
     def to_array(self):
         return np.array([float(v) for v in self.values])
-
-    def to_fractions(self):
-        """Exact values: int and Fraction kept, anything else via float."""
-        return [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,12 @@ class SobolevBudget:
     """A priori smoothness bound: E bounds the norm selected by kind."""
 
     E: float
-    kind: str = "H1"  # H1 | H1-seminorm | W1inf | H2
+    kind: str = "H1"  # H1 | H1-seminorm | H2
 
     def __post_init__(self):
         if self.E <= 0:
             raise ValueError("E must be positive")
-        if self.kind not in ("H1", "H1-seminorm", "W1inf", "H2"):
+        if self.kind not in ("H1", "H1-seminorm", "H2"):
             raise ValueError(f"unknown budget kind {self.kind!r}")
 
 
@@ -102,17 +100,15 @@ def forward_from_expansion(e, n):
     digits, and the sum is rounded to a double at the end.
     """
     lfac = cholesky_factor_L(n)
-    m = min(e.m, n)
-    lam = [Fraction(float(c)) for c in e.coefficients[:m]]
     part = lfac.rational_part
+    lam = [float(c).as_integer_ratio() for c in e.coefficients[:min(e.m, n)]]
     out = []
     with mp.workdps(40):
         roots = [mp.sqrt(w) for w in lfac.diag_weights]
-        for j in range(n):
-            terms = [part[j, k] * lam[k] for k in range(min(j + 1, m))]
+        for row in part.num:
             out.append(float(mp.fsum(
-                mp.mpf(t.numerator) / mp.mpf(t.denominator) * roots[k]
-                for k, t in enumerate(terms) if t != 0
+                mp.mpf(x * a) / mp.mpf(part.den * b) * r
+                for x, (a, b), r in zip(row, lam, roots) if x and a
             )))
     return MomentSequence.from_values(out)
 
@@ -128,12 +124,14 @@ def adjoint_apply(y, t):
     return out if out.shape else float(out)
 
 
-def _exact_inner_products(y):
-    """Inner products M y (exact int or Fraction) for Ln^{-1} = diag(sqrt(w)) M."""
-    n = y.n
-    m = inverse_factor_Linv(n).rational_part
-    yy = y.to_fractions()
-    return [sum(m[i, j] * yy[j] for j in range(i + 1)) for i in range(n)]
+def _inner_products(y):
+    """M y as an n x 1 RationalMatrix, for Ln^{-1} = diag(sqrt(2i-1)) M.
+
+    int, Fraction and float values enter exactly, anything else (numpy
+    integers and float32, mpf) via float.
+    """
+    col = [[v if isinstance(v, (int, Fraction, float)) else float(v)] for v in y.values]
+    return inverse_factor_Linv(y.n).rational_part @ RationalMatrix(col)
 
 
 def pseudoinverse(y):
@@ -142,20 +140,14 @@ def pseudoinverse(y):
     The rational inner products are exact; rounding happens once when each
     coefficient is emitted.
     """
-    inners = _exact_inner_products(y)
-    return LegendreExpansion([float(v) * sqrt(2 * i + 1) for i, v in enumerate(inners)])
-
-
-def pseudoinverse_exact(y):
-    """(inner products, weights): lambda_i = sqrt(w_i) * inner_i, all exact."""
-    inners = _exact_inner_products(y)
-    return inners, tuple(2 * i + 1 for i in range(y.n))
+    p = _inner_products(y)
+    return LegendreExpansion([x / p.den * sqrt(2 * i + 1) for i, (x,) in enumerate(p.num)])
 
 
 def reconstruction_norm_sq_exact(y):
-    """||A_n^+ P_n y||^2 = sum w_i inner_i^2, exact (int or Fraction)."""
-    inners, weights = pseudoinverse_exact(y)
-    return sum(w * v * v for w, v in zip(weights, inners))
+    """||A_n^+ P_n y||^2 = sum (2i-1) (M y)_i^2, an exact Fraction."""
+    p = _inner_products(y)
+    return Fraction(sum((2 * i + 1) * x * x for i, (x,) in enumerate(p.num)), p.den * p.den)
 
 
 def projection_error(f, n, i_max=None, tail_tol=None):
@@ -200,18 +192,13 @@ def sobolev_norm(f, kind="H1", grid=20001):
 def h1_rate_check(f, budget, n_list, i_max=None):
     """Projection-error decay against the smoothness-rate bound.
 
-    Rows (n, error, bound) with bound = E/(2n) for H1 budgets and
-    E/(2 sqrt(2) n^2) for H2.  The measured norm is checked against the
-    budget before the run.
+    Rows (n, error, bound) with bound = E/(2n) for H1 budgets (full norm
+    or seminorm) and E/(2 sqrt(2) n^2) for H2.  The norm the budget names
+    is measured and checked against E before the run.
     """
-    if budget.kind in ("H1", "H1-seminorm"):
-        measured = sobolev_norm(f, "H1")
-    elif budget.kind == "H2":
-        measured = sobolev_norm(f, "H2")
-    else:
-        raise ValueError("rate bounds exist for H1/H2 budgets only")
+    measured = sobolev_norm(f, budget.kind)
     if measured > budget.E * (1 + 1e-9):
-        raise ValueError(f"budget violated: measured {budget.kind}-type norm "
+        raise ValueError(f"budget violated: measured {budget.kind} norm "
                          f"{measured:.6g} exceeds E={budget.E:.6g}")
     i_cap = i_max or max(4 * max(n_list), 96)
     coeffs = project(f, i_cap).coefficients

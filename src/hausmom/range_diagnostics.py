@@ -158,12 +158,16 @@ def verify_TN_identity(N):
 
 
 def _picard_partial(y, N):
-    """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2, exact for rational y."""
+    """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2, exact for rational y.
+
+    Float data take a float path that rounds the entries of M and the
+    products; past n of about 12 its value is wrong (see ROADMAP).
+    """
     if _is_exact(y):
         return reconstruction_norm_sq_exact(MomentSequence.from_values(y.values[:N]))
-    part = inverse_factor_Linv(N).rational_part
     vals = [float(v) for v in y.values[:N]]
-    inners = [fsum(float(part[i, j]) * vals[j] for j in range(i + 1)) for i in range(N)]
+    inners = [fsum(float(x) * v for x, v in zip(row[:i + 1], vals))
+              for i, row in enumerate(inverse_factor_Linv(N).rational_part.num)]
     return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))
 
 

@@ -17,6 +17,7 @@ from math import comb, exp, fsum, log, sqrt
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from .exact_core import RationalMatrix, factored_gram_norm, inverse_factor_Linv, spectral_norm
 from .legendre import QuadratureRule, l2_distance, project
@@ -93,31 +94,15 @@ class BumpFamily:
 
 
 def lambert_w(z):
-    """Principal branch W(z) for z >= -1/e by Halley iteration.
+    """Principal branch W(z) for z >= -1/e, from ``scipy.special.lambertw``.
 
-    Start from the ln z - ln ln z asymptote for large z, from z itself
-    near the origin; converges to |W e^W - z| <= 1e-14 max(1, |z|).
+    W(-1/e) = -1 is returned directly: scipy gives nan at that double.
     """
     if z < -1.0 / math.e:
         raise ValueError("lambert_w defined on [-1/e, inf) only")
-    if z == 0.0:
-        return 0.0
-    if z > math.e:
-        w = log(z) - log(log(z))
-    elif z > 0:
-        w = z / (1.0 + z)
-    else:
-        w = z * math.e / (1.0 + sqrt(2.0 * (1.0 + math.e * z)) + 1e-30)
-    for _ in range(100):
-        ew = exp(w)
-        f = w * ew - z
-        if abs(f) <= 1e-15 * max(1.0, abs(z)):
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w -= f / denom
-    if abs(w * exp(w) - z) > 1e-14 * max(1.0, abs(z)):
-        raise RuntimeError(f"lambert_w failed to converge for z={z!r}")
-    return w
+    if z == -1.0 / math.e:
+        return -1.0
+    return float(lambertw(z).real)
 
 
 def stability_bound(delta, E, C_hat):
@@ -136,7 +121,7 @@ def stability_bound(delta, E, C_hat):
         N_star=n_star,
         bound=7.0 / sqrt(8.0) * E / w,
         term_smoothness=E * E / (4.0 * n_star * n_star),
-        term_noise=C_hat * exp(3.5 * n_star) * delta * delta,
+        term_noise=C_hat * exp(3.5 * n_star + 2.0 * log(delta)),
         w_arg=arg,
         asymptotic_ok=arg >= math.e,
     )

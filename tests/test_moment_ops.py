@@ -1,10 +1,14 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hausmom.exact_core import inverse_factor_Linv
 from hausmom.functions import abs_kink, constant, cubic_exp, monomial_witness, peak, polynomial
 from hausmom.legendre import LegendreExpansion, project
 from hausmom.moment_ops import (
@@ -20,6 +24,34 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _fraction_inner_products(values):
+    """Oracle for M y: per-entry Fraction sums, floats taken as exact dyadics."""
+    n = len(values)
+    m = inverse_factor_Linv(n).rational_part
+    yy = [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]
+    return [sum(m[i, j] * yy[j] for j in range(i + 1)) for i in range(n)]
+
+
+_exact_number = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestMomentSequence:
+    def test_n_is_the_length(self):
+        assert MomentSequence.from_values([1, Fraction(1, 2), 0.25]).n == 3
+        assert MomentSequence((1, 2)).n == 2
+
+    def test_no_separate_n(self):
+        with pytest.raises(TypeError):
+            MomentSequence((1, 2), 5)
 
 
 class TestForwardMoments:
@@ -131,6 +163,39 @@ class TestPseudoinverse:
         lam = pseudoinverse(exact_polynomial_moments((1,), n))
         assert np.allclose(lam.coefficients, [1.0] + [0.0] * (n - 1), atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_exact_number, min_size=1, max_size=14))
+    def test_matches_fraction_oracle(self, values):
+        # int, Fraction and float entries, mixed within one vector
+        y = MomentSequence.from_values(values)
+        inners = _fraction_inner_products(values)
+        expect = [float(v) * math.sqrt(2 * i + 1) for i, v in enumerate(inners)]
+        assert pseudoinverse(y).coefficients.tolist() == expect
+        assert reconstruction_norm_sq_exact(y) == sum((2 * i + 1) * v * v for i, v in enumerate(inners))
+
+    def test_other_reals_enter_via_float(self):
+        # float32 is a dyadic rational; an mpf is rounded to a double, as before
+        want = pseudoinverse(MomentSequence.from_values([0.5, 0.25, 0.1])).coefficients
+        got32 = pseudoinverse(MomentSequence.from_values(np.array([0.5, 0.25], dtype=np.float32)))
+        assert got32.coefficients.tolist() == want[:2].tolist()
+        gotmp = pseudoinverse(MomentSequence.from_values([mp.mpf(0.5), mp.mpf(0.25), mp.mpf(0.1)]))
+        assert gotmp.coefficients.tolist() == want.tolist()
+        ints = [2**40, -(2**40), 2**40]
+        got64 = reconstruction_norm_sq_exact(MomentSequence.from_values(np.array(ints, dtype=np.int64)))
+        assert got64 == reconstruction_norm_sq_exact(MomentSequence.from_values(ints))
+
+
+class TestMomentDataGolden:
+    def test_reference_round_matches_golden(self, monkeypatch):
+        # round 0 of the benchmark's default seed: 36 moment_data operations
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.util.spec_from_file_location("bench_child", BENCH / "child.py")
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        oks = child.MomentData(child.DEFAULT_SEED).reference()
+        assert len(oks) == 36
+        assert all(oks)
+
 
 class TestProjectionError:
     def test_polynomial_below_truncation(self):
@@ -178,8 +243,25 @@ class TestRateCheck:
         with pytest.raises(ValueError, match="budget violated"):
             h1_rate_check(polynomial((0, 1)), SobolevBudget(E=0.1, kind="H1"), [2])
 
+    def test_seminorm_budget_measures_the_seminorm(self):
+        # |t|_{H1} = 1 although ||t||_{H1} = 2/sqrt(3); a constant has seminorm 0
+        rows = h1_rate_check(polynomial((0, 1)), SobolevBudget(E=1.0, kind="H1-seminorm"), [2, 4])
+        assert all(r["ok"] for r in rows)
+        rows = h1_rate_check(constant(1.0), SobolevBudget(E=0.5, kind="H1-seminorm"), [1, 3])
+        assert all(r["ok"] and r["bound"] == 0.5 / (2 * r["n"]) for r in rows)
+        with pytest.raises(ValueError, match="budget violated"):
+            h1_rate_check(polynomial((0, 2)), SobolevBudget(E=1.0, kind="H1-seminorm"), [2])
+
+    def test_seminorm_rate_bound(self):
+        for f in (peak(), cubic_exp(), abs_kink(), polynomial((0, 1))):
+            e = sobolev_norm(f, "H1-seminorm")
+            rows = h1_rate_check(f, SobolevBudget(E=e * (1 + 1e-12), kind="H1-seminorm"), [1, 2, 4, 8, 16, 24])
+            assert all(r["ok"] for r in rows)
+
     def test_budget_kind_validation(self):
         with pytest.raises(ValueError):
             SobolevBudget(E=1.0, kind="H3")
+        with pytest.raises(ValueError):
+            SobolevBudget(E=1.0, kind="W1inf")
         with pytest.raises(ValueError):
             SobolevBudget(E=-1.0)

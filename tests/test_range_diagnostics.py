@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hausmom.moment_ops import MomentSequence, exact_polynomial_moments
+from hausmom.functions import abs_kink
+from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments, reconstruction_norm_sq_exact
 from hausmom.range_diagnostics import (
     build_DN,
     build_RN,
@@ -128,6 +129,13 @@ class TestPicard:
         y = _unit_sequence(16)
         rows = picard_partial_sums(y, list(range(1, 16)))
         assert all(r["partial"] == r["N"] ** 2 for r in rows)
+
+    @pytest.mark.xfail(strict=True, reason="the float Picard branch rounds M's entries and products; "
+                       "moving float data onto the exact path re-pins the moment_data golden")
+    def test_float_data_matches_exact_sum(self):
+        y = forward_moments(abs_kink(), 24)
+        partial = picard_partial_sums(y, [24])[0]["partial"]
+        assert partial == pytest.approx(float(reconstruction_norm_sq_exact(y)), rel=1e-9)
 
     def test_statistic_equivalence(self):
         # ||D_N R_N P_N y||^2 = ||T_N^(1/2) P_N Linv y||^2, exactly, on range members

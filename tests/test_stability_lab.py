@@ -44,6 +44,18 @@ class TestLambertW:
             w = lambert_w(z)
             assert abs(w * math.exp(w) - z) <= 1e-13 * z
 
+    @pytest.mark.parametrize("z", [5.2119471110506184e57, 8.75e99, 8.75e149, 8.75e199, 1.0913767146512737e-05, 0.3, -0.2])
+    def test_accurate_across_scales(self, z):
+        # a double w within an ulp of W(z) leaves |w e^w - z| near
+        # eps (1 + w) |z|: the relation's condition number is 1 + w
+        w = lambert_w(z)
+        with mp.workdps(50):
+            assert abs(mp.mpf(w) * mp.exp(w) - z) <= 2.0**-52 * (1 + abs(w)) * abs(z)
+            assert abs(w - mp.lambertw(z)) <= 4e-16 * abs(w)
+
+    def test_branch_point(self):
+        assert lambert_w(-1 / math.e) == -1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             lambert_w(-1.0)
@@ -61,6 +73,12 @@ class TestStabilityBound:
     def test_asymptotic_flag(self):
         assert stability_bound(1e-6, 1.0, 1.0).asymptotic_ok
         assert not stability_bound(0.5, 1.0, 1.0).asymptotic_ok
+
+    @pytest.mark.parametrize("delta", [1e-100, 1e-158, 1e-300])
+    def test_tiny_delta(self, delta):
+        b = stability_bound(delta, 1.0, 1.0)
+        assert all(math.isfinite(v) for v in (b.N_star, b.bound, b.term_smoothness, b.term_noise))
+        assert abs(b.term_smoothness - b.term_noise) / b.term_smoothness < 1e-10
 
     def test_n_star_matches_w(self):
         b = stability_bound(1e-6, 1.0, 1.0)
