@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from . import __version__
 from .exact_core import SpectralNormError, hilbert_matrix, inverse_factor_Linv
 from .functions import constant, peak, polynomial
 from .legendre import l2_distance, project
-from .moment_ops import exact_polynomial_moments, pseudoinverse
+from .moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse
 from .range_diagnostics import hausdorff_criterion
 from .stability_lab import (
     amplification_experiment,
@@ -84,11 +85,10 @@ def emit_plotdata(records, series_spec, outdir="."):
 def _parse_deltas(text):
     """'1e-2..1e-6' expands to the log-spaced decades between the ends."""
     if ".." in text:
-        lo, hi = text.split("..")
-        import math
-
-        e1 = round(math.log10(float(lo)))
-        e2 = round(math.log10(float(hi)))
+        ends = [float(x) for x in text.split("..")]
+        if len(ends) != 2 or not all(0 < x < math.inf for x in ends):
+            raise ValueError(f"a delta range needs two finite positive ends, got {text!r}")
+        e1, e2 = (round(math.log10(x)) for x in ends)
         step = 1 if e2 >= e1 else -1
         return [10.0**e for e in range(e1, e2 + step, step)]
     return [float(x) for x in text.split(",")]
@@ -187,8 +187,6 @@ def _data_choice(name, n):
     if name == "t":
         return exact_polynomial_moments((0, 1), n)
     if name == "unit":
-        from .moment_ops import MomentSequence
-
         return MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1))
     raise ValueError(f"unknown data choice {name!r}")
 
@@ -263,8 +261,8 @@ def _cmd_growth(args):
 
 def _cmd_pointvalue(args):
     deltas = _parse_deltas(args.deltas)
-    n = 2**args.max_level_exp
-    y = [1.0 / (j + 1) for j in range(1, n + 1)]
+    # the study itself refuses a negative exponent
+    y = [1.0 / (j + 1) for j in range(1, 2 ** max(args.max_level_exp, 0) + 1)]
     rows = point_value_noise_study(y, 1.0, deltas, args.max_level_exp)
     return rows, None
 
@@ -387,6 +385,8 @@ def run(argv=None):
         args = _apply_config(parser, argv, args)
         start = time.monotonic()
         records, series = _COMMANDS[args.command](args)
+        if not records:
+            raise ValueError(f"{args.command}: this configuration gives an empty table")
     except SystemExit as exc:  # argparse: 0 after --help, else a usage error
         return 1 if exc.code else 0
     except (ValueError, OSError) as exc:

@@ -24,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, isqrt, lcm
-from operator import mul
+from operator import index, mul
 
 import mpmath as mp
 import numpy as np
@@ -48,23 +48,26 @@ class RationalMatrix:
 
     Kept in lowest terms, so ``==`` compares ``(den, num)``: the sign of a
     negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Rows of
-    other exact numbers are taken with ``den`` 1 and put over the lcm of
-    their denominators.  ``entries`` and ``m[i, j]`` are exact views:
-    ``int`` where ``den`` divides the entry, ``Fraction`` otherwise.
+    other exact numbers are put over the lcm of their denominators, and
+    numpy integers become Python ints.  ``entries`` and ``m[i, j]`` are
+    exact views: ``int`` where ``den`` divides the entry, ``Fraction``
+    otherwise.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries, den=1):
         num = [list(row) for row in entries]
+        den = index(den)  # numpy integers, here or in num, would wrap in products
         if den == 0:
             raise ValueError("den must be nonzero")
         if den < 0:
             num, den = [[-x for x in row] for row in num], -den
-        if den == 1 and not all(type(x) is int for row in num for x in row):
-            num = [[Fraction(x) for x in row] for row in num]
-            den = lcm(*(x.denominator for row in num for x in row))
-            num = [[x.numerator * (den // x.denominator) for x in row] for row in num]
+        if not all(type(x) is int for row in num for x in row):
+            num = [[Fraction(index(x) if isinstance(x, numbers.Integral) else x) for x in row] for row in num]
+            d = lcm(*(x.denominator for row in num for x in row))
+            num = [[x.numerator * (d // x.denominator) for x in row] for row in num]
+            den *= d
         g = gcd(den, *(x for row in num for x in row)) if den != 1 else 1
         self.num = [[x // g for x in row] for row in num] if g != 1 else num
         self.den = den // g
@@ -238,14 +241,9 @@ def binomial(a, k):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(a, numbers.Integral) or isinstance(a, Fraction):
-        out = Fraction(1)
-        a = Fraction(a)
-        for j in range(k):
-            out *= (a - j) / (j + 1)
-        return out
-    out = mp.mpf(1)
-    a = mp.mpf(a)
+    kind = Fraction if isinstance(a, (numbers.Integral, Fraction)) else mp.mpf
+    out = kind(1)
+    a = kind(a)
     for j in range(k):
         out *= (a - j) / (j + 1)
     return out

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .exact_core import RationalMatrix, cholesky_factor_L, inverse_factor_Linv
+from .exact_core import RationalMatrix, cholesky_factor_L, hilbert_matrix, inverse_factor_Linv
 from .legendre import LegendreExpansion, project
 
 __all__ = [
@@ -86,10 +86,13 @@ def forward_moments(f, n, tol=1e-12):
 
 
 def exact_polynomial_moments(coeffs, n):
-    """Moments of sum c_k t^k: y_j = sum c_k / (k + j), exact."""
-    cs = [Fraction(c) for c in coeffs]
-    vals = [sum(c / (k + j) for k, c in enumerate(cs)) for j in range(1, n + 1)]
-    return MomentSequence.from_values(vals)
+    """Moments y_j = sum c_k / (k + j) of sum c_k t^k as Fractions: the first n
+    entries of H c, H the first len(c) columns of the Hilbert matrix H_max(n, len(c))."""
+    cs = tuple(coeffs) or (0,)  # no coefficients: the zero polynomial
+    h = hilbert_matrix(max(n, len(cs)))
+    block = RationalMatrix([row[:len(cs)] for row in h.num], h.den)
+    y = block @ RationalMatrix([[c] for c in cs])
+    return MomentSequence.from_values(Fraction(x, y.den) for (x,) in y.num[:n])
 
 
 def forward_from_expansion(e, n):

@@ -61,52 +61,60 @@ def _is_exact(y):
     return all(isinstance(v, (Fraction, int)) for v in y.values)
 
 
+def _diagonal(values):
+    return RationalMatrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
+
+
+def _stencil(n):
+    """(-1)^l C(n, l), l = 0..n: the n-th forward difference, and row N-1-n of R_N."""
+    return [(-1) ** l * comb(n, l) for l in range(n + 1)]
+
+
 def forward_differences(y, m, n):
     """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1}; exact for rational data."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     if m + n + 1 > y.n:
         raise ValueError(f"mu_({m},{n}) needs {m + n + 1} moments, have {y.n}")
+    window = y.values[m:m + n + 1]
     if _is_exact(y):
-        return sum((-1) ** l * comb(n, l) * Fraction(y.values[m + l]) for l in range(n + 1))
+        mu = RationalMatrix([_stencil(n)]) @ RationalMatrix([[v] for v in window])
+        return Fraction(mu.num[0][0], mu.den)
     # the alternating sum loses ~n bits naively; fsum keeps one rounding
-    return fsum((-1) ** l * comb(n, l) * float(y.values[m + l]) for l in range(n + 1))
+    return fsum(s * float(v) for s, v in zip(_stencil(n), window))
 
 
 def hausdorff_criterion(y, N):
     """lambda_{N,m} = C(N,m) mu_{m,N-m} and the level-N criterion value.
 
-    Exact Fractions when the data is rational, compensated floats
-    otherwise.  The Picard partial sum over the same N+1 data entries is
-    reported alongside for comparison of the two range statistics.
+    For rational data lambda = diag(C(N,m)) R_{N+1} y (first N+1 moments)
+    and the value (N+1) sum lambda^2 = ||D_{N+1} R_{N+1} y||^2, exact
+    Fractions; float data take compensated sums.  The Picard partial sum
+    over the same N+1 entries is reported alongside for comparison.
     """
     if N + 1 > y.n:
         raise ValueError(f"level {N} needs {N + 1} moments, have {y.n}")
-    lam = tuple(comb(N, m) * forward_differences(y, m, N - m) for m in range(N + 1))
     if _is_exact(y):
-        crit = (N + 1) * sum(v * v for v in lam)
+        weight, diag = build_DN(N + 1)
+        col = diag @ (build_RN(N + 1) @ RationalMatrix([[v] for v in y.values[:N + 1]]))
+        lam = tuple(Fraction(x, col.den) for (x,) in col.num)
+        crit = Fraction(weight * sum(x * x for (x,) in col.num), col.den ** 2)
     else:
+        lam = tuple(comb(N, m) * forward_differences(y, m, N - m) for m in range(N + 1))
         crit = (N + 1) * fsum(v * v for v in lam)
     picard = _picard_partial(y, N + 1)
     return HausdorffStats(N=N, lam=lam, criterion_value=crit, picard_partial=picard)
 
 
 def build_RN(N):
-    """Upper-triangular backward-difference matrix, entries in {-1,0,1} times binomials.
+    """Upper-triangular difference matrix, (R_N)_{i,j} = (-1)^(j-i) C(N-i, j-i).
 
-    (R_N)_{i,j} = (-1)^(N-i) (-1)^(N-j) C(N-i, j-i) for j >= i.
+    Row i (from 0) is the stencil of order N-1-i from column i on, so
+    (R_N y)_i = mu_{i,N-1-i} and D_N R_N y = sqrt(N) lambda_{N-1}.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return RationalMatrix(
-        [
-            [
-                (-1) ** (N - i) * (-1) ** (N - j) * comb(N - i, j - i) if j >= i else 0
-                for j in range(1, N + 1)
-            ]
-            for i in range(1, N + 1)
-        ]
-    )
+    return RationalMatrix([[0] * i + _stencil(N - 1 - i) for i in range(N)])
 
 
 def build_DN(N):
@@ -116,10 +124,7 @@ def build_DN(N):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    diag = RationalMatrix(
-        [[comb(N - 1, i - 1) if i == j else 0 for j in range(1, N + 1)] for i in range(1, N + 1)]
-    )
-    return N, diag
+    return N, _diagonal([comb(N - 1, i) for i in range(N)])
 
 
 def tn_diagonal(N):
@@ -130,30 +135,17 @@ def tn_diagonal(N):
 def verify_TN_identity(N):
     """Check V_N^T V_N = T_N exactly, with V_N = D_N R_N L_N.
 
-    Writing L_N = Ltilde diag(sqrt(2j-1)) and D_N^2 = N diag(C(N-1,i-1))^2,
+    Writing L_N = Ltilde diag(sqrt(2j-1)) and D_N = sqrt(N) diag(C(N-1,i-1)),
     the identity is equivalent to the fully rational statement
 
-        Ltilde^T R_N^T (N diag(C^2)) R_N Ltilde = diag(t_k / (2k-1)),
+        W^T W = diag(t_k / (N (2k-1))),  W = diag(C) R_N Ltilde,
 
     which is what gets evaluated; returns (holds, residual matrix).
     """
-    ltil = cholesky_factor_L(N).rational_part
-    r = build_RN(N)
     weight, dmat = build_DN(N)
-    d2 = RationalMatrix(
-        [
-            [weight * dmat[i, i] ** 2 if i == j else 0 for j in range(N)]
-            for i in range(N)
-        ]
-    )
-    gram = ltil.transpose() @ r.transpose() @ d2 @ r @ ltil
-    target = RationalMatrix(
-        [
-            [tn_diag / (2 * (k + 1) - 1) if k == j else 0 for j in range(N)]
-            for k, tn_diag in enumerate(tn_diagonal(N))
-        ]
-    )
-    residual = gram - target
+    w = dmat @ build_RN(N) @ cholesky_factor_L(N).rational_part
+    target = _diagonal([t / (weight * (2 * k + 1)) for k, t in enumerate(tn_diagonal(N))])
+    residual = w.transpose() @ w - target
     return residual.is_zero(), residual
 
 

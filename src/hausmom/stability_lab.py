@@ -163,8 +163,8 @@ def amplification_experiment(f, n, deltas=None, R=20, seed=42):
     deltas = tuple(deltas) if deltas is not None else tuple(10.0 ** -k for k in range(2, 8))
     if R < 1:
         raise ValueError("R must be >= 1")
-    if min(deltas) <= 0:
-        raise ValueError("deltas must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError("deltas must be finite and positive")
     y = _as_moments(f, n)
     clean = pseudoinverse(y)
     d2 = np.array(deltas) ** 2
@@ -195,7 +195,7 @@ def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2, m_ref=16
     rows = []
     for n in n_list:
         y = _as_moments(f, n)
-        est = amplification_experiment(f, n, deltas, R, seed)
+        est = amplification_experiment(y, n, deltas, R, seed)
         tail_sq = float(np.sum(ref[n:] ** 2))
         for k, delta in enumerate(deltas):
             tots = []
@@ -245,11 +245,8 @@ def linv_growth_study(n_max, precision=256):
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
         # so the argmax over j is that of the integer rational part
-        best_j, best = 1, 0.0
-        for j in range(i):
-            v = sqrt(2 * i - 1) * abs(float(r[j]))
-            if v > best:
-                best, best_j = v, j + 1
+        scaled = [sqrt(2 * i - 1) * abs(float(x)) for x in r]
+        best = max(scaled)
         diag = sqrt(2 * i - 1) * comb(2 * i - 2, i - 1)
         inf_norm = hinv.abs_row_sums()
         rows.append({
@@ -257,7 +254,7 @@ def linv_growth_study(n_max, precision=256):
             "norm": norm,
             "norm_sq_rel_err": float(rel),
             "row_max": best,
-            "row_max_col": best_j,
+            "row_max_col": scaled.index(best) + 1,
             "diag": diag,
             "bound": exp(1.763 * i),
             "ln_spectral_over_i": float(mp.log(lam)) / i,
@@ -283,6 +280,10 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
     sampling noise.  Returns rows (delta, best_N, error) where the error
     is minimized over N in {2^0 .. 2^max_level_exp}.
     """
+    if max_level_exp < 0:
+        raise ValueError("max_level_exp must be >= 0")
+    if not all(0 <= d < math.inf for d in deltas):
+        raise ValueError("deltas must be finite and >= 0")
     y = np.asarray(y_values, dtype=float)
     levels = [2**q for q in range(max_level_exp + 1) if 2**q <= len(y)]
     j = np.arange(1, len(y) + 1, dtype=float)
@@ -411,6 +412,10 @@ def laplace_consistency(f, j_list, tol=1e-8):
     of exp(-j tau) f(exp(-tau)) over (0, inf), truncated at T_j with the
     exp(-j T)/j tail bound kept below tol/10.
     """
+    if not j_list:
+        raise ValueError("j_list must not be empty")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     y = forward_moments(f, max(j_list))
     t_grid = np.linspace(0.0, 1.0, 2001)
     mf = float(np.max(np.abs(np.asarray(f(t_grid))))) or 1.0

@@ -36,6 +36,11 @@ class TestParsing:
     def test_delta_range(self):
         assert _parse_deltas("1e-2..1e-5") == [1e-2, 1e-3, 1e-4, 1e-5]
 
+    @pytest.mark.parametrize("text", ["1e-2..0", "-1e-2..1e-4", "1e-2..inf", "nan..1e-3", "1e-2..1e-3..1e-4"])
+    def test_delta_range_needs_finite_positive_ends(self, text):
+        with pytest.raises(ValueError, match="two finite positive ends"):
+            _parse_deltas(text)
+
     def test_delta_list(self):
         assert _parse_deltas("0.1,0.001") == [0.1, 0.001]
 
@@ -112,6 +117,34 @@ class TestCommands:
     def test_help_exits_zero(self, capsys, argv):
         assert run(argv) == 0
         assert capsys.readouterr().out.startswith("usage: hausmom")
+
+    @pytest.mark.parametrize("argv", [
+        ["hausdorff", "--n-max", "0"],
+        ["amplification", "--n-min", "5", "--n-max", "2"],
+        ["eit", "--modes", "0"],
+        ["laplace", "--j-max", "0"],
+    ])
+    def test_empty_table_is_a_usage_error(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pointvalue", "--deltas", "-0.1"], "deltas must be finite and >= 0"),
+        (["pointvalue", "--deltas", "nan"], "deltas must be finite and >= 0"),
+        (["pointvalue", "--max-level-exp", "-1"], "max_level_exp must be >= 0"),
+        (["pointvalue", "--deltas", "1e-2..0"], "two finite positive ends"),
+        (["laplace", "--tol", "0"], "tol must be finite and positive"),
+        (["laplace", "--tol", "-1"], "tol must be finite and positive"),
+        (["laplace", "--tol", "nan"], "tol must be finite and positive"),
+        (["amplification", "--deltas", "nan", "--n-max", "2"], "deltas must be finite and positive"),
+    ])
+    def test_bad_levels_and_tolerances_refused(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
 
     @pytest.mark.parametrize("module", ["hausmom", "hausmom.cli"])
     def test_python_dash_m(self, capsys, module):

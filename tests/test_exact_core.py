@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +61,19 @@ class TestRationalMatrix:
     def test_sub_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             hilbert_matrix(3) - hilbert_matrix(2)
+
+    def test_numpy_integer_entries_do_not_wrap(self):
+        a = RationalMatrix([[np.int64(2**40)]])
+        assert type(a.num[0][0]) is int
+        assert (a @ a).num == [[2**80]]
+        b = RationalMatrix([[np.int64(3), np.int32(1)]], 6)
+        assert all(type(x) is int for x in b.num[0])
+        assert (b @ b.transpose()) == RationalMatrix([[5]], 18)
+
+    def test_numpy_integer_den_does_not_wrap(self):
+        a = RationalMatrix([[1]], np.int64(2**40))
+        assert type(a.den) is int
+        assert (a @ a) == RationalMatrix([[1]], 2**80)
 
 
 class TestHilbertMatrix:

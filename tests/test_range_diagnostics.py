@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hausmom.functions import abs_kink
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments, reconstruction_norm_sq_exact
@@ -21,6 +22,72 @@ from hausmom.range_diagnostics import (
 
 def _unit_sequence(n):
     return MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1))
+
+
+# Oracles: the per-entry loops that forward_differences, hausdorff_criterion
+# and exact_polynomial_moments ran before they became matrix products.
+def _loop_forward_difference(values, m, n):
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        return sum((-1) ** l * math.comb(n, l) * Fraction(values[m + l]) for l in range(n + 1))
+    return math.fsum((-1) ** l * math.comb(n, l) * float(values[m + l]) for l in range(n + 1))
+
+
+def _loop_criterion(values, N):
+    lam = tuple(math.comb(N, m) * _loop_forward_difference(values, m, N - m) for m in range(N + 1))
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        return lam, (N + 1) * sum(v * v for v in lam)
+    return lam, (N + 1) * math.fsum(v * v for v in lam)
+
+
+def _loop_polynomial_moments(coeffs, n):
+    cs = [Fraction(c) for c in coeffs]
+    return [sum(c / (k + j) for k, c in enumerate(cs)) for j in range(1, n + 1)]
+
+
+def _closed_form_RN(N):
+    return [[(-1) ** (N - i) * (-1) ** (N - j) * math.comb(N - i, j - i) if j >= i else 0
+             for j in range(1, N + 1)] for i in range(1, N + 1)]
+
+
+_INT = st.integers(-(10**12), 10**12)
+_FRACTION = st.fractions(max_denominator=10**4).filter(lambda q: abs(q) < 10**4)
+_FLOAT = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+_DATA = st.one_of(
+    st.lists(_INT, min_size=1, max_size=24),
+    st.lists(_FRACTION, min_size=1, max_size=24),
+    st.lists(st.one_of(_INT, _FRACTION), min_size=1, max_size=24),
+    st.lists(st.one_of(_INT, _FRACTION, _FLOAT), min_size=1, max_size=24),
+)
+
+
+def _same(a, b):
+    # equal values of the same type: Fractions stay Fractions, floats match bit for bit
+    return type(a) is type(b) and a == b and (not isinstance(a, float) or a.hex() == b.hex())
+
+
+class TestLoopOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(_DATA, st.data())
+    def test_matches_per_entry_loops(self, values, data):
+        y = MomentSequence.from_values(values)
+        N = data.draw(st.integers(0, len(values) - 1))
+        lam, crit = _loop_criterion(values, N)
+        stats = hausdorff_criterion(y, N)
+        assert len(stats.lam) == len(lam) and all(map(_same, stats.lam, lam))
+        assert _same(stats.criterion_value, crit)
+        m = data.draw(st.integers(0, len(values) - 1))
+        n = data.draw(st.integers(0, len(values) - 1 - m))
+        assert _same(forward_differences(y, m, n), _loop_forward_difference(values, m, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_INT, _FRACTION), min_size=1, max_size=24), st.integers(1, 24))
+    def test_polynomial_moments_match_loop(self, coeffs, n):
+        got = exact_polynomial_moments(coeffs, n).values
+        assert len(got) == n and all(map(_same, got, _loop_polynomial_moments(coeffs, n)))
+
+    def test_RN_matches_closed_form(self):
+        for N in range(1, 31):
+            assert build_RN(N).entries == _closed_form_RN(N)
 
 
 class TestForwardDifferences:
@@ -138,17 +205,20 @@ class TestPicard:
         assert partial == pytest.approx(float(reconstruction_norm_sq_exact(y)), rel=1e-9)
 
     def test_statistic_equivalence(self):
-        # ||D_N R_N P_N y||^2 = ||T_N^(1/2) P_N Linv y||^2, exactly, on range members
+        # ||D_N R_N P_N y||^2 = ||T_N^(1/2) P_N Linv y||^2, exactly, on range members;
+        # the left side is also the level N-1 criterion value
         from hausmom.exact_core import inverse_factor_Linv
 
-        for coeffs in ((1,), (0, 1), (2, -1, 3)):
+        for coeffs in ((1,), (0, 1), (2, -1, 3), (Fraction(1, 3), 0, Fraction(-5, 7))):
             y = exact_polynomial_moments(coeffs, 16)
-            for N in (3, 8, 15):
+            for N in (1, 3, 8, 15, 16):
                 vals = [Fraction(v) for v in y.values[:N]]
                 r = build_RN(N)
                 weight, diag = build_DN(N)
                 ry = [sum(r[i, j] * vals[j] for j in range(N)) for i in range(N)]
                 lhs = weight * sum((diag[i, i] * ry[i]) ** 2 for i in range(N))
+                crit = hausdorff_criterion(y, N - 1).criterion_value
+                assert type(crit) is Fraction and crit == lhs
                 part = inverse_factor_Linv(N).rational_part
                 inners = [sum(part[i, j] * vals[j] for j in range(i + 1)) for i in range(N)]
                 tn = tn_diagonal(N)

@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hausmom.stability_lab as lab
+
 from hausmom.exact_core import factored_gram_norm, inverse_factor_Linv, inverse_hilbert, spectral_norm
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
@@ -138,6 +140,11 @@ class TestAmplification:
         with pytest.raises(ValueError):
             amplification_experiment(peak(), 2, deltas=[0.0, 1e-3])
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_refuses_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="deltas must be finite and positive"):
+            amplification_experiment(peak(), 2, deltas=[1e-3, delta], R=1)
+
 
 class TestGrowthStudy:
     def test_first_levels(self):
@@ -200,6 +207,15 @@ class TestPointValue:
         rows = point_value_noise_study(y, 1.0, [1e-2, 1e-3], max_level_exp=12)
         assert rows[0]["error"] > rows[1]["error"]
 
+    @pytest.mark.parametrize("deltas", [[-0.1], [1e-3, math.nan], [math.inf]])
+    def test_noise_study_refuses_bad_deltas(self, deltas):
+        with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
+            point_value_noise_study([0.5, 1 / 3], 1.0, deltas, max_level_exp=1)
+
+    def test_noise_study_refuses_negative_level_exponent(self):
+        with pytest.raises(ValueError, match="max_level_exp must be >= 0"):
+            point_value_noise_study([0.5], 1.0, [1e-2], max_level_exp=-1)
+
 
 class TestCounterexample:
     def test_bump_moments_vanish(self):
@@ -248,6 +264,15 @@ class TestCrossChecks:
         for row in rows:
             assert row["laplace"] == pytest.approx(1.0 / (row["j"] + 1), abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_laplace_refuses_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            laplace_consistency(constant(1.0), [1, 2], tol=tol)
+
+    def test_laplace_refuses_no_moments(self):
+        with pytest.raises(ValueError, match="j_list must not be empty"):
+            laplace_consistency(constant(1.0), [])
+
     def test_eit_constant(self):
         vals = eit_forward(constant(1.0), [1, 2, 3, 4])
         assert np.allclose(vals, [(n + 1) / (2 * n) for n in (1, 2, 3, 4)])
@@ -264,3 +289,17 @@ class TestErrorSplit:
     def test_envelope_holds(self):
         rows = error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=5)
         assert all(r["ok"] for r in rows)
+
+    def test_rows_equal_the_quadrature_route(self, monkeypatch):
+        # the amplification estimate from the level's moments, or from f by
+        # its own quadrature as before, gives the same rows
+        rows = error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=3)
+        real = lab.amplification_experiment
+        monkeypatch.setattr(lab, "amplification_experiment", lambda y, n, *a: real(peak(), n, *a))
+        assert error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=3) == rows
+
+    def test_one_quadrature_per_level(self, monkeypatch):
+        levels = []
+        monkeypatch.setattr(lab, "forward_moments", lambda f, n: levels.append(n) or forward_moments(f, n))
+        error_split_study(peak(), [2, 5], deltas=[1e-2], R=2)
+        assert levels == [2, 5]
