@@ -16,7 +16,6 @@ from math import sqrt
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .exact_core import RationalMatrix, cholesky_factor_L, hilbert_matrix, inverse_factor_Linv
 from .legendre import LegendreExpansion, project
@@ -69,11 +68,13 @@ class SobolevBudget:
 
 
 def forward_moments(f, n, tol=1e-12):
+    """First n moments as floats: exact for polynomials, without loading scipy; else by scipy quad."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
         exact = exact_polynomial_moments(f.poly_coeffs, n)
         return MomentSequence.from_values([float(v) for v in exact.values])
+    from scipy.integrate import quad
     pts = sorted(set(f.breakpoints)) or None
     vals = []
     for j in range(1, n + 1):
@@ -167,12 +168,12 @@ def projection_error(f, n, i_max=None, tail_tol=None):
 
 def sobolev_norm(f, kind="H1", grid=20001):
     """Sobolev norms by quadrature; W1inf by dense sampling on `grid` points."""
+    from scipy.integrate import quad
     pts = sorted(set(f.breakpoints)) or None
 
     def _l2sq(g):
-        v, _ = quad(lambda t: np.asarray(g(t), dtype=float) ** 2, 0.0, 1.0,
-                    epsabs=1e-13, epsrel=1e-13, limit=200, points=pts)
-        return v
+        return quad(lambda t: np.asarray(g(t), dtype=float) ** 2, 0.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-13, limit=200, points=pts)[0]
 
     if kind == "L2":
         return sqrt(_l2sq(f.value))

@@ -16,8 +16,6 @@ from math import comb, exp, fsum, log, sqrt
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import lambertw
 
 from .exact_core import RationalMatrix, factored_gram_norm, inverse_factor_Linv, spectral_norm
 from .legendre import QuadratureRule, l2_distance, project
@@ -52,8 +50,8 @@ class NoiseModel:
     seed: int = 42
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,14 +92,15 @@ class BumpFamily:
 
 
 def lambert_w(z):
-    """Principal branch W(z) for z >= -1/e, from ``scipy.special.lambertw``.
+    """Principal branch W(z) for finite z >= -1/e, from ``scipy.special.lambertw``.
 
     W(-1/e) = -1 is returned directly: scipy gives nan at that double.
     """
-    if z < -1.0 / math.e:
-        raise ValueError("lambert_w defined on [-1/e, inf) only")
+    if not -1.0 / math.e <= z < math.inf:
+        raise ValueError("lambert_w needs a finite z >= -1/e")
     if z == -1.0 / math.e:
         return -1.0
+    from scipy.special import lambertw
     return float(lambertw(z).real)
 
 
@@ -112,8 +111,8 @@ def stability_bound(delta, E, C_hat):
     term E^2/(4N^2) against the noise term C_hat exp(3.5 N) delta^2; the
     returned bound is (7/sqrt(8)) E / W(arg).
     """
-    if delta <= 0 or E <= 0 or C_hat <= 0:
-        raise ValueError("delta, E and C_hat must be positive")
+    if not all(0 < v < math.inf for v in (delta, E, C_hat)):
+        raise ValueError("delta, E and C_hat must be finite and positive")
     arg = 7.0 * E / (8.0 * sqrt(C_hat) * delta)
     w = lambert_w(arg)
     n_star = 4.0 * w / 7.0
@@ -416,6 +415,7 @@ def laplace_consistency(f, j_list, tol=1e-8):
         raise ValueError("j_list must not be empty")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
+    from scipy.integrate import quad
     y = forward_moments(f, max(j_list))
     t_grid = np.linspace(0.0, 1.0, 2001)
     mf = float(np.max(np.abs(np.asarray(f(t_grid))))) or 1.0
@@ -435,11 +435,11 @@ def laplace_consistency(f, j_list, tol=1e-8):
 
 def eit_forward(sigma, n_list):
     """Linearized layered-disc forward map: ((n+1)/2) moment_n of sigma(sqrt(t))."""
+    from scipy.integrate import quad
     out = []
     for n in n_list:
         if n < 1:
             raise ValueError("mode numbers must be >= 1")
-        v, err = quad(lambda t: float(sigma(sqrt(t))) * t ** (n - 1), 0.0, 1.0,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        out.append((n + 1) / 2.0 * v)
+        out.append((n + 1) / 2.0 * quad(lambda t: float(sigma(sqrt(t))) * t ** (n - 1), 0.0, 1.0,
+                                        epsabs=1e-13, epsrel=1e-13, limit=200)[0])
     return np.array(out)

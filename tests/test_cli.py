@@ -26,6 +26,19 @@ def _cli_calls():
 CLI_CALLS = _cli_calls()
 
 
+def _run_fresh(code):
+    """Run code in a new interpreter that imports hausmom from this checkout; assert it exits 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def _loaded_none_of(*packages):
+    """Code asserting that no module of the named top-level packages was imported."""
+    return f"import sys\nassert not {set(packages)!r} & {{m.split('.')[0] for m in sys.modules}}\n"
+
+
 def _capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -63,9 +76,20 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: not a polynomial in t")
 
     def test_import_leaves_sympy_out(self):
-        code = "import hausmom.cli, sys; assert 'sympy' not in sys.modules"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+        for module in ("hausmom", "hausmom.cli"):
+            _run_fresh(f"import {module}\n" + _loaded_none_of("scipy", "sympy"))
+
+    def test_exact_commands_leave_scipy_out(self):
+        calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["pointvalue"],
+                 ["growth", "--n-max", "4"]]
+        _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
+                   + _loaded_none_of("scipy"))
+
+    def test_only_quadrature_loads_scipy(self):
+        _run_fresh("import math, sys\nfrom hausmom import forward_moments, peak, polynomial\n"
+                   "forward_moments(polynomial((1, 2)), 4)\n"
+                   "assert 'scipy' not in sys.modules\ny = forward_moments(peak(), 4)\n"
+                   "assert 'scipy' in sys.modules and len(y.values) == 4 and all(map(math.isfinite, y.values))\n")
 
 
 class TestCommands:

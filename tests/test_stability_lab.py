@@ -62,6 +62,11 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w(-1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            lambert_w(z)
+
 
 class TestStabilityBound:
     def test_terms_balance(self):
@@ -86,6 +91,19 @@ class TestStabilityBound:
         b = stability_bound(1e-6, 1.0, 1.0)
         assert b.N_star == pytest.approx(4 / 7 * lambert_w(7 / (8 * 1e-6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_refuses_non_finite(self, position, bad):
+        args = [1e-3, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            stability_bound(*args)
+
+    def test_refuses_overflowing_argument(self):
+        # finite inputs whose W argument 7 E / (8 sqrt(C_hat) delta) overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            stability_bound(1e-300, 1e300, 1.0)
+
 
 class TestNoise:
     def test_zero_delta(self):
@@ -109,6 +127,11 @@ class TestNoise:
             NoiseModel(delta=-1.0)
         with pytest.raises(TypeError):
             NoiseModel(delta=1.0, mode="uniform")
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_model_refuses_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(delta=delta)
 
 
 class TestAmplification:
