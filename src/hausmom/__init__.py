@@ -12,8 +12,6 @@ from .exact_core import (
     FactoredTriangular,
     RationalMatrix,
     SpectralNormError,
-    back_substitution_inverse,
-    binomial,
     cholesky_factor_L,
     hilbert_matrix,
     inverse_factor_Linv,

@@ -49,15 +49,18 @@ class RationalMatrix:
     Kept in lowest terms, so ``==`` compares ``(den, num)``: the sign of a
     negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Rows of
     other exact numbers are put over the lcm of their denominators, and
-    numpy integers become Python ints.  ``entries`` and ``m[i, j]`` are
-    exact views: ``int`` where ``den`` divides the entry, ``Fraction``
-    otherwise.
+    numpy integers become Python ints.  A matrix with no rows or no
+    columns is refused, since its shape could not be kept.  ``entries``
+    and ``m[i, j]`` are exact views: ``int`` where ``den`` divides the
+    entry, ``Fraction`` otherwise.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries, den=1):
         num = [list(row) for row in entries]
+        if not num or not num[0]:
+            raise ValueError("a matrix needs at least one row and one column")
         den = index(den)  # numpy integers, here or in num, would wrap in products
         if den == 0:
             raise ValueError("den must be nonzero")
@@ -72,7 +75,7 @@ class RationalMatrix:
         self.num = [[x // g for x in row] for row in num] if g != 1 else num
         self.den = den // g
         self.rows = len(num)
-        self.cols = len(num[0]) if num else 0
+        self.cols = len(num[0])
         if any(len(row) != self.cols for row in num):
             raise ValueError("ragged rows")
 
@@ -134,18 +137,23 @@ class FactoredTriangular:
     """
 
     rational_part: RationalMatrix
-    diag_weights: tuple
     scale_rows: bool
 
     @property
     def n(self):
         return self.rational_part.rows
 
+    @property
+    def diag_weights(self):
+        """The weights w = (1, 3, ..., 2n-1)."""
+        return tuple(range(1, 2 * self.n, 2))
+
     def entry(self, i, j):
         """Float value of entry (i, j), 1-based, including the sqrt-weight."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"entry ({i}, {j}) is outside 1..{self.n}")
         r = self.rational_part[i - 1, j - 1]
-        w = self.diag_weights[i - 1] if self.scale_rows else self.diag_weights[j - 1]
-        return float(r) * np.sqrt(w)
+        return float(r) * np.sqrt(2 * (i if self.scale_rows else j) - 1)
 
     def gram(self):
         """Exact Gram product with the weights folded in.
@@ -185,7 +193,7 @@ def cholesky_factor_L(n):
         ]
         for i in range(1, n + 1)
     ]
-    return FactoredTriangular(RationalMatrix(part), tuple(2 * j - 1 for j in range(1, n + 1)), scale_rows=False)
+    return FactoredTriangular(RationalMatrix(part), scale_rows=False)
 
 
 def inverse_factor_Linv(n):
@@ -200,53 +208,12 @@ def inverse_factor_Linv(n):
         [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    return FactoredTriangular(RationalMatrix(part), tuple(2 * i - 1 for i in range(1, n + 1)), scale_rows=True)
+    return FactoredTriangular(RationalMatrix(part), scale_rows=True)
 
 
 def inverse_hilbert(n):
     """Exact inverse Hilbert segment, H_n^{-1} = M^T diag(2j-1) M."""
     return inverse_factor_Linv(n).gram()
-
-
-def back_substitution_inverse(lfac):
-    """Invert a scale-columns factored triangular by back substitution.
-
-    Returns a scale-rows factored triangular with the same weight layout
-    as :func:`inverse_factor_Linv`; used as the independent oracle for the
-    closed-form inverse.  Writing Ln = Ltilde S with S = diag(sqrt(w)),
-    Ln^{-1} = S^{-1} Ltilde^{-1} = S (S^{-2} Ltilde^{-1}); the rational
-    part returned is diag(1/w) @ Ltilde^{-1}.
-    """
-    if lfac.scale_rows:
-        raise ValueError("expected a scale-columns factor")
-    n = lfac.n
-    a = lfac.rational_part.entries
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = Fraction(1) / a[j][j]
-        for i in range(j + 1, n):
-            s = sum(a[i][k] * inv[k][j] for k in range(j, i))
-            inv[i][j] = -s / a[i][i]
-    w = lfac.diag_weights
-    part = [[inv[i][j] / w[i] for j in range(n)] for i in range(n)]
-    return FactoredTriangular(RationalMatrix(part), w, scale_rows=True)
-
-
-def binomial(a, k):
-    """Generalized binomial coefficient C(a, k) via the running product.
-
-    Exact Fraction for integer or rational a; mpmath float (at the current
-    working precision) for real a.  The product form avoids the Gamma-pole
-    bookkeeping that quotients of Gamma values would need for a in (-1, 0).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    kind = Fraction if isinstance(a, (numbers.Integral, Fraction)) else mp.mpf
-    out = kind(1)
-    a = kind(a)
-    for j in range(k):
-        out *= (a - j) / (j + 1)
-    return out
 
 
 def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):

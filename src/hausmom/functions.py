@@ -118,14 +118,3 @@ def g_alpha(alpha):
         singular_at_one=True,
     )
 
-
-def check_derivative(f, rng=None, npoints=20, h=1e-6, rtol=1e-4):
-    """Finite-difference consistency check of f.derivative at interior points."""
-    if f.derivative is None:
-        raise ValueError(f"{f.label}: no derivative available")
-    rng = rng or np.random.default_rng(0)
-    bad = set(f.breakpoints)
-    pts = [t for t in rng.uniform(0.05, 0.95, npoints) if all(abs(t - b) > 10 * h for b in bad)]
-    t = np.array(pts)
-    fd = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2 * h)
-    return np.allclose(fd, np.asarray(f.derivative(t)), rtol=rtol, atol=1e-8)

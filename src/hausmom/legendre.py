@@ -41,14 +41,13 @@ class LegendreExpansion:
 class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    order: int
 
     @classmethod
     def gauss(cls, npts, interval=(0.0, 1.0)):
         """Gauss-Legendre with npts nodes on the interval; exact to degree 2*npts-1."""
         x, w = leggauss(npts)
         a, b = interval
-        return cls((b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w, 2 * npts - 1)
+        return cls((b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w)
 
     @classmethod
     def composite(cls, npts, breakpoints):
@@ -57,17 +56,17 @@ class QuadratureRule:
         return cls(
             np.concatenate([p.nodes for p in pieces]),
             np.concatenate([p.weights for p in pieces]),
-            2 * npts - 1,
         )
 
     @classmethod
-    def endpoint_graded(cls, npts, levels=40):
+    def endpoint_graded(cls, npts):
         """Composite rule geometrically refined toward t = 1.
 
         For integrands whose derivative blows up at 1 (the (1-t)^alpha
-        family) plain Gauss stalls; this splits [0,1] at 1 - 2^-l.
+        family) plain Gauss stalls; this splits [0,1] at 1 - 2^-l,
+        l = 1..40.
         """
-        bps = [0.0] + [1.0 - 2.0 ** -l for l in range(1, levels + 1)] + [1.0]
+        bps = [0.0] + [1.0 - 2.0 ** -l for l in range(1, 41)] + [1.0]
         return cls.composite(npts, bps)
 
 
@@ -96,9 +95,10 @@ def basis_matrix(m, t):
     return out
 
 
-def default_rule(f, m, oversample=8):
-    """Quadrature rule matched to f: honours breakpoints and the t=1 grading."""
-    npts = m + oversample
+def default_rule(f, m):
+    """Quadrature rule with m + 8 nodes per piece, matched to f: honours
+    breakpoints and the t=1 grading."""
+    npts = m + 8
     breakpoints = tuple(getattr(f, "breakpoints", ()) or ())
     if getattr(f, "singular_at_one", False):
         return QuadratureRule.endpoint_graded(npts)
@@ -108,15 +108,14 @@ def default_rule(f, m, oversample=8):
     return QuadratureRule.gauss(npts)
 
 
-def project(f, m, quad=None, tail_tol=None):
+def project(f, m, tail_tol=None):
     """First m Legendre coefficients of f by quadrature.
 
-    Exact (to roundoff) for polynomial f of degree < m with the default
-    rule.  If ``tail_tol`` is given, a last coefficient exceeding it makes
-    the rule suspect and raises QuadratureOrderError.
+    Exact (to roundoff) for polynomial f of degree < m with
+    :func:`default_rule`.  If ``tail_tol`` is given, a last coefficient
+    exceeding it makes the rule suspect and raises QuadratureOrderError.
     """
-    if quad is None:
-        quad = default_rule(f, m)
+    quad = default_rule(f, m)
     fv = np.asarray(f(quad.nodes), dtype=float)
     if fv.shape != quad.nodes.shape:
         fv = np.broadcast_to(fv, quad.nodes.shape)

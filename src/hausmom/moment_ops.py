@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 import mpmath as mp
 import numpy as np
@@ -61,20 +61,22 @@ class SobolevBudget:
     kind: str = "H1"  # H1 | H1-seminorm | H2
 
     def __post_init__(self):
-        if self.E <= 0:
-            raise ValueError("E must be positive")
+        if not 0 < self.E < inf:
+            raise ValueError("E must be finite and positive")
         if self.kind not in ("H1", "H1-seminorm", "H2"):
             raise ValueError(f"unknown budget kind {self.kind!r}")
 
 
-def forward_moments(f, n, tol=1e-12):
-    """First n moments as floats: exact for polynomials, without loading scipy; else by scipy quad."""
+def forward_moments(f, n):
+    """First n moments as floats: exact for polynomials, without loading
+    scipy; else by scipy quad to absolute and relative tolerance 1e-12."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
         exact = exact_polynomial_moments(f.poly_coeffs, n)
         return MomentSequence.from_values([float(v) for v in exact.values])
     from scipy.integrate import quad
+    tol = 1e-12
     pts = sorted(set(f.breakpoints)) or None
     vals = []
     for j in range(1, n + 1):
@@ -154,20 +156,14 @@ def reconstruction_norm_sq_exact(y):
     return Fraction(sum((2 * i + 1) * x * x for i, (x,) in enumerate(p.num)), p.den * p.den)
 
 
-def projection_error(f, n, i_max=None, tail_tol=None):
-    """||(A_n^+ A - I) f|| = l2 tail of the Legendre coefficients from n on.
-
-    The tail is truncated at i_max (default max(4n, 64)); the magnitude of
-    the last computed coefficient serves as the tail proxy and trips
-    ``tail_tol`` when the decay is too slow to trust the truncation.
-    """
-    i_max = i_max or max(4 * n, 64)
-    e = project(f, i_max, tail_tol=tail_tol)
-    return float(np.linalg.norm(e.coefficients[n:]))
+def projection_error(f, n):
+    """||(A_n^+ A - I) f|| = l2 tail of the Legendre coefficients from n on,
+    truncated at max(4n, 64) coefficients."""
+    return float(np.linalg.norm(project(f, max(4 * n, 64)).coefficients[n:]))
 
 
-def sobolev_norm(f, kind="H1", grid=20001):
-    """Sobolev norms by quadrature; W1inf by dense sampling on `grid` points."""
+def sobolev_norm(f, kind="H1"):
+    """Sobolev norms by quadrature; W1inf by dense sampling on 20001 points."""
     from scipy.integrate import quad
     pts = sorted(set(f.breakpoints)) or None
 
@@ -184,7 +180,7 @@ def sobolev_norm(f, kind="H1", grid=20001):
     if kind == "H1":
         return sqrt(_l2sq(f.value) + _l2sq(f.derivative))
     if kind == "W1inf":
-        t = np.linspace(0.0, 1.0, grid)
+        t = np.linspace(0.0, 1.0, 20001)
         return float(np.max(np.abs(np.asarray(f.derivative(t)))))
     if kind == "H2":
         if f.second_derivative is None:
@@ -193,19 +189,19 @@ def sobolev_norm(f, kind="H1", grid=20001):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def h1_rate_check(f, budget, n_list, i_max=None):
+def h1_rate_check(f, budget, n_list):
     """Projection-error decay against the smoothness-rate bound.
 
     Rows (n, error, bound) with bound = E/(2n) for H1 budgets (full norm
-    or seminorm) and E/(2 sqrt(2) n^2) for H2.  The norm the budget names
-    is measured and checked against E before the run.
+    or seminorm) and E/(2 sqrt(2) n^2) for H2; the errors are tails of
+    max(4 max(n_list), 96) coefficients.  The norm the budget names is
+    measured and checked against E before the run.
     """
     measured = sobolev_norm(f, budget.kind)
     if measured > budget.E * (1 + 1e-9):
         raise ValueError(f"budget violated: measured {budget.kind} norm "
                          f"{measured:.6g} exceeds E={budget.E:.6g}")
-    i_cap = i_max or max(4 * max(n_list), 96)
-    coeffs = project(f, i_cap).coefficients
+    coeffs = project(f, max(4 * max(n_list), 96)).coefficients
     rows = []
     for n in n_list:
         err = float(np.linalg.norm(coeffs[n:]))

@@ -165,24 +165,29 @@ def _picard_partial(y, N):
 
 def picard_partial_sums(y, N_list):
     """Rows (N, ||P_N Linv y||^2); monotone non-decreasing in N."""
+    if not N_list:
+        raise ValueError("N_list must not be empty")
+    if min(N_list) < 1:
+        raise ValueError("levels must be >= 1")
     if max(N_list) > y.n:
         raise ValueError("largest level exceeds the available moments")
     return [{"N": N, "partial": _picard_partial(y, N)} for N in N_list]
 
 
-def stable_family(alpha, J, tail_K=1_000_000):
+def stable_family(alpha, J):
     """The moment sequence of (1-t)^alpha, with its norms.
 
     coeffs holds y_j = C(alpha, j-1) (-1)^(j-1) for j <= J, all positive.
     hardy_norm_sq is the sum of C(alpha,k)^2 over all k, computed as a
-    partial sum to tail_K plus an integral correction of the k^(-2(1+alpha))
-    envelope; the correction itself is reported as tail_bound.
+    partial sum to max(10^6, J) plus an integral correction of the
+    k^(-2(1+alpha)) envelope; the correction itself is reported as
+    tail_bound.
     """
     if not -0.5 < alpha < 0:
         raise ValueError("alpha must lie strictly inside (-1/2, 0)")
     if J < 1:
         raise ValueError("J must be >= 1")
-    K = max(tail_K, J)
+    K = max(1_000_000, J)
     k = np.arange(1, K, dtype=float)
     # |C(alpha,k)| via the ratio |c_k/c_{k-1}| = (k-1-alpha)/k, c_0 = 1
     absc = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))

@@ -182,14 +182,18 @@ def amplification_experiment(f, n, deltas=None, R=20, seed=42):
     )
 
 
-def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2, m_ref=160):
+def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2):
     """Measured total error against the split envelope sqrt(f_n^2 d^2 + tail^2).
 
     Returns rows (n, delta, total, envelope, ok); the reference expansion
-    uses m_ref coefficients so its own truncation is negligible against
-    the levels in n_list.
+    has 160 coefficients, so its own truncation is negligible against the
+    levels in n_list, and a level above 160 is refused.
     """
     deltas = tuple(deltas) if deltas is not None else tuple(10.0 ** -k for k in range(2, 8))
+    m_ref = 160
+    for n in n_list:
+        if n > m_ref:
+            raise ValueError(f"level {n} exceeds the {m_ref}-coefficient reference")
     ref = project(f, m_ref).coefficients
     rows = []
     for n in n_list:
@@ -284,6 +288,8 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
     if not all(0 <= d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and >= 0")
     y = np.asarray(y_values, dtype=float)
+    if not y.size:
+        raise ValueError("y_values must not be empty")
     levels = [2**q for q in range(max_level_exp + 1) if 2**q <= len(y)]
     j = np.arange(1, len(y) + 1, dtype=float)
     partial = np.cumsum(j * y)
@@ -320,16 +326,17 @@ def _mother_bump_derivative(m):
     return g
 
 
-def bump_family(k, m, n_moments=60, quad_pts=400):
+def bump_family(k, m):
     """Scaled-bump building block for the Hoelder counterexample.
 
     The profile is the m-th derivative of the mother bump, normalized to
     unit H^k norm; its first m moments vanish by integration by parts and
-    the stored ``moments`` are those of the normalized profile.
+    the stored ``moments`` are the first 60 of the normalized profile, all
+    integrals by 400-node Gauss-Legendre.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    rule = QuadratureRule.gauss(quad_pts)
+    rule = QuadratureRule.gauss(400)
     derivs = [_mother_bump_derivative(m + order) for order in range(k + 1)]
     hk_sq = fsum(
         float(np.sum(rule.weights * np.asarray(d(rule.nodes)) ** 2)) for d in derivs
@@ -343,7 +350,7 @@ def bump_family(k, m, n_moments=60, quad_pts=400):
     vals = np.asarray(base(rule.nodes)) / hk
     moments = np.array([
         float(np.sum(rule.weights * rule.nodes ** (j - 1) * vals))
-        for j in range(1, n_moments + 1)
+        for j in range(1, 61)
     ])
     l2 = sqrt(float(np.sum(rule.weights * vals**2)))
     return BumpFamily(k=k, p=k - 0.5, m=m, value=value, moments=moments,
@@ -376,22 +383,23 @@ def log_ratio(family, mu, r):
     return log_x - mu * log_ax
 
 
-def holder_counterexample(mu, k, C, r0=0.25, r_min=2.0**-40):
+def holder_counterexample(mu, k, C, r_min=2.0**-40):
     """Witness against a Hoelder stability estimate with exponent mu.
 
     Builds the scaled bump family with p = k - 1/2 and m chosen from the
-    proof inequality, then halves r until the ratio ||x_r||/||Ax_r||^mu
-    exceeds C.  Returns (r, m, ratio); raises RuntimeError carrying the
-    best achieved ratio if r_min is reached first.
+    proof inequality, then halves r from 1/4 until the ratio
+    ||x_r||/||Ax_r||^mu exceeds C.  Returns (r, m, ratio); raises
+    RuntimeError carrying the best achieved ratio if r_min is reached
+    first.
     """
     if not 0 < mu < 1:
         raise ValueError("mu must lie in (0, 1)")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("C must be finite and positive")
     p = k - 0.5
     m = _choose_m(mu, p)
     family = bump_family(k, m)
-    r = r0
+    r = 0.25
     best = -math.inf
     while r >= r_min:
         lr = log_ratio(family, mu, r)

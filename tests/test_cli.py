@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,16 +16,26 @@ from hausmom.cli import _parse_deltas, _parse_poly, emit_plotdata, run
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _cli_calls():
-    """The benchmark's CLI_CALLS, read from bench/child.py without importing it."""
-    tree = ast.parse((BENCH / "child.py").read_text())
+def _bench_constant(file, name):
+    """A module-level constant of bench/<file>, read without importing it."""
+    tree = ast.parse((BENCH / file).read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CLI_CALLS" for t in node.targets):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise LookupError("CLI_CALLS not found in bench/child.py")
+    raise LookupError(f"{name} not found in bench/{file}")
 
 
-CLI_CALLS = _cli_calls()
+CLI_CALLS = _bench_constant("child.py", "CLI_CALLS")
+TRACED_LAYERS = _bench_constant("spans.py", "LAYERS")
+TRACED_METHODS = [(layer, path) for layer, paths in _bench_constant("spans.py", "METHODS").items()
+                  for path in paths]
+# (layer, function) of every <layer>.<function>.{calls,self_s,distinct_ratio} counter
+COUNTED_FUNCTIONS = sorted({
+    tuple(name.split(".")[:2])
+    for name in (m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"])
+    if name.split(".")[0] in TRACED_LAYERS and name.count(".") == 2
+    and name.endswith((".calls", ".self_s", ".distinct_ratio"))
+})
 
 
 def _run_fresh(code):
@@ -163,6 +175,8 @@ class TestCommands:
         (["laplace", "--tol", "-1"], "tol must be finite and positive"),
         (["laplace", "--tol", "nan"], "tol must be finite and positive"),
         (["amplification", "--deltas", "nan", "--n-max", "2"], "deltas must be finite and positive"),
+        (["counterexample", "--C", "nan"], "C must be finite and positive"),
+        (["counterexample", "--C", "inf"], "C must be finite and positive"),
     ])
     def test_bad_levels_and_tolerances_refused(self, capsys, argv, message):
         assert run(argv) == 1
@@ -281,3 +295,29 @@ class TestGoldenGate:
         code, out = _capture(capsys, list(argv))
         assert code == 0
         assert out.encode() == (BENCH / "golden" / "cli" / f"{name}.out").read_bytes()
+
+
+class TestBenchHooks:
+    """The names bench/spans.py traces and BENCHMARK.json counts stay in the package.
+
+    A rename would not fail a traced run: it would stop tracing the name,
+    or read its counter as zero.
+    """
+
+    def test_every_layer_is_a_module(self):
+        for layer in TRACED_LAYERS:
+            importlib.import_module(f"hausmom.{layer}")
+
+    @pytest.mark.parametrize("layer, path", TRACED_METHODS)
+    def test_traced_method_exists(self, layer, path):
+        cls_name, meth = path.split(".")
+        assert inspect.isfunction(getattr(getattr(importlib.import_module(f"hausmom.{layer}"), cls_name), meth))
+
+    @pytest.mark.parametrize("layer, name", COUNTED_FUNCTIONS)
+    def test_counted_function_is_public_in_its_layer(self, layer, name):
+        # spans.instrument wraps a name only in the module that defines it
+        obj = getattr(importlib.import_module(f"hausmom.{layer}"), name)
+        assert not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == f"hausmom.{layer}"
+
+    def test_counters_are_found(self):
+        assert len(COUNTED_FUNCTIONS) >= 10 and TRACED_METHODS

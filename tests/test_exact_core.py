@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from hausmom.exact_core import (
     RationalMatrix,
     SpectralNormError,
-    back_substitution_inverse,
-    binomial,
     cholesky_factor_L,
     factored_gram_norm,
     hilbert_matrix,
@@ -18,6 +16,7 @@ from hausmom.exact_core import (
     inverse_hilbert,
     spectral_norm,
 )
+from oracles import back_substitution_inverse, binomial
 
 _FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -57,6 +56,12 @@ class TestRationalMatrix:
     def test_zero_den(self):
         with pytest.raises(ValueError, match="den must be nonzero"):
             RationalMatrix([[1]], 0)
+
+    @pytest.mark.parametrize("entries", [[], [[]], [[], []]])
+    def test_refuses_no_rows_or_no_columns(self, entries):
+        # its shape could not be kept: [] @ [[1, 2]] and [[]].transpose() went wrong
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            RationalMatrix(entries)
 
     def test_sub_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -102,6 +107,12 @@ class TestCholeskyFactor:
         assert fac.rational_part[1, 1] == Fraction(1, 6)
         assert fac.diag_weights[1] == 3
         assert fac.entry(2, 2) == pytest.approx(math.sqrt(3) / 6)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (4, 1), (-1, 1)])
+    def test_entry_refuses_index_outside(self, i, j):
+        # entry(0, 0) read entry (n, n) through the negative index
+        with pytest.raises(IndexError, match="outside 1..3"):
+            cholesky_factor_L(3).entry(i, j)
 
     def test_strictly_lower(self):
         fac = cholesky_factor_L(4)

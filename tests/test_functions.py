@@ -3,7 +3,6 @@ import pytest
 
 from hausmom.functions import (
     abs_kink,
-    check_derivative,
     constant,
     cubic_exp,
     g_alpha,
@@ -11,6 +10,7 @@ from hausmom.functions import (
     peak,
     polynomial,
 )
+from oracles import check_derivative
 
 
 def test_derivatives_consistent():

@@ -118,7 +118,7 @@ class TestAdjoint:
         assert adjoint_apply(y, 0.5) == pytest.approx(1.5)
 
     def test_binomial_series(self):
-        from hausmom.exact_core import binomial
+        from oracles import binomial
 
         alpha = Fraction(-1, 4)
         vals = [float(binomial(alpha, j)) * (-1) ** j for j in range(200)]
@@ -265,3 +265,9 @@ class TestRateCheck:
             SobolevBudget(E=1.0, kind="W1inf")
         with pytest.raises(ValueError):
             SobolevBudget(E=-1.0)
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf])
+    def test_budget_refuses_non_finite_E(self, E):
+        # E = inf made the budget check vacuous: polynomial((0, 5)) passed it
+        with pytest.raises(ValueError, match="E must be finite and positive"):
+            SobolevBudget(E=E)

@@ -197,6 +197,16 @@ class TestPicard:
         rows = picard_partial_sums(y, list(range(1, 16)))
         assert all(r["partial"] == r["N"] ** 2 for r in rows)
 
+    @pytest.mark.parametrize("levels", [[-1], [0, 2]])
+    def test_refuses_level_below_one(self, levels):
+        # N = -1 summed over the first n - 1 moments
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            picard_partial_sums(_unit_sequence(4), levels)
+
+    def test_refuses_no_levels(self):
+        with pytest.raises(ValueError, match="N_list must not be empty"):
+            picard_partial_sums(_unit_sequence(4), [])
+
     @pytest.mark.xfail(strict=True, reason="the float Picard branch rounds M's entries and products; "
                        "moving float data onto the exact path re-pins the moment_data golden")
     def test_float_data_matches_exact_sum(self):

@@ -239,6 +239,10 @@ class TestPointValue:
         with pytest.raises(ValueError, match="max_level_exp must be >= 0"):
             point_value_noise_study([0.5], 1.0, [1e-2], max_level_exp=-1)
 
+    def test_noise_study_refuses_empty_data(self):
+        with pytest.raises(ValueError, match="y_values must not be empty"):
+            point_value_noise_study([], 1.0, [1e-2])
+
 
 class TestCounterexample:
     def test_bump_moments_vanish(self):
@@ -273,6 +277,12 @@ class TestCounterexample:
         with pytest.raises(RuntimeError) as exc:
             holder_counterexample(0.5, 1, 1e300, r_min=2.0**-6)
         assert exc.value.best_ratio > 0
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf])
+    def test_refuses_non_finite_target_before_building(self, monkeypatch, C):
+        monkeypatch.setattr(lab, "bump_family", lambda k, m: pytest.fail("built the bump family"))
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            holder_counterexample(0.5, 1, C)
 
 
 class TestCrossChecks:
@@ -320,6 +330,10 @@ class TestErrorSplit:
         real = lab.amplification_experiment
         monkeypatch.setattr(lab, "amplification_experiment", lambda y, n, *a: real(peak(), n, *a))
         assert error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=3) == rows
+
+    def test_refuses_level_above_reference(self):
+        with pytest.raises(ValueError, match="level 200 exceeds the 160-coefficient reference"):
+            error_split_study(peak(), [2, 200], deltas=[1e-2], R=2)
 
     def test_one_quadrature_per_level(self, monkeypatch):
         levels = []
