@@ -196,19 +196,31 @@ def cholesky_factor_L(n):
     return FactoredTriangular(RationalMatrix(part), scale_rows=False)
 
 
+# The rows of M in inverse_factor_Linv, row i its i entries j <= i.  It grows
+# by rebinding to a longer tuple, so a tuple a reader holds never changes.
+_M_ROWS = ()
+
+
 def inverse_factor_Linv(n):
     """Closed-form inverse factor, Ln^{-1} = diag(sqrt(2i-1)) @ M.
 
     M has the integer entries (-1)^(i+j) C(i-1,j-1) C(i+j-2,j-1); the
-    row weight sqrt(2(i-1)+1) stays factored.
+    row weight sqrt(2(i-1)+1) stays factored.  Row i of M does not depend
+    on n, so one triangle of int rows, grown to the largest n requested
+    so far, serves every size: each row is computed once per process, and
+    it holds n(n+1)/2 ints for that largest n.  Each call returns a fresh
+    zero-padded copy of the leading n x n block.
     """
+    global _M_ROWS
     if n < 1:
         raise ValueError("n must be >= 1")
-    part = [
-        [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return FactoredTriangular(RationalMatrix(part), scale_rows=True)
+    rows = _M_ROWS
+    if len(rows) < n:
+        rows += tuple(tuple((-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) for j in range(1, i + 1))
+                      for i in range(len(rows) + 1, n + 1))
+        _M_ROWS = rows
+    part = RationalMatrix([[*row, *(0,) * (n - len(row))] for row in rows[:n]])
+    return FactoredTriangular(part, scale_rows=True)
 
 
 def inverse_hilbert(n):

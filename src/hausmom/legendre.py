@@ -9,6 +9,7 @@ triangular moment factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -37,6 +38,14 @@ class LegendreExpansion:
         return float(np.linalg.norm(self.coefficients))
 
 
+@cache
+def _leggauss(npts):
+    """numpy's leggauss(npts), made read-only; only QuadratureRule.gauss reads it."""
+    x, w = leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
@@ -44,8 +53,12 @@ class QuadratureRule:
 
     @classmethod
     def gauss(cls, npts, interval=(0.0, 1.0)):
-        """Gauss-Legendre with npts nodes on the interval; exact to degree 2*npts-1."""
-        x, w = leggauss(npts)
+        """Gauss-Legendre with npts nodes on the interval; exact to degree 2*npts-1.
+
+        numpy's leggauss runs once per node count in a process; each rule
+        gets new arrays, mapped from that read-only [-1, 1] rule.
+        """
+        x, w = _leggauss(npts)
         a, b = interval
         return cls((b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w)
 

@@ -159,6 +159,8 @@ def reconstruction_norm_sq_exact(y):
 def projection_error(f, n):
     """||(A_n^+ A - I) f|| = l2 tail of the Legendre coefficients from n on,
     truncated at max(4n, 64) coefficients."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return float(np.linalg.norm(project(f, max(4 * n, 64)).coefficients[n:]))
 
 
@@ -195,8 +197,11 @@ def h1_rate_check(f, budget, n_list):
     Rows (n, error, bound) with bound = E/(2n) for H1 budgets (full norm
     or seminorm) and E/(2 sqrt(2) n^2) for H2; the errors are tails of
     max(4 max(n_list), 96) coefficients.  The norm the budget names is
-    measured and checked against E before the run.
+    measured and checked against E before the run; an empty level list or
+    a level below 1 is refused first.
     """
+    if not n_list or min(n_list) < 1:
+        raise ValueError("levels must be a nonempty list of n >= 1")
     measured = sobolev_norm(f, budget.kind)
     if measured > budget.E * (1 + 1e-9):
         raise ValueError(f"budget violated: measured {budget.kind} norm "

@@ -7,6 +7,7 @@ derivative) so that the two can be checked against each other.
 
 import numbers
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import numpy as np
@@ -36,6 +37,15 @@ def back_substitution_inverse(lfac):
     w = lfac.diag_weights
     part = [[inv[i][j] / w[i] for j in range(n)] for i in range(n)]
     return FactoredTriangular(RationalMatrix(part), scale_rows=True)
+
+
+def inverse_factor_rows(n):
+    """Rows of M in Ln^{-1} = diag(sqrt(2i-1)) M, entry by entry from the
+    closed form (-1)^(i+j) C(i-1,j-1) C(i+j-2,j-1), zero above the diagonal."""
+    return [
+        [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
 
 
 def binomial(a, k):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hausmom import exact_core
 from hausmom.exact_core import (
     RationalMatrix,
     SpectralNormError,
@@ -16,7 +17,7 @@ from hausmom.exact_core import (
     inverse_hilbert,
     spectral_norm,
 )
-from oracles import back_substitution_inverse, binomial
+from oracles import back_substitution_inverse, binomial, inverse_factor_rows
 
 _FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -159,6 +160,39 @@ class TestInverseFactor:
             solved = back_substitution_inverse(cholesky_factor_L(n))
             assert closed.rational_part == solved.rational_part
             assert closed.diag_weights == solved.diag_weights
+
+    def test_triangle_matches_oracle_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(exact_core, "_M_ROWS", ())
+        for n in (7, 40, 3, 41, 1, 130, 40):
+            part = inverse_factor_Linv(n).rational_part
+            assert part.den == 1
+            assert part.num == inverse_factor_rows(n)
+
+    def test_writes_into_a_result_leave_the_next_one_correct(self, monkeypatch):
+        monkeypatch.setattr(exact_core, "_M_ROWS", ())
+        part = inverse_factor_Linv(9).rational_part
+        part.num[4][2] += 1
+        part.num[0][8] = 5
+        part.num[8].append(0)
+        for n in (9, 4, 12):
+            assert inverse_factor_Linv(n).rational_part.num == inverse_factor_rows(n)
+
+    def test_each_row_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_comb(a, b):
+            calls.append((a, b))
+            return math.comb(a, b)
+
+        monkeypatch.setattr(exact_core, "comb", counting_comb)
+        monkeypatch.setattr(exact_core, "_M_ROWS", ())
+        inverse_factor_Linv(20)
+        assert len(calls) == 20 * 21  # two per entry of the 20-row triangle
+        for n in (20, 5, 1, 20):
+            inverse_factor_Linv(n)
+        assert len(calls) == 20 * 21
+        inverse_factor_Linv(22)  # rows 21 and 22 only
+        assert len(calls) == 20 * 21 + 2 * (21 + 22)
 
 
 class TestInverseHilbert:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hausmom import legendre
 from hausmom.functions import constant, g_alpha, polynomial
 from hausmom.legendre import (
     LegendreExpansion,
@@ -56,6 +57,45 @@ class TestQuadrature:
         gram = (b * rule.weights) @ b.T
         assert np.allclose(gram, np.eye(13), atol=1e-12)
         assert basis_matrix(0, rule.nodes).shape == (0, 30)
+
+    @staticmethod
+    def _fresh_gauss(npts, interval):
+        x, w = np.polynomial.legendre.leggauss(npts)
+        a, b = interval
+        return (b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w
+
+    def test_gauss_is_bit_equal_to_fresh_leggauss(self):
+        cases = ((12, (0.0, 1.0)), (48, (0.25, 0.5)), (12, (0.5, 1.0)), (1, (0.0, 1.0)))
+        for _ in range(2):
+            for npts, interval in cases:
+                rule = QuadratureRule.gauss(npts, interval)
+                x, w = self._fresh_gauss(npts, interval)
+                assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+        # writes into one rule's arrays reach no later rule
+        rule = QuadratureRule.gauss(12)
+        rule.nodes[:] = 0.0
+        rule.weights[:] = 1.0
+        for interval in ((0.0, 1.0), (-1.0, 1.0)):
+            again = QuadratureRule.gauss(12, interval)
+            x, w = self._fresh_gauss(12, interval)
+            assert np.array_equal(again.nodes, x) and np.array_equal(again.weights, w)
+
+    def test_endpoint_graded_runs_leggauss_once(self, monkeypatch):
+        calls = []
+        real = legendre.leggauss
+
+        def counting_leggauss(npts):
+            calls.append(npts)
+            return real(npts)
+
+        monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
+        legendre._leggauss.cache_clear()
+        rule = QuadratureRule.endpoint_graded(48)
+        assert calls == [48]
+        assert len(rule.nodes) == 41 * 48
+        QuadratureRule.composite(48, [0.0, 0.5, 1.0])
+        QuadratureRule.gauss(10)
+        assert calls == [48, 10]
 
 
 class TestProject:

@@ -258,6 +258,22 @@ class TestRateCheck:
             rows = h1_rate_check(f, SobolevBudget(E=e * (1 + 1e-12), kind="H1-seminorm"), [1, 2, 4, 8, 16, 24])
             assert all(r["ok"] for r in rows)
 
+    def test_levels_refused_before_quadrature(self, monkeypatch):
+        import hausmom.moment_ops as mo
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the levels were checked")
+
+        monkeypatch.setattr(mo, "sobolev_norm", no_quadrature)
+        monkeypatch.setattr(mo, "project", no_quadrature)
+        budget = SobolevBudget(E=1.2, kind="H1")
+        for levels in ([], [0], [-3], [2, 0], ()):
+            with pytest.raises(ValueError, match="levels"):
+                mo.h1_rate_check(polynomial((0, 1)), budget, levels)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n must be"):
+                mo.projection_error(polynomial((0, 1)), n)
+
     def test_budget_kind_validation(self):
         with pytest.raises(ValueError):
             SobolevBudget(E=1.0, kind="H3")
