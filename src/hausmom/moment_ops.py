@@ -69,7 +69,9 @@ class SobolevBudget:
 
 def forward_moments(f, n):
     """First n moments as floats: exact for polynomials, without loading
-    scipy; else by scipy quad to absolute and relative tolerance 1e-12."""
+    scipy; else by scipy quad to absolute and relative tolerance 1e-12,
+    with f evaluated once per distinct node of the call, as the n integrals
+    share most of their Gauss-Kronrod nodes."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
@@ -78,9 +80,17 @@ def forward_moments(f, n):
     from scipy.integrate import quad
     tol = 1e-12
     pts = sorted(set(f.breakpoints)) or None
+    f_at = {}  # node -> f(node), for this call only
+
+    def integrand(t, k):
+        v = f_at.get(t)
+        if v is None:
+            v = f_at[t] = f(t)
+        return v * t ** k
+
     vals = []
     for j in range(1, n + 1):
-        v, err = quad(lambda t: f(t) * t ** (j - 1), 0.0, 1.0,
+        v, err = quad(integrand, 0.0, 1.0, args=(j - 1,),
                       epsabs=tol, epsrel=tol, limit=200, points=pts)
         if err > 10 * max(tol, abs(v) * tol) + 1e-15:
             raise RuntimeError(f"quadrature for moment {j} did not converge (err={err:.2e})")

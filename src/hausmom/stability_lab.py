@@ -187,8 +187,11 @@ def error_split_study(f, n_list, deltas=None, R=20, seed=42, slack=1.2):
 
     Returns rows (n, delta, total, envelope, ok); the reference expansion
     has 160 coefficients, so its own truncation is negligible against the
-    levels in n_list, and a level above 160 is refused.
+    levels in n_list; an empty level list, a level below 1 or above 160
+    is refused before it is built.
     """
+    if not n_list or min(n_list) < 1:
+        raise ValueError("levels must be a nonempty list of n >= 1")
     deltas = tuple(deltas) if deltas is not None else tuple(10.0 ** -k for k in range(2, 8))
     m_ref = 160
     for n in n_list:
@@ -417,10 +420,13 @@ def laplace_consistency(f, j_list, tol=1e-8):
 
     The substitution t = exp(-tau) turns the j-th moment into an integral
     of exp(-j tau) f(exp(-tau)) over (0, inf), truncated at T_j with the
-    exp(-j T)/j tail bound kept below tol/10.
+    exp(-j T)/j tail bound kept below tol/10.  An empty level list or a
+    level below 1 is refused before any quadrature runs.
     """
     if not j_list:
         raise ValueError("j_list must not be empty")
+    if min(j_list) < 1:
+        raise ValueError("levels must be >= 1")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     from scipy.integrate import quad

@@ -75,3 +75,14 @@ def check_derivative(f, rng=None, npoints=20, h=1e-6, rtol=1e-4):
     t = np.array(pts)
     fd = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2 * h)
     return np.allclose(fd, np.asarray(f.derivative(t)), rtol=rtol, atol=1e-8)
+
+
+def quad_moments(f, n):
+    """Moments 1..n of f by one scipy quad per moment, each evaluating f
+    afresh at its own nodes, with forward_moments' tolerances and limit."""
+    from scipy.integrate import quad
+    tol = 1e-12
+    pts = sorted(set(f.breakpoints)) or None
+    return [quad(lambda t: f(t) * t ** (j - 1), 0.0, 1.0,
+                 epsabs=tol, epsrel=tol, limit=200, points=pts)[0]
+            for j in range(1, n + 1)]

@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hausmom import functions
 from hausmom.exact_core import inverse_factor_Linv
-from hausmom.functions import abs_kink, constant, cubic_exp, monomial_witness, peak, polynomial
+from hausmom.functions import (
+    abs_kink,
+    constant,
+    cubic_exp,
+    g_alpha,
+    monomial_witness,
+    peak,
+    polynomial,
+)
 from hausmom.legendre import LegendreExpansion, project
 from hausmom.moment_ops import (
     MomentSequence,
@@ -24,6 +33,7 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
+from oracles import quad_moments
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -89,6 +99,25 @@ class TestForwardMoments:
             norms.append(nsq)
         assert norms[0] < norms[1] < norms[2] < 1.0
         assert math.sqrt(1000) / (1000 + 1) < math.sqrt(10) / (10 + 1)
+
+    @pytest.mark.parametrize("n", [1, 8, 40])
+    @pytest.mark.parametrize("f", [peak(), cubic_exp(), abs_kink(), g_alpha(-0.25), monomial_witness(3)],
+                             ids=["peak", "cubic_exp", "abs_kink", "g_alpha", "monomial_witness"])
+    def test_equals_one_quadrature_per_moment(self, f, n):
+        assert list(forward_moments(f, n).values) == quad_moments(f, n)
+
+    def test_one_evaluation_per_node(self):
+        p = peak()
+        nodes = []
+        f = functions.TestFunction(value=lambda t: nodes.append(t) or p(t))
+        forward_moments(f, 40)
+        assert nodes and len(nodes) == len(set(nodes))
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_non_convergence_is_refused(self):
+        f = functions.TestFunction(value=lambda t: np.sin(1 / (np.asarray(t) + 1e-9)))
+        with pytest.raises(RuntimeError, match="quadrature for moment 1 did not converge"):
+            forward_moments(f, 3)
 
 
 class TestForwardFromExpansion:

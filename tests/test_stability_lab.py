@@ -306,6 +306,12 @@ class TestCrossChecks:
         with pytest.raises(ValueError, match="j_list must not be empty"):
             laplace_consistency(constant(1.0), [])
 
+    @pytest.mark.parametrize("levels", [[0, 3], [3, 0], [-1, 3]])
+    def test_laplace_refuses_level_below_one(self, monkeypatch, levels):
+        monkeypatch.setattr(lab, "forward_moments", lambda f, n: pytest.fail("quadrature ran"))
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            laplace_consistency(peak(), levels)
+
     def test_eit_constant(self):
         vals = eit_forward(constant(1.0), [1, 2, 3, 4])
         assert np.allclose(vals, [(n + 1) / (2 * n) for n in (1, 2, 3, 4)])
@@ -334,6 +340,12 @@ class TestErrorSplit:
     def test_refuses_level_above_reference(self):
         with pytest.raises(ValueError, match="level 200 exceeds the 160-coefficient reference"):
             error_split_study(peak(), [2, 200], deltas=[1e-2], R=2)
+
+    @pytest.mark.parametrize("levels", [[], (), [0, 4], [4, -1]])
+    def test_refuses_no_levels_or_level_below_one(self, monkeypatch, levels):
+        monkeypatch.setattr(lab, "project", lambda f, m: pytest.fail("built the reference expansion"))
+        with pytest.raises(ValueError, match="levels must be a nonempty list of n >= 1"):
+            error_split_study(peak(), levels, deltas=[1e-2], R=2)
 
     def test_one_quadrature_per_level(self, monkeypatch):
         levels = []
