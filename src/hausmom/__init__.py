@@ -21,7 +21,6 @@ from .exact_core import (
 from .functions import TestFunction, abs_kink, constant, cubic_exp, g_alpha, monomial_witness, peak, polynomial
 from .legendre import (
     LegendreExpansion,
-    QuadratureOrderError,
     QuadratureRule,
     expansion_eval,
     l2_distance,

@@ -54,10 +54,6 @@ def _write_csv(records, stream):
 def _json_safe(v):
     if isinstance(v, float) and abs(v) > 1e15:
         return _fmt(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int) and abs(v) > int(1e15):
-        return str(v)
     return v
 
 
@@ -95,6 +91,8 @@ def _parse_deltas(text):
 
 
 _MAX_DEGREE = 1000
+# pointvalue builds 2^max_level_exp moments, about 80 bytes each
+_MAX_LEVEL_EXP = 24
 
 
 def _parse_poly(text):
@@ -261,6 +259,8 @@ def _cmd_growth(args):
 
 def _cmd_pointvalue(args):
     deltas = _parse_deltas(args.deltas)
+    if args.max_level_exp > _MAX_LEVEL_EXP:
+        raise ValueError(f"max_level_exp must be <= {_MAX_LEVEL_EXP}")
     # the study itself refuses a negative exponent
     y = [1.0 / (j + 1) for j in range(1, 2 ** max(args.max_level_exp, 0) + 1)]
     rows = point_value_noise_study(y, 1.0, deltas, args.max_level_exp)

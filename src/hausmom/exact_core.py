@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import index, mul
 
 import mpmath as mp
@@ -32,6 +32,8 @@ import numpy as np
 # Fixed-point vectors in the power iterations carry this many bits beyond
 # the requested precision.
 _GUARD_BITS = 32
+# A power iteration that has not met its tolerance after this many steps fails.
+_MAX_ITER = 1000
 
 
 class SpectralNormError(RuntimeError):
@@ -228,7 +230,7 @@ def inverse_hilbert(n):
     return inverse_factor_Linv(n).gram()
 
 
-def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
+def _power_iteration(matvec, n, precision, tol, d=1):
     """Power iteration on a symmetric PSD map, from the all-ones vector.
 
     Vectors are ints scaled by 2^(precision + _GUARD_BITS); ``matvec`` maps
@@ -241,10 +243,6 @@ def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    if not 0 < tol < inf:
-        raise ValueError("tol must be finite and positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     def value(lam):
         with mp.workprec(precision):
@@ -254,7 +252,7 @@ def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
     qn, qd = Fraction(tol).as_integer_ratio()
     v = [1 << shift] * n
     prev = None  # (v.w, v.v) of the previous step
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = matvec(v)
         vv = sum(map(mul, v, v))
         vw = sum(map(mul, v, w))
@@ -271,22 +269,23 @@ def _power_iteration(matvec, n, precision, tol, max_iter=1000, d=1):
         v = [(y << shift) // nw for y in w]
         prev = vw, vv
     raise SpectralNormError(
-        f"power iteration did not converge to tol={float(tol):g} in {max_iter} iterations",
+        f"power iteration did not converge to tol={float(tol):g} in {_MAX_ITER} iterations",
         last_estimate=None if prev is None else value(Fraction(*prev)),
-        iterations=max_iter,
+        iterations=_MAX_ITER,
     )
 
 
-def spectral_norm(m, precision=256, tol=1e-20, max_iter=1000):
+def spectral_norm(m, precision=256):
     """Power-iteration eigenvalue of a symmetric PSD RationalMatrix.
 
-    Exact products on the int rows ``m.num``, divided by ``m.den``.  If the
-    all-ones start misses the top eigenvector, the result is a lower one.
+    Exact products on the int rows ``m.num``, divided by ``m.den``; stops at
+    relative tolerance 1e-20.  If the all-ones start misses the top
+    eigenvector, the result is a lower one.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in m.num],
-                            m.rows, precision, tol, max_iter, m.den)
+                            m.rows, precision, 1e-20, m.den)
 
 
 def factored_gram_norm(part, precision):

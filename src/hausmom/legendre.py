@@ -16,10 +16,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-class QuadratureOrderError(ValueError):
-    """Quadrature rule too weak for the requested projection."""
-
-
 @dataclass(frozen=True)
 class LegendreExpansion:
     """Coefficients (lambda_1 .. lambda_m) of L_0 .. L_{m-1}."""
@@ -121,23 +117,17 @@ def default_rule(f, m):
     return QuadratureRule.gauss(npts)
 
 
-def project(f, m, tail_tol=None):
+def project(f, m):
     """First m Legendre coefficients of f by quadrature.
 
     Exact (to roundoff) for polynomial f of degree < m with
-    :func:`default_rule`.  If ``tail_tol`` is given, a last coefficient
-    exceeding it makes the rule suspect and raises QuadratureOrderError.
+    :func:`default_rule`.
     """
     quad = default_rule(f, m)
     fv = np.asarray(f(quad.nodes), dtype=float)
     if fv.shape != quad.nodes.shape:
         fv = np.broadcast_to(fv, quad.nodes.shape)
-    coeffs = basis_matrix(m, quad.nodes) @ (fv * quad.weights)
-    if tail_tol is not None and abs(coeffs[-1]) > tail_tol:
-        raise QuadratureOrderError(
-            f"last coefficient {coeffs[-1]:.3e} exceeds tail tolerance {tail_tol:.3e}"
-        )
-    return LegendreExpansion(coeffs)
+    return LegendreExpansion(basis_matrix(m, quad.nodes) @ (fv * quad.weights))
 
 
 def expansion_eval(e, t):

@@ -175,7 +175,13 @@ def projection_error(f, n):
 
 
 def sobolev_norm(f, kind="H1"):
-    """Sobolev norms by quadrature; W1inf by dense sampling on 20001 points."""
+    """The norm a SobolevBudget names, H1, H1-seminorm or H2, by quadrature."""
+    if kind not in ("H1", "H1-seminorm", "H2"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if f.derivative is None:
+        raise ValueError(f"{f.label}: derivative required for {kind} norm")
+    if kind == "H2" and f.second_derivative is None:
+        raise ValueError(f"{f.label}: second derivative required for H2 norm")
     from scipy.integrate import quad
     pts = sorted(set(f.breakpoints)) or None
 
@@ -183,22 +189,11 @@ def sobolev_norm(f, kind="H1"):
         return quad(lambda t: np.asarray(g(t), dtype=float) ** 2, 0.0, 1.0,
                     epsabs=1e-13, epsrel=1e-13, limit=200, points=pts)[0]
 
-    if kind == "L2":
-        return sqrt(_l2sq(f.value))
-    if f.derivative is None:
-        raise ValueError(f"{f.label}: derivative required for {kind} norm")
     if kind == "H1-seminorm":
         return sqrt(_l2sq(f.derivative))
     if kind == "H1":
         return sqrt(_l2sq(f.value) + _l2sq(f.derivative))
-    if kind == "W1inf":
-        t = np.linspace(0.0, 1.0, 20001)
-        return float(np.max(np.abs(np.asarray(f.derivative(t)))))
-    if kind == "H2":
-        if f.second_derivative is None:
-            raise ValueError(f"{f.label}: second derivative required for H2 norm")
-        return sqrt(_l2sq(f.value) + _l2sq(f.derivative) + _l2sq(f.second_derivative))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return sqrt(_l2sq(f.value) + _l2sq(f.derivative) + _l2sq(f.second_derivative))
 
 
 def h1_rate_check(f, budget, n_list):

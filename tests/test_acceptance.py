@@ -100,7 +100,7 @@ def test_criterion_5_amplification():
     assert abs(estimates[2].f_n - 3.90) <= 0.2 * 3.90
     for n in range(4, 13):
         assert 1.0 <= estimates[n].rate <= 1.87
-    rows = hm.error_split_study(f, [2, 4, 6, 8, 10, 12], deltas, R=20, seed=42, slack=1.2)
+    rows = hm.error_split_study(f, [2, 4, 6, 8, 10, 12])
     assert all(r["ok"] for r in rows)
 
 

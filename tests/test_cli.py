@@ -177,12 +177,23 @@ class TestCommands:
         (["amplification", "--deltas", "nan", "--n-max", "2"], "deltas must be finite and positive"),
         (["counterexample", "--C", "nan"], "C must be finite and positive"),
         (["counterexample", "--C", "inf"], "C must be finite and positive"),
+        (["pointvalue", "--max-level-exp", "25"], "max_level_exp must be <= 24"),
     ])
     def test_bad_levels_and_tolerances_refused(self, capsys, argv, message):
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and message in captured.err
+
+    def test_counterexample_beyond_symbolic_limit_fails_fast(self, capsys, monkeypatch):
+        # mu = 0.1 needs m = 19, so derivative orders 19 and 20
+        import hausmom.stability_lab as lab
+
+        monkeypatch.setattr(lab, "_mother_bump_derivative", lambda order: pytest.fail("sympy work started"))
+        assert run(["counterexample", "--mu", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:") and "order m + k = 20 exceeds" in captured.err
 
     @pytest.mark.parametrize("module", ["hausmom", "hausmom.cli"])
     def test_python_dash_m(self, capsys, module):

@@ -234,16 +234,12 @@ class TestSpectralNorm:
         assert 2.5 < mp.log(lam) / 5 < 2.6
 
     def test_iteration_cap(self):
+        # eigenvalue ratio 999/1000: the Rayleigh quotient creeps up by about
+        # 1e-3 (0.999)^(2k) per step, still above 1e-20 after 1000 steps
         with pytest.raises(SpectralNormError, match="did not converge") as exc:
-            spectral_norm(inverse_hilbert(8), max_iter=2)
-        assert exc.value.iterations == 2
-
-    @pytest.mark.parametrize("name,value", [("tol", math.inf), ("tol", math.nan), ("tol", 0), ("tol", -1e-20),
-                                            ("max_iter", 0), ("max_iter", -1)])
-    def test_invalid_arguments(self, name, value):
-        # invalid input (exit 1), not a SpectralNormError or an escaping OverflowError
-        with pytest.raises(ValueError, match=f"{name} must be (finite and positive|>= 1)"):
-            spectral_norm(inverse_hilbert(3), **{name: value})
+            spectral_norm(RationalMatrix([[1000, 0], [0, 999]]))
+        assert exc.value.iterations == 1000
+        assert 999 < exc.value.last_estimate < 1000
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_precision_floor(self, n):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hausmom import legendre
-from hausmom.functions import constant, g_alpha, polynomial
+from hausmom.functions import constant, polynomial
 from hausmom.legendre import (
     LegendreExpansion,
-    QuadratureOrderError,
     QuadratureRule,
     expansion_eval,
     l2_distance,
@@ -118,11 +117,6 @@ class TestProject:
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 1, 50)
         assert np.allclose(expansion_eval(e, t), f(t), rtol=1e-10, atol=1e-12)
-
-    def test_tail_flag(self):
-        # g_alpha has slowly decaying coefficients; a tight tail tolerance trips
-        with pytest.raises(QuadratureOrderError):
-            project(g_alpha(-0.4), 40, tail_tol=1e-12)
 
 
 class TestExpansionEval:

@@ -246,8 +246,11 @@ class TestSobolevNorm:
     def test_linear_h1(self):
         assert sobolev_norm(polynomial((0, 1)), "H1") == pytest.approx(2 / math.sqrt(3))
 
-    def test_linear_w1inf(self):
-        assert sobolev_norm(polynomial((0, 1)), "W1inf") == pytest.approx(1.0)
+    @pytest.mark.parametrize("kind", ["L2", "W1inf", "H3"])
+    def test_kinds_are_the_budgets(self, kind):
+        # the three kinds a SobolevBudget accepts, no others
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            sobolev_norm(polynomial((0, 1)), kind)
 
     def test_missing_derivative(self):
         from hausmom.functions import g_alpha

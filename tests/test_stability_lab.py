@@ -162,6 +162,8 @@ class TestAmplification:
             amplification_experiment(peak(), 2, R=0)
         with pytest.raises(ValueError):
             amplification_experiment(peak(), 2, deltas=[0.0, 1e-3])
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            amplification_experiment(peak(), 2, deltas=())
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_refuses_non_finite_delta(self, delta):
@@ -275,7 +277,7 @@ class TestCounterexample:
 
     def test_unreachable_target_reports_best(self):
         with pytest.raises(RuntimeError) as exc:
-            holder_counterexample(0.5, 1, 1e300, r_min=2.0**-6)
+            holder_counterexample(0.5, 1, 1e300)
         assert exc.value.best_ratio > 0
 
     @pytest.mark.parametrize("C", [math.nan, math.inf])
@@ -283,6 +285,21 @@ class TestCounterexample:
         monkeypatch.setattr(lab, "bump_family", lambda k, m: pytest.fail("built the bump family"))
         with pytest.raises(ValueError, match="C must be finite and positive"):
             holder_counterexample(0.5, 1, C)
+
+    def test_bump_order_cap(self, monkeypatch):
+        orders = []
+
+        def stub(order):
+            orders.append(order)
+            return lambda t: np.sin(np.pi * np.asarray(t, dtype=float))
+
+        monkeypatch.setattr(lab, "_mother_bump_derivative", stub)
+        assert bump_family(1, 12).m == 12
+        assert orders == [12, 13]
+        for k, m in ((1, 13), (2, 12), (1, 19)):
+            with pytest.raises(RuntimeError, match=f"order m \\+ k = {k + m} exceeds"):
+                bump_family(k, m)
+        assert orders == [12, 13]
 
 
 class TestCrossChecks:
@@ -316,6 +333,14 @@ class TestCrossChecks:
         vals = eit_forward(constant(1.0), [1, 2, 3, 4])
         assert np.allclose(vals, [(n + 1) / (2 * n) for n in (1, 2, 3, 4)])
 
+    @pytest.mark.parametrize("modes", [[], [1, 2, 0], [-1]])
+    def test_eit_refuses_bad_modes_before_quadrature(self, monkeypatch, modes):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: pytest.fail("quadrature ran"))
+        with pytest.raises(ValueError, match="mode numbers must be a nonempty list of n >= 1"):
+            eit_forward(constant(1.0), modes)
+
     def test_eit_linearity(self):
         s1, s2 = constant(1.0), polynomial((0, 0, 1))
         combo = lambda t: 2.0 * s1(t) + 3.0 * s2(t)
@@ -326,29 +351,30 @@ class TestCrossChecks:
 
 class TestErrorSplit:
     def test_envelope_holds(self):
-        rows = error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=5)
+        rows = error_split_study(peak(), [2, 5])
+        assert [(r["n"], r["delta"]) for r in rows] == [(n, 10.0 ** -k) for n in (2, 5) for k in range(2, 8)]
         assert all(r["ok"] for r in rows)
 
     def test_rows_equal_the_quadrature_route(self, monkeypatch):
         # the amplification estimate from the level's moments, or from f by
         # its own quadrature as before, gives the same rows
-        rows = error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=3)
+        rows = error_split_study(peak(), [2, 5])
         real = lab.amplification_experiment
         monkeypatch.setattr(lab, "amplification_experiment", lambda y, n, *a: real(peak(), n, *a))
-        assert error_split_study(peak(), [2, 5], deltas=[1e-2, 1e-4], R=3) == rows
+        assert error_split_study(peak(), [2, 5]) == rows
 
     def test_refuses_level_above_reference(self):
         with pytest.raises(ValueError, match="level 200 exceeds the 160-coefficient reference"):
-            error_split_study(peak(), [2, 200], deltas=[1e-2], R=2)
+            error_split_study(peak(), [2, 200])
 
     @pytest.mark.parametrize("levels", [[], (), [0, 4], [4, -1]])
     def test_refuses_no_levels_or_level_below_one(self, monkeypatch, levels):
         monkeypatch.setattr(lab, "project", lambda f, m: pytest.fail("built the reference expansion"))
         with pytest.raises(ValueError, match="levels must be a nonempty list of n >= 1"):
-            error_split_study(peak(), levels, deltas=[1e-2], R=2)
+            error_split_study(peak(), levels)
 
     def test_one_quadrature_per_level(self, monkeypatch):
         levels = []
         monkeypatch.setattr(lab, "forward_moments", lambda f, n: levels.append(n) or forward_moments(f, n))
-        error_split_study(peak(), [2, 5], deltas=[1e-2], R=2)
+        error_split_study(peak(), [2, 5])
         assert levels == [2, 5]
