@@ -23,6 +23,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import index, mul
 
@@ -60,7 +61,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries, den=1):
-        num = [list(row) for row in entries]
+        num = list(map(list, entries))
         if not num or not num[0]:
             raise ValueError("a matrix needs at least one row and one column")
         den = index(den)  # numpy integers, here or in num, would wrap in products
@@ -68,7 +69,7 @@ class RationalMatrix:
             raise ValueError("den must be nonzero")
         if den < 0:
             num, den = [[-x for x in row] for row in num], -den
-        if not all(type(x) is int for row in num for x in row):
+        if not {int}.issuperset(map(type, chain.from_iterable(num))):  # bool and numpy ints convert
             num = [[Fraction(index(x) if isinstance(x, numbers.Integral) else x) for x in row] for row in num]
             d = lcm(*(x.denominator for row in num for x in row))
             num = [[x.numerator * (d // x.denominator) for x in row] for row in num]
@@ -172,6 +173,24 @@ class FactoredTriangular:
         )
 
 
+def _common_den(values):
+    """Exact values as ``(ints, den)``: value i is ``ints[i] / den``, den > 0.
+
+    int (numpy integers included), Fraction and float values enter
+    exactly, a float as its dyadic rational; any other real (numpy
+    float32, an mpf) via float.  NaN and infinities are refused.
+    ``den`` is the lcm of the denominators, not reduced against the ints.
+    """
+    try:
+        ratios = [(v if isinstance(v, (int, Fraction, float))
+                   else index(v) if isinstance(v, numbers.Integral) else float(v)).as_integer_ratio()
+                  for v in values]
+    except (ValueError, OverflowError):
+        raise ValueError("values must be finite") from None
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def hilbert_matrix(n):
     """Hilbert segment H_n with entries 1/(i+j-1)."""
     if n < 1:
@@ -211,7 +230,7 @@ def inverse_factor_Linv(n):
     on n, so one triangle of int rows, grown to the largest n requested
     so far, serves every size: each row is computed once per process, and
     it holds n(n+1)/2 ints for that largest n.  Each call returns a fresh
-    zero-padded copy of the leading n x n block.
+    zero-padded copy of the leading n x n block, each padded row built once.
     """
     global _M_ROWS
     if n < 1:
@@ -221,7 +240,7 @@ def inverse_factor_Linv(n):
         rows += tuple(tuple((-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) for j in range(1, i + 1))
                       for i in range(len(rows) + 1, n + 1))
         _M_ROWS = rows
-    part = RationalMatrix([[*row, *(0,) * (n - len(row))] for row in rows[:n]])
+    part = RationalMatrix(row + (0,) * (n - len(row)) for row in rows[:n])
     return FactoredTriangular(part, scale_rows=True)
 
 

@@ -1,23 +1,25 @@
 """The forward moment map, its truncation, adjoint and pseudoinverse.
 
 The truncated pseudoinverse is applied through the exact inverse factor,
-an integer ``RationalMatrix`` (int rows over denominator 1): its inner
-products M y with the data are one integer product over the data's
-common denominator (a float is an exact dyadic rational), rounded to
-doubles only once at the output.  That keeps the reconstruction usable
-where a floating Cholesky of the Hilbert segment fails (around n = 13).
+whose part M has int rows: the data are put over one common denominator
+(a float is an exact dyadic rational), each inner product (M y)_i is one
+int dot product of a row of M with the numerators, and the result is
+rounded to a double only once at the output.  That keeps the
+reconstruction usable where a floating Cholesky of the Hilbert segment
+fails (around n = 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf, lcm, sqrt
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 
-from .exact_core import RationalMatrix, cholesky_factor_L, hilbert_matrix, inverse_factor_Linv
+from .exact_core import _common_den, cholesky_factor_L, inverse_factor_Linv
 from .legendre import LegendreExpansion, project
 
 __all__ = [
@@ -99,13 +101,17 @@ def forward_moments(f, n):
 
 
 def exact_polynomial_moments(coeffs, n):
-    """Moments y_j = sum c_k / (k + j) of sum c_k t^k as Fractions: the first n
-    entries of H c, H the first len(c) columns of the Hilbert matrix H_max(n, len(c))."""
-    cs = tuple(coeffs) or (0,)  # no coefficients: the zero polynomial
-    h = hilbert_matrix(max(n, len(cs)))
-    block = RationalMatrix([row[:len(cs)] for row in h.num], h.den)
-    y = block @ RationalMatrix([[c] for c in cs])
-    return MomentSequence.from_values(Fraction(x, y.den) for (x,) in y.num[:n])
+    """Moments y_j = sum c_k / (k + j), j = 1..n, of sum c_k t^k as Fractions.
+
+    With c = a / D over one common denominator and d = lcm(1..n+len(c)-1),
+    y_j = sum a_k (d // (k + j)) / (d D): one int dot product per moment.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a, den = _common_den(tuple(coeffs) or (0,))  # no coefficients: the zero polynomial
+    d = lcm(*range(1, n + len(a)))
+    h = [d // i for i in range(1, n + len(a))]  # d // (k + j) is h[k + j - 1]
+    return MomentSequence.from_values(Fraction(sum(map(mul, a, h[j:])), d * den) for j in range(n))
 
 
 def forward_from_expansion(e, n):
@@ -141,29 +147,31 @@ def adjoint_apply(y, t):
 
 
 def _inner_products(y):
-    """M y as an n x 1 RationalMatrix, for Ln^{-1} = diag(sqrt(2i-1)) M.
+    """M y as ``(ints, den)``, (M y)_i = ints[i] / den, for Ln^{-1} = diag(sqrt(2i-1)) M.
 
-    int, Fraction and float values enter exactly, anything else (numpy
-    integers and float32, mpf) via float.
+    y is put over one common denominator (see ``_common_den``: int,
+    Fraction and float values exactly, other reals via float, non-finite
+    values refused), and each entry is one int dot product with a row of M.
     """
-    col = [[v if isinstance(v, (int, Fraction, float)) else float(v)] for v in y.values]
-    return inverse_factor_Linv(y.n).rational_part @ RationalMatrix(col)
+    a, den = _common_den(y.values)
+    return [sum(map(mul, row, a)) for row in inverse_factor_Linv(y.n).rational_part.num], den
 
 
 def pseudoinverse(y):
     """Minimum-norm solution of the truncated problem: lambda = Ln^{-1} y.
 
-    The rational inner products are exact; rounding happens once when each
-    coefficient is emitted.
+    The inner products are exact; rounding happens once when each
+    coefficient is emitted (int true division rounds correctly, so the
+    unreduced denominator gives the same double).
     """
-    p = _inner_products(y)
-    return LegendreExpansion([x / p.den * sqrt(2 * i + 1) for i, (x,) in enumerate(p.num)])
+    xs, den = _inner_products(y)
+    return LegendreExpansion([x / den * sqrt(2 * i + 1) for i, x in enumerate(xs)])
 
 
 def reconstruction_norm_sq_exact(y):
     """||A_n^+ P_n y||^2 = sum (2i-1) (M y)_i^2, an exact Fraction."""
-    p = _inner_products(y)
-    return Fraction(sum((2 * i + 1) * x * x for i, (x,) in enumerate(p.num)), p.den * p.den)
+    xs, den = _inner_products(y)
+    return Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
 
 
 def projection_error(f, n):

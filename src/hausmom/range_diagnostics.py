@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, fsum
+from math import comb, fsum, isfinite
+from operator import mul
 
 import numpy as np
 
-from .exact_core import RationalMatrix, cholesky_factor_L, inverse_factor_Linv
+from .exact_core import RationalMatrix, _common_den, cholesky_factor_L, inverse_factor_Linv
 from .moment_ops import MomentSequence, reconstruction_norm_sq_exact
 
 __all__ = [
@@ -61,6 +62,13 @@ def _is_exact(y):
     return all(isinstance(v, (Fraction, int)) for v in y.values)
 
 
+def _finite_floats(values):
+    vals = [float(v) for v in values]
+    if not all(map(isfinite, vals)):
+        raise ValueError("moments must be finite")
+    return vals
+
+
 def _diagonal(values):
     return RationalMatrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
@@ -78,8 +86,8 @@ def forward_differences(y, m, n):
         raise ValueError(f"mu_({m},{n}) needs {m + n + 1} moments, have {y.n}")
     window = y.values[m:m + n + 1]
     if _is_exact(y):
-        mu = RationalMatrix([_stencil(n)]) @ RationalMatrix([[v] for v in window])
-        return Fraction(mu.num[0][0], mu.den)
+        a, den = _common_den(window)
+        return Fraction(sum(map(mul, _stencil(n), a)), den)
     # the alternating sum loses ~n bits naively; fsum keeps one rounding
     return fsum(s * float(v) for s, v in zip(_stencil(n), window))
 
@@ -89,20 +97,33 @@ def hausdorff_criterion(y, N):
 
     For rational data lambda = diag(C(N,m)) R_{N+1} y (first N+1 moments)
     and the value (N+1) sum lambda^2 = ||D_{N+1} R_{N+1} y||^2, exact
-    Fractions; float data take compensated sums.  The Picard partial sum
-    over the same N+1 entries is reported alongside for comparison.
+    Fractions: with the data over one common denominator, mu_{m,N-m} is
+    the last entry of row N-m of the numerators' int difference table.
+    Float data take compensated sums and must be finite.  The Picard
+    partial sum over the same N+1 entries is reported alongside for
+    comparison.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if N + 1 > y.n:
         raise ValueError(f"level {N} needs {N + 1} moments, have {y.n}")
-    if _is_exact(y):
-        weight, diag = build_DN(N + 1)
-        col = diag @ (build_RN(N + 1) @ RationalMatrix([[v] for v in y.values[:N + 1]]))
-        lam = tuple(Fraction(x, col.den) for (x,) in col.num)
-        crit = Fraction(weight * sum(x * x for (x,) in col.num), col.den ** 2)
+    exact = _is_exact(y)
+    if exact:
+        window = y.values[:N + 1]
+        a, den = _common_den(window)
+        mu = []  # mu_{N-k,k}, k = 0..N: the last entry of row k of the table, a
+        while a:
+            mu.append(a[-1])
+            a = [u - v for u, v in zip(a, a[1:])]
+        xs = [comb(N, m) * x for m, x in enumerate(reversed(mu))]
+        lam = tuple(Fraction(x, den) for x in xs)
+        crit = Fraction((N + 1) * sum(x * x for x in xs), den * den)
     else:
-        lam = tuple(comb(N, m) * forward_differences(y, m, N - m) for m in range(N + 1))
+        window = _finite_floats(y.values[:N + 1])
+        # the alternating sums lose ~N bits naively; fsum keeps one rounding
+        lam = tuple(comb(N, m) * fsum(map(mul, _stencil(N - m), window[m:])) for m in range(N + 1))
         crit = (N + 1) * fsum(v * v for v in lam)
-    picard = _picard_partial(y, N + 1)
+    picard = _picard_partial(window, exact)
     return HausdorffStats(N=N, lam=lam, criterion_value=crit, picard_partial=picard)
 
 
@@ -149,17 +170,18 @@ def verify_TN_identity(N):
     return residual.is_zero(), residual
 
 
-def _picard_partial(y, N):
-    """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2, exact for rational y.
+def _picard_partial(values, exact):
+    """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2 over the N moments
+    ``values``, exact for rational data (``exact``).
 
-    Float data take a float path that rounds the entries of M and the
-    products; past n of about 12 its value is wrong (see ROADMAP).
+    Otherwise ``values`` are floats, and the float path rounds the entries
+    of M and the products; past n of about 12 its value is wrong (see
+    ROADMAP).
     """
-    if _is_exact(y):
-        return reconstruction_norm_sq_exact(MomentSequence.from_values(y.values[:N]))
-    vals = [float(v) for v in y.values[:N]]
-    inners = [fsum(float(x) * v for x, v in zip(row[:i + 1], vals))
-              for i, row in enumerate(inverse_factor_Linv(N).rational_part.num)]
+    if exact:
+        return reconstruction_norm_sq_exact(MomentSequence.from_values(values))
+    inners = [fsum(map(mul, row[:i + 1], values))  # int * float rounds the int as float() does
+              for i, row in enumerate(inverse_factor_Linv(len(values)).rational_part.num)]
     return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))
 
 
@@ -171,7 +193,9 @@ def picard_partial_sums(y, N_list):
         raise ValueError("levels must be >= 1")
     if max(N_list) > y.n:
         raise ValueError("largest level exceeds the available moments")
-    return [{"N": N, "partial": _picard_partial(y, N)} for N in N_list]
+    exact = _is_exact(y)
+    values = y.values if exact else _finite_floats(y.values[:max(N_list)])
+    return [{"N": N, "partial": _picard_partial(values[:N], exact)} for N in N_list]
 
 
 def stable_family(alpha, J):

@@ -7,12 +7,13 @@ derivative) so that the two can be checked against each other.
 
 import numbers
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import mpmath as mp
 import numpy as np
 
-from hausmom.exact_core import FactoredTriangular, RationalMatrix
+from hausmom.exact_core import FactoredTriangular, RationalMatrix, hilbert_matrix, inverse_factor_Linv
+from hausmom.range_diagnostics import build_DN, build_RN
 
 
 def back_substitution_inverse(lfac):
@@ -46,6 +47,42 @@ def inverse_factor_rows(n):
         [(-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) if j <= i else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
+
+
+def matrix_inner_products(values):
+    """M y for Ln^{-1} = diag(sqrt(2i-1)) M as one RationalMatrix product,
+    returned as ``(ints, den)`` in lowest terms; int, Fraction and float
+    values enter exactly, any other real via float."""
+    col = [[v if isinstance(v, (int, Fraction, float)) else float(v)] for v in values]
+    p = inverse_factor_Linv(len(col)).rational_part @ RationalMatrix(col)
+    return [x for (x,) in p.num], p.den
+
+
+def matrix_criterion(values, N):
+    """lambda = diag(C(N,m)) R_{N+1} y and the criterion value
+    ||D_{N+1} R_{N+1} y||^2 as RationalMatrix products, for rational data."""
+    weight, diag = build_DN(N + 1)
+    col = diag @ (build_RN(N + 1) @ RationalMatrix([[v] for v in values[:N + 1]]))
+    lam = tuple(Fraction(x, col.den) for (x,) in col.num)
+    return lam, Fraction(weight * sum(x * x for (x,) in col.num), col.den ** 2)
+
+
+def hilbert_polynomial_moments(coeffs, n):
+    """The first n entries of H c, H the first len(c) columns of the Hilbert
+    matrix H_max(n, len(c)), as one RationalMatrix product."""
+    cs = tuple(coeffs) or (0,)
+    h = hilbert_matrix(max(n, len(cs)))
+    block = RationalMatrix([row[:len(cs)] for row in h.num], h.den)
+    y = block @ RationalMatrix([[c] for c in cs])
+    return [Fraction(x, y.den) for (x,) in y.num[:n]]
+
+
+def float_picard_partial(values):
+    """sum (2i-1) inner_i^2 with each inner product an fsum of float(M_ij) * float(y_j)."""
+    vals = [float(v) for v in values]
+    inners = [fsum(float(x) * v for x, v in zip(row[:i + 1], vals))
+              for i, row in enumerate(inverse_factor_Linv(len(vals)).rational_part.num)]
+    return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))
 
 
 def binomial(a, k):

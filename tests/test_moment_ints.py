@@ -1,0 +1,159 @@
+"""The moment statistics on int dot products over one common denominator,
+against the RationalMatrix products they replace (tests/oracles.py)."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hausmom import moment_ops, range_diagnostics
+from hausmom.exact_core import RationalMatrix
+from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse, reconstruction_norm_sq_exact
+from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, picard_partial_sums
+from oracles import float_picard_partial, hilbert_polynomial_moments, matrix_criterion, matrix_inner_products
+
+_INT = st.integers(-(10**20), 10**20)
+_FRACTION = st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
+_FLOAT = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_F64 = _FLOAT.map(np.float64)
+_F32 = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+_EXACT = st.one_of(_INT, _FRACTION)
+_FLOATS = st.one_of(_FLOAT, _F64, _F32)
+
+
+def _vectors(element, max_size=40):
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
+
+
+_DATA = st.one_of(*(_vectors(e) for e in (_INT, _FRACTION, _FLOAT, _F64, _F32, st.one_of(_EXACT, _FLOATS))))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestInnerProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(_DATA)
+    def test_match_matrix_product(self, values):
+        y = MomentSequence.from_values(values)
+        xs, den = matrix_inner_products(values)
+        want = [x / den * math.sqrt(2 * i + 1) for i, x in enumerate(xs)]
+        assert _hex(pseudoinverse(y).coefficients.tolist()) == _hex(want)
+        norm = reconstruction_norm_sq_exact(y)
+        assert type(norm) is Fraction
+        assert norm == Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
+
+    def test_one_pseudoinverse_builds_one_matrix(self, monkeypatch):
+        # the only RationalMatrix is the one inverse_factor_Linv returns
+        depth, builds = [0], []
+        init, linv = RationalMatrix.__init__, moment_ops.inverse_factor_Linv
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(depth[0])
+            init(self, *args, **kwargs)
+
+        def counting_linv(n):
+            depth[0] += 1
+            try:
+                return linv(n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+        monkeypatch.setattr(moment_ops, "inverse_factor_Linv", counting_linv)
+        y = MomentSequence.from_values([Fraction(1, 3), 0.25, 7, np.float32(0.5)] * 10)
+        pseudoinverse(y)
+        assert builds == [1]
+        builds.clear()
+        exact_polynomial_moments((1, Fraction(-2, 3), 0.5), 40)
+        assert builds == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)])
+    def test_refuses_non_finite(self, bad):
+        y = MomentSequence.from_values([1.0, bad, Fraction(1, 3)])
+        for fn in (pseudoinverse, reconstruction_norm_sq_exact):
+            with pytest.raises(ValueError, match="values must be finite"):
+                fn(y)
+
+    def test_numpy_integers_enter_exactly(self):
+        big = 2**60 + 1  # no double holds it
+        got = reconstruction_norm_sq_exact(MomentSequence.from_values(np.array([big], dtype=np.int64)))
+        assert got == big * big
+
+
+class TestCriterion:
+    @settings(max_examples=150, deadline=None)
+    @given(_vectors(st.one_of(_INT, _FRACTION)), st.data())
+    def test_exact_matches_matrix_product(self, values, data):
+        N = data.draw(st.integers(0, len(values) - 1))
+        stats = hausdorff_criterion(MomentSequence.from_values(values), N)
+        lam, crit = matrix_criterion(values, N)
+        assert all(type(v) is Fraction for v in stats.lam) and stats.lam == lam
+        assert type(stats.criterion_value) is Fraction and stats.criterion_value == crit
+        assert stats.picard_partial == reconstruction_norm_sq_exact(MomentSequence.from_values(values[:N + 1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_vectors(st.one_of(_FLOATS, _EXACT)).filter(lambda v: not all(isinstance(x, (int, Fraction)) for x in v)),
+           st.data())
+    def test_float_path_bit_for_bit(self, values, data):
+        # the per-m forward differences and the float Picard sum of before
+        y = MomentSequence.from_values(values)
+        N = data.draw(st.integers(0, len(values) - 1))
+        stats = hausdorff_criterion(y, N)
+        lam = [math.comb(N, m) * forward_differences(y, m, N - m) for m in range(N + 1)]
+        assert _hex(stats.lam) == _hex(lam)
+        assert _hex([stats.criterion_value]) == _hex([(N + 1) * math.fsum(v * v for v in lam)])
+        assert _hex([stats.picard_partial]) == _hex([float_picard_partial(values[:N + 1])])
+        rows = picard_partial_sums(y, [N + 1])
+        assert _hex([rows[0]["partial"]]) == _hex([stats.picard_partial])
+
+    def test_exactness_decided_once(self, monkeypatch):
+        calls = []
+        is_exact = range_diagnostics._is_exact
+        monkeypatch.setattr(range_diagnostics, "_is_exact", lambda y: calls.append(1) or is_exact(y))
+        for values in ([Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]):
+            hausdorff_criterion(MomentSequence.from_values(values), 19)
+            assert len(calls) == 1
+            calls.clear()
+
+    @pytest.mark.parametrize("values", [[1, Fraction(1, 2), 3], [1.0, 0.5, 0.25]])
+    def test_refuses_negative_level_before_any_work(self, values, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(range_diagnostics, "inverse_factor_Linv", no_work)
+        monkeypatch.setattr(range_diagnostics, "reconstruction_norm_sq_exact", no_work)
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            hausdorff_criterion(MomentSequence.from_values(values), -1)
+
+    @pytest.mark.parametrize("values", [[math.inf, 1.0], [0.5, math.nan, 0.25], [1, Fraction(1, 2), -math.inf]])
+    def test_refuses_non_finite(self, values):
+        y = MomentSequence.from_values(values)
+        with pytest.raises(ValueError, match="moments must be finite"):
+            hausdorff_criterion(y, len(values) - 1)
+        with pytest.raises(ValueError, match="moments must be finite"):
+            picard_partial_sums(y, [len(values)])
+
+
+class TestPolynomialMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_EXACT, _FLOAT), max_size=12), st.integers(0, 40))
+    def test_match_hilbert_product(self, coeffs, n):
+        got = exact_polynomial_moments(coeffs, n).values
+        want = hilbert_polynomial_moments(coeffs, n)
+        assert len(got) == n and all(type(v) is Fraction for v in got) and list(got) == want
+
+    def test_refuses_negative_n(self):
+        # a negative n used to slice from the end: (3, 23/12) for n = -1
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            exact_polynomial_moments((1, 2, 3), -1)
+
+    def test_zero_n_is_empty(self):
+        assert exact_polynomial_moments((1, 2, 3), 0).values == ()
+
+    def test_refuses_non_finite_coefficient(self):
+        with pytest.raises(ValueError, match="values must be finite"):
+            exact_polynomial_moments((1, math.nan), 3)

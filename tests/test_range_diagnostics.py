@@ -25,7 +25,7 @@ def _unit_sequence(n):
 
 
 # Oracles: the per-entry loops that forward_differences, hausdorff_criterion
-# and exact_polynomial_moments ran before they became matrix products.
+# and exact_polynomial_moments ran before they became integer products.
 def _loop_forward_difference(values, m, n):
     if all(isinstance(v, (Fraction, int)) for v in values):
         return sum((-1) ** l * math.comb(n, l) * Fraction(values[m + l]) for l in range(n + 1))
