@@ -82,6 +82,15 @@ class RationalMatrix:
         if any(len(row) != self.cols for row in num):
             raise ValueError("ragged rows")
 
+    @classmethod
+    def _from_int_rows(cls, num):
+        """A matrix over den 1 that takes ``num`` as it is: no copy, no type
+        scan, no gcd.  ``num`` must be a fresh nonempty list of equal-length
+        lists of Python ints that no one else writes to."""
+        self = object.__new__(cls)
+        self.num, self.den, self.rows, self.cols = num, 1, len(num), len(num[0])
+        return self
+
     def _view(self, x):
         return x // self.den if x % self.den == 0 else Fraction(x, self.den)
 
@@ -230,7 +239,8 @@ def inverse_factor_Linv(n):
     on n, so one triangle of int rows, grown to the largest n requested
     so far, serves every size: each row is computed once per process, and
     it holds n(n+1)/2 ints for that largest n.  Each call returns a fresh
-    zero-padded copy of the leading n x n block, each padded row built once.
+    zero-padded copy of the leading n x n block: new int lists, which the
+    matrix takes over den 1 without a second copy, type scan or gcd pass.
     """
     global _M_ROWS
     if n < 1:
@@ -240,7 +250,8 @@ def inverse_factor_Linv(n):
         rows += tuple(tuple((-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) for j in range(1, i + 1))
                       for i in range(len(rows) + 1, n + 1))
         _M_ROWS = rows
-    part = RationalMatrix(row + (0,) * (n - len(row)) for row in rows[:n])
+    zeros = (0,) * n
+    part = RationalMatrix._from_int_rows([[*row, *zeros[len(row):]] for row in rows[:n]])
     return FactoredTriangular(part, scale_rows=True)
 
 

@@ -9,7 +9,7 @@ triangular moment factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -104,12 +104,14 @@ def basis_matrix(m, t):
     return out
 
 
-def default_rule(f, m):
-    """Quadrature rule with m + 8 nodes per piece, matched to f: honours
-    breakpoints and the t=1 grading."""
+def _rule_key(f, m):
+    """The inputs default_rule reads from f, with m: a hashable key."""
+    return m, tuple(getattr(f, "breakpoints", ()) or ()), bool(getattr(f, "singular_at_one", False))
+
+
+def _rule(m, breakpoints, singular_at_one):
     npts = m + 8
-    breakpoints = tuple(getattr(f, "breakpoints", ()) or ())
-    if getattr(f, "singular_at_one", False):
+    if singular_at_one:
         return QuadratureRule.endpoint_graded(npts)
     if breakpoints:
         bps = sorted({0.0, 1.0, *breakpoints})
@@ -117,17 +119,47 @@ def default_rule(f, m):
     return QuadratureRule.gauss(npts)
 
 
+def default_rule(f, m):
+    """Quadrature rule with m + 8 nodes per piece, matched to f: honours
+    breakpoints and the t=1 grading."""
+    return _rule(*_rule_key(f, m))
+
+
+# The 8 cached entries hold at most about 70 MB (8.8 MB each for the
+# 41-piece graded rule at m = 160); one graded basis at m = 800 alone is
+# 212 MB, so larger m build their tables per call.
+_CACHED_M_MAX = 160
+
+
+def _projector(m, breakpoints, singular_at_one):
+    """The rule default_rule gives for the key and basis_matrix(m, rule.nodes),
+    made read-only: m + 2 doubles per node."""
+    rule = _rule(m, breakpoints, singular_at_one)
+    basis = basis_matrix(m, rule.nodes)
+    for a in (rule.nodes, rule.weights, basis):
+        a.flags.writeable = False
+    return rule, basis
+
+
+_cached_projector = lru_cache(maxsize=8)(_projector)
+
+
 def project(f, m):
     """First m Legendre coefficients of f by quadrature.
 
     Exact (to roundoff) for polynomial f of degree < m with
-    :func:`default_rule`.
+    :func:`default_rule`.  For m up to 160 the rule and its basis matrix
+    come from a process-wide cache of 8 read-only entries, least recently
+    used dropping out, keyed on m, f's breakpoints and its t=1 flag, so a
+    repeated projection evaluates only f.  The largest entry, the
+    41-piece graded rule at m = 160, holds an 8.8 MB basis.
     """
-    quad = default_rule(f, m)
+    key = _rule_key(f, m)
+    quad, basis = (_cached_projector if m <= _CACHED_M_MAX else _projector)(*key)
     fv = np.asarray(f(quad.nodes), dtype=float)
     if fv.shape != quad.nodes.shape:
         fv = np.broadcast_to(fv, quad.nodes.shape)
-    return LegendreExpansion(basis_matrix(m, quad.nodes) @ (fv * quad.weights))
+    return LegendreExpansion(basis @ (fv * quad.weights))
 
 
 def expansion_eval(e, t):

@@ -73,7 +73,9 @@ def forward_moments(f, n):
     """First n moments as floats: exact for polynomials, without loading
     scipy; else by scipy quad to absolute and relative tolerance 1e-12,
     with f evaluated once per distinct node of the call, as the n integrals
-    share most of their Gauss-Kronrod nodes."""
+    share most of their Gauss-Kronrod nodes.  Each moment's integrand
+    binds its power k and multiplies the cached float(f(t)) by t ** k,
+    the same IEEE product the float64 value gave."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
@@ -82,18 +84,19 @@ def forward_moments(f, n):
     from scipy.integrate import quad
     tol = 1e-12
     pts = sorted(set(f.breakpoints)) or None
-    f_at = {}  # node -> f(node), for this call only
+    f_at = {}  # node -> float(f(node)), for this call only
 
-    def integrand(t, k):
-        v = f_at.get(t)
-        if v is None:
-            v = f_at[t] = f(t)
-        return v * t ** k
+    def integrand(k):
+        def t_k_f(t):
+            v = f_at.get(t)
+            if v is None:
+                v = f_at[t] = float(f(t))
+            return v * t ** k
+        return t_k_f
 
     vals = []
     for j in range(1, n + 1):
-        v, err = quad(integrand, 0.0, 1.0, args=(j - 1,),
-                      epsabs=tol, epsrel=tol, limit=200, points=pts)
+        v, err = quad(integrand(j - 1), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=pts)
         if err > 10 * max(tol, abs(v) * tol) + 1e-15:
             raise RuntimeError(f"quadrature for moment {j} did not converge (err={err:.2e})")
         vals.append(v)

@@ -253,9 +253,9 @@ def linv_growth_study(n_max, precision=256):
         r = m[i - 1][:i]
         h = [[a + (2 * i - 1) * rj * rk for a, rk in zip(row + [0], r)]
              for row, rj in zip(h + [[0] * (i - 1)], r)]
-        hinv = RationalMatrix(h)
+        hinv = RationalMatrix._from_int_rows(h)
         lam = spectral_norm(hinv, precision=precision)
-        lam_indep = factored_gram_norm(RationalMatrix([row[:i] for row in m[:i]]), precision)
+        lam_indep = factored_gram_norm(RationalMatrix._from_int_rows([row[:i] for row in m[:i]]), precision)
         rel = abs(lam - lam_indep) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,

@@ -123,3 +123,23 @@ def quad_moments(f, n):
     return [quad(lambda t: f(t) * t ** (j - 1), 0.0, 1.0,
                  epsabs=tol, epsrel=tol, limit=200, points=pts)[0]
             for j in range(1, n + 1)]
+
+
+def shared_node_moments(f, n):
+    """Moments 1..n of f by one integrand shared by the n quads, with the
+    power passed as ``args=(j-1,)`` and f's value kept as f returns it
+    (a float64), f evaluated once per node; forward_moments' per-moment
+    closures over ``float(f(t))`` must give the same doubles."""
+    from scipy.integrate import quad
+    tol = 1e-12
+    pts = sorted(set(f.breakpoints)) or None
+    f_at = {}
+
+    def integrand(t, k):
+        v = f_at.get(t)
+        if v is None:
+            v = f_at[t] = f(t)
+        return v * t ** k
+
+    return [quad(integrand, 0.0, 1.0, args=(j - 1,), epsabs=tol, epsrel=tol, limit=200, points=pts)[0]
+            for j in range(1, n + 1)]

@@ -264,7 +264,7 @@ class TestSpectralNorm:
             assert abs(lam - ref) / ref < mp.mpf("1e-35")
 
     @pytest.mark.xfail(strict=True, reason="the all-ones start vector is the eigenvector for 1; "
-                                           "a start vector that reaches the top eigenvalue is ROADMAP item 3")
+                                           "a start vector that reaches the top eigenvalue is ROADMAP item 1")
     def test_largest_eigenvalue_of_orthogonal_start(self):
         m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
         assert spectral_norm(m) == 2

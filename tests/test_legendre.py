@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hausmom import legendre
-from hausmom.functions import constant, polynomial
+from hausmom.functions import abs_kink, constant, g_alpha, peak, polynomial
 from hausmom.legendre import (
     LegendreExpansion,
     QuadratureRule,
+    basis_matrix,
+    default_rule,
     expansion_eval,
     l2_distance,
     legendre_eval,
@@ -117,6 +119,57 @@ class TestProject:
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 1, 50)
         assert np.allclose(expansion_eval(e, t), f(t), rtol=1e-10, atol=1e-12)
+
+
+class TestProjectorCache:
+    FUNCTIONS = [peak(), abs_kink(), g_alpha(-0.25), polynomial((1, -2, 0, 3))]
+    IDS = ["peak", "abs_kink", "g_alpha", "polynomial"]
+
+    def test_one_basis_per_key(self, monkeypatch):
+        calls = []
+        real = legendre.basis_matrix
+
+        def counting_basis(m, t):
+            calls.append(m)
+            return real(m, t)
+
+        monkeypatch.setattr(legendre, "basis_matrix", counting_basis)
+        legendre._cached_projector.cache_clear()
+        try:
+            for _ in range(3):
+                for f in (peak(), polynomial((0, 1)), abs_kink(), g_alpha(-0.25)):
+                    project(f, 8)
+                project(peak(), 12)
+            # peak and the polynomial share the key (8, (), False)
+            assert sorted(calls) == [8, 8, 8, 12]
+        finally:
+            legendre._cached_projector.cache_clear()
+
+    def test_cached_arrays_are_read_only(self):
+        project(abs_kink(), 8)
+        rule, basis = legendre._cached_projector(*legendre._rule_key(abs_kink(), 8))
+        for a in (rule.nodes, rule.weights, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        maxsize = legendre._cached_projector.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 16
+        for m in range(1, maxsize + 4):
+            project(peak(), m)
+        assert legendre._cached_projector.cache_info().currsize == maxsize
+        # above the cap the tables are built per call and never kept
+        before = legendre._cached_projector.cache_info()
+        project(abs_kink(), legendre._CACHED_M_MAX + 1)
+        assert legendre._cached_projector.cache_info() == before
+
+    @pytest.mark.parametrize("m", [1, 8, 40])
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=IDS)
+    def test_matches_uncached_projection(self, f, m):
+        rule = default_rule(f, m)
+        want = basis_matrix(m, rule.nodes) @ (f(rule.nodes) * rule.weights)
+        for _ in range(2):  # a cache miss, then a hit
+            assert [x.hex() for x in project(f, m).coefficients] == [x.hex() for x in want]
 
 
 class TestExpansionEval:

@@ -15,7 +15,9 @@ from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, 
 from oracles import float_picard_partial, hilbert_polynomial_moments, matrix_criterion, matrix_inner_products
 
 _INT = st.integers(-(10**20), 10**20)
-_FRACTION = st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
+# the values of st.fractions(max_denominator=10**6) below 10**6 in size, drawn faster
+_FRACTION = st.builds(Fraction, st.integers(-(10**12) + 1, 10**12 - 1), st.integers(1, 10**6)).filter(
+    lambda q: abs(q) < 10**6)
 _FLOAT = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _F64 = _FLOAT.map(np.float64)
 _F32 = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=32).map(np.float32)
@@ -47,13 +49,18 @@ class TestInnerProducts:
         assert norm == Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
 
     def test_one_pseudoinverse_builds_one_matrix(self, monkeypatch):
-        # the only RationalMatrix is the one inverse_factor_Linv returns
+        # the only RationalMatrix is the one inverse_factor_Linv returns,
+        # by either constructor
         depth, builds = [0], []
-        init, linv = RationalMatrix.__init__, moment_ops.inverse_factor_Linv
+        init, from_rows, linv = RationalMatrix.__init__, RationalMatrix._from_int_rows, moment_ops.inverse_factor_Linv
 
         def counting_init(self, *args, **kwargs):
             builds.append(depth[0])
             init(self, *args, **kwargs)
+
+        def counting_from_rows(cls, num):
+            builds.append(depth[0])
+            return from_rows(num)
 
         def counting_linv(n):
             depth[0] += 1
@@ -63,6 +70,7 @@ class TestInnerProducts:
                 depth[0] -= 1
 
         monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+        monkeypatch.setattr(RationalMatrix, "_from_int_rows", classmethod(counting_from_rows))
         monkeypatch.setattr(moment_ops, "inverse_factor_Linv", counting_linv)
         y = MomentSequence.from_values([Fraction(1, 3), 0.25, 7, np.float32(0.5)] * 10)
         pseudoinverse(y)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from fractions import Fraction
@@ -33,7 +34,7 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
-from oracles import quad_moments
+from oracles import quad_moments, shared_node_moments
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -49,7 +50,9 @@ def _fraction_inner_products(values):
 
 _exact_number = st.one_of(
     st.integers(-(10**20), 10**20),
-    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+    # the values of st.fractions(max_denominator=10**6) below 10**6 in size, drawn faster
+    st.builds(Fraction, st.integers(-(10**12) + 1, 10**12 - 1), st.integers(1, 10**6)).filter(
+        lambda q: abs(q) < 10**6),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
 
@@ -111,6 +114,16 @@ class TestForwardMoments:
         nodes = []
         f = functions.TestFunction(value=lambda t: nodes.append(t) or p(t))
         forward_moments(f, 40)
+        assert nodes and len(nodes) == len(set(nodes))
+
+    @pytest.mark.parametrize("f", [peak(), cubic_exp(), abs_kink()], ids=["peak", "cubic_exp", "abs_kink"])
+    def test_equals_shared_integrand_with_args(self, f):
+        # the per-moment closures over float(f(t)) give the moments, hex for
+        # hex, of one integrand taking k by args=(k,) over f's float64 values
+        want = [float(v).hex() for v in shared_node_moments(f, 40)]
+        nodes = []
+        counted = dataclasses.replace(f, value=lambda t: nodes.append(t) or f(t))
+        assert [v.hex() for v in forward_moments(counted, 40).values] == want
         assert nodes and len(nodes) == len(set(nodes))
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

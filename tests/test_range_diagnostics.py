@@ -50,7 +50,9 @@ def _closed_form_RN(N):
 
 
 _INT = st.integers(-(10**12), 10**12)
-_FRACTION = st.fractions(max_denominator=10**4).filter(lambda q: abs(q) < 10**4)
+# the values of st.fractions(max_denominator=10**4) below 10**4 in size, drawn faster
+_FRACTION = st.builds(Fraction, st.integers(-(10**8) + 1, 10**8 - 1), st.integers(1, 10**4)).filter(
+    lambda q: abs(q) < 10**4)
 _FLOAT = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 _DATA = st.one_of(
     st.lists(_INT, min_size=1, max_size=24),
