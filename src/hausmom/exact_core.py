@@ -15,7 +15,8 @@ kernel, ``_power_iteration``, called by ``spectral_norm`` and
 (default 256 bits, at least 64) and the result is an mpmath float.  That
 precision is required because the entries of the inverse Hilbert matrix
 grow roughly like exp(3.5 n) and double precision is useless long before
-n = 65.
+n = 65.  mpmath is imported there, at the first call, so importing this
+module (or the package) does not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from itertools import chain
 from math import comb, gcd, isqrt, lcm
 from operator import index, mul
 
-import mpmath as mp
 import numpy as np
 
 # Fixed-point vectors in the power iterations carry this many bits beyond
@@ -273,6 +273,7 @@ def _power_iteration(matvec, n, precision, tol, d=1):
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
+    import mpmath as mp
 
     def value(lam):
         with mp.workprec(precision):

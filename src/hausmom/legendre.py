@@ -73,10 +73,13 @@ class QuadratureRule:
 
         For integrands whose derivative blows up at 1 (the (1-t)^alpha
         family) plain Gauss stalls; this splits [0,1] at 1 - 2^-l,
-        l = 1..40.
+        l = 1..40.  A node that rounds to 1.0 (from 154 per piece), where
+        such f are infinite, moves to the double below 1 with its weight.
         """
         bps = [0.0] + [1.0 - 2.0 ** -l for l in range(1, 41)] + [1.0]
-        return cls.composite(npts, bps)
+        rule = cls.composite(npts, bps)
+        rule.nodes[rule.nodes >= 1.0] = np.nextafter(1.0, 0.0)
+        return rule
 
 
 def legendre_eval(k, t):

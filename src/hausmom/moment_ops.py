@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import inf, lcm, sqrt
 from operator import mul
 
-import mpmath as mp
 import numpy as np
 
 from .exact_core import _common_den, cholesky_factor_L, inverse_factor_Linv
@@ -124,6 +123,7 @@ def forward_from_expansion(e, n):
     are exact, the irrational column weights enter once per term at 40
     digits, and the sum is rounded to a double at the end.
     """
+    import mpmath as mp
     lfac = cholesky_factor_L(n)
     part = lfac.rational_part
     lam = [float(c).as_integer_ratio() for c in e.coefficients[:min(e.m, n)]]

@@ -39,11 +39,13 @@ COUNTED_FUNCTIONS = sorted({
 
 
 def _run_fresh(code):
-    """Run code in a new interpreter that imports hausmom from this checkout; assert it exits 0."""
+    """Run code in a new interpreter that imports hausmom from this checkout; assert it exits 0
+    and return its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _loaded_none_of(*packages):
@@ -96,6 +98,28 @@ class TestParsing:
                  ["growth", "--n-max", "4"]]
         _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    + _loaded_none_of("scipy"))
+
+    def test_import_leaves_mpmath_out(self):
+        for module in ("hausmom", "hausmom.cli"):
+            _run_fresh(f"import {module}\n" + _loaded_none_of("mpmath"))
+
+    def test_float_commands_leave_mpmath_out(self):
+        calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["amplification"],
+                 ["pointvalue"], ["laplace"], ["eit"]]
+        _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
+                   + _loaded_none_of("mpmath"))
+
+    def test_power_iterations_load_mpmath(self, capsys):
+        assert run(["growth", "--n-max", "4"]) == 0
+        growth = capsys.readouterr().out
+        out = _run_fresh(_loaded_none_of("mpmath") + "from hausmom.cli import run\n"
+                         "assert run(['growth', '--n-max', '4']) == 0\nassert 'mpmath' in sys.modules\n")
+        assert out == growth
+        out = _run_fresh("from hausmom import hilbert_matrix, spectral_norm\n" + _loaded_none_of("mpmath")
+                         + "lam = spectral_norm(hilbert_matrix(3))\nassert 'mpmath' in sys.modules\n"
+                         "print(lam.man, lam.exp)\n")
+        assert out.split() == ["40768047721025885696093513402814353870527745791907829623165642490415255015271",
+                               "-254"]
 
     def test_only_quadrature_loads_scipy(self):
         _run_fresh("import math, sys\nfrom hausmom import forward_moments, peak, polynomial\n"

@@ -15,6 +15,7 @@ from hausmom.legendre import (
     legendre_eval,
     project,
 )
+from hausmom.moment_ops import projection_error
 
 
 class TestLegendreEval:
@@ -98,6 +99,12 @@ class TestQuadrature:
         QuadratureRule.gauss(10)
         assert calls == [48, 10]
 
+    @pytest.mark.parametrize("m", [145, 146, 160, 200])
+    def test_endpoint_graded_nodes_stay_below_one(self, m):
+        rule = default_rule(g_alpha(-0.25), m)
+        assert rule.nodes.max() < 1
+        assert np.all(np.isfinite(project(g_alpha(-0.25), m).coefficients))
+
 
 class TestProject:
     def test_constant(self):
@@ -119,6 +126,18 @@ class TestProject:
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 1, 50)
         assert np.allclose(expansion_eval(e, t), f(t), rtol=1e-10, atol=1e-12)
+
+    def test_graded_projection_error_finite_and_non_increasing(self):
+        errs = [projection_error(g_alpha(-0.25), n) for n in range(30, 51)]
+        assert all(map(math.isfinite, errs))
+        assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("m", [10, 64, 100, 145])
+    def test_graded_projection_unchanged_below_moved_nodes(self, m):
+        f = g_alpha(-0.25)
+        rule = QuadratureRule.composite(m + 8, [0.0] + [1.0 - 2.0 ** -l for l in range(1, 41)] + [1.0])
+        unfixed = basis_matrix(m, rule.nodes) @ (f(rule.nodes) * rule.weights)
+        assert [x.hex() for x in project(f, m).coefficients] == [x.hex() for x in unfixed]
 
 
 class TestProjectorCache:

@@ -152,6 +152,19 @@ class TestAmplification:
             spec = math.sqrt(float(spectral_norm(inverse_hilbert(n))))
             assert spec / 2 <= est.f_n <= 2 * spec
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_estimates_trace_of_inverse_hilbert(self, n):
+        h = inverse_hilbert(n)
+        trace = sum(h[i, i] for i in range(n))
+        est = amplification_experiment(peak(), n, R=2000, seed=42)
+        assert abs(est.f_n ** 2 / trace - 1) <= 0.1
+
+    def test_frobenius_target_is_near_operator_norm(self):
+        for n in range(2, 41):
+            h = inverse_hilbert(n)
+            ratio = mp.sqrt(sum(h[i, i] for i in range(n)) / spectral_norm(h))
+            assert 1 <= ratio <= 1.026, n
+
     def test_accepts_moment_sequence(self):
         y = exact_polynomial_moments((1,), 3)
         est = amplification_experiment(y, 3, R=3)
