@@ -10,13 +10,22 @@ be verified with zero residual even where the condition number grows
 like exp(3.5 n).
 
 Only the power iterations leave the rational world, in one fixed-point
-kernel, ``_power_iteration``, called by ``spectral_norm`` and
-``factored_gram_norm``: Python ints carry a configurable precision
-(default 256 bits, at least 64) and the result is an mpmath float.  That
-precision is required because the entries of the inverse Hilbert matrix
-grow roughly like exp(3.5 n) and double precision is useless long before
-n = 65.  mpmath is imported there, at the first call, so importing this
-module (or the package) does not load it.
+kernel, ``_power_iteration``, called by ``spectral_norm`` (through
+``spectral_norm_iterate``, which also hands back the iterate it stopped
+at) and ``factored_gram_norm``: Python ints carry a configurable
+precision (default 256 bits, at least 64) and the result is an mpmath
+float.  That precision is required because the entries of the inverse
+Hilbert matrix grow roughly like exp(3.5 n) and double precision is
+useless long before n = 65.  mpmath is imported there, at the first
+call, so importing this module (or the package) does not load it.
+
+The spectral iteration on H_n^-1 starts from the all-ones vector.  The
+factored cross-check on Linv Linv^T can start from Linv v, v the
+spectral iteration's last iterate: it then needs fewer steps and still
+never reads H_n^-1, but it shares the spectral iteration's choice of
+eigenvector.  At 256 bits and above the cross-check is far more accurate
+than the spectral value, so their gap is the spectral iteration's own
+error.
 """
 
 from __future__ import annotations
@@ -260,16 +269,18 @@ def inverse_hilbert(n):
     return inverse_factor_Linv(n).gram()
 
 
-def _power_iteration(matvec, n, precision, tol, d=1):
-    """Power iteration on a symmetric PSD map, from the all-ones vector.
+def _power_iteration(matvec, v, precision, tol, d=1):
+    """Power iteration on a symmetric PSD map, from the start vector ``v``.
 
-    Vectors are ints scaled by 2^(precision + _GUARD_BITS); ``matvec`` maps
-    one to ``d`` times the matrix applied to it, at the same scale.  Stops
-    when the Rayleigh quotient l changes by less than relative ``tol`` and
-    the relative residual ||w - l v|| / (l ||v||) is below ``tol``, both
-    decided exactly; then l is within relative ``tol`` of *an* eigenvalue
-    (not certainly the largest) and, as a Rayleigh quotient, off by about
-    tol^2.  Returns l / ``d`` as an mpf at ``precision`` bits (>= 64).
+    Vectors are ints scaled by about 2^(precision + _GUARD_BITS), the
+    start ``v`` included; ``matvec`` maps one to ``d`` times the matrix
+    applied to it, at the same scale.  Stops when the Rayleigh quotient l
+    changes by less than relative ``tol`` and the relative residual
+    ||w - l v|| / (l ||v||) is below ``tol``, both decided exactly; then l
+    is within relative ``tol`` of *an* eigenvalue (not certainly the
+    largest) and, as a Rayleigh quotient, off by about tol^2.  Returns
+    l / ``d`` as an mpf at ``precision`` bits (>= 64) and the iterate v
+    that l is the Rayleigh quotient of.
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
@@ -279,9 +290,9 @@ def _power_iteration(matvec, n, precision, tol, d=1):
         with mp.workprec(precision):
             return mp.mpf(lam.numerator) / (lam.denominator * d)
 
+    n = len(v)
     shift = precision + _GUARD_BITS
     qn, qd = Fraction(tol).as_integer_ratio()
-    v = [1 << shift] * n
     prev = None  # (v.w, v.v) of the previous step
     for _ in range(_MAX_ITER):
         w = matvec(v)
@@ -289,13 +300,13 @@ def _power_iteration(matvec, n, precision, tol, d=1):
         vw = sum(map(mul, v, w))
         ww = sum(map(mul, w, w))
         if ww == 0:
-            return mp.mpf(0)
+            return mp.mpf(0), v
         # l = vw/vv; the tests with denominators cleared, using
         # ||w - l v||^2 ||v||^2 = ww vv - vw^2.  A 1x1 quotient is exact.
         if n == 1 or (prev is not None and vw > 0
                       and abs(vw * prev[1] - prev[0] * vv) * qd < qn * vw * prev[1]
                       and (ww * vv - vw * vw) * qd * qd < qn * qn * vw * vw):
-            return value(Fraction(vw, vv))
+            return value(Fraction(vw, vv)), v
         nw = isqrt(ww)
         v = [(y << shift) // nw for y in w]
         prev = vw, vv
@@ -313,19 +324,34 @@ def spectral_norm(m, precision=256):
     relative tolerance 1e-20.  If the all-ones start misses the top
     eigenvector, the result is a lower one.
     """
+    return spectral_norm_iterate(m, precision)[0]
+
+
+def spectral_norm_iterate(m, precision):
+    """``spectral_norm(m, precision)`` and the iterate it stopped at.
+
+    The iterate is the int vector (at a fixed-point scale) whose Rayleigh
+    quotient the value is: within about 1e-20 of the eigenvector that the
+    all-ones start converged to.
+    """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in m.num],
-                            m.rows, precision, 1e-20, m.den)
+                            [1 << (precision + _GUARD_BITS)] * m.rows, precision, 1e-20, m.den)
 
 
-def factored_gram_norm(part, precision):
+def factored_gram_norm(part, precision, start=None):
     """lambda_max of Linv Linv^T by power iteration on the factored form.
 
     ``part`` is M of Linv = S M, as ``part.num`` over ``part.den``; the map
     is z -> S M M^T S z, S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
-    Tolerance 10^-(precision // 8) leaves an error of about
-    10^-(precision // 4).  Independent of the exact Gram matrix.
+    It starts from the all-ones vector or, given ``start``, a nonzero int
+    vector v at any scale in the space of Linv^T Linv (the Gram matrix
+    M^T S^2 M), from Linv v normalised.  Linv maps each eigenvector of
+    Linv^T Linv to one of Linv Linv^T with the same eigenvalue, so the
+    iterate of a power iteration on the Gram matrix starts this one close
+    to that eigenvalue.  Tolerance 10^-(precision // 8) leaves an error of
+    about 10^-(precision // 4).  Reads M only, never the Gram matrix.
     """
     n = part.rows
     shift = precision + _GUARD_BITS
@@ -339,4 +365,13 @@ def factored_gram_norm(part, precision):
         w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
         return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
 
-    return _power_iteration(matvec, n, precision, Fraction(10) ** -(precision // 8), d=part.den ** 2)
+    if start is None:
+        z = [1 << shift] * n
+    else:
+        if len(start) != n or not any(start):
+            raise ValueError(f"start must be a nonzero vector of length {n}")
+        # S M v at 2^shift times the scale of v, normalised to 2^shift
+        y = [si * sum(map(mul, row, start)) for si, row in zip(s, m_rows)]
+        ny = isqrt(sum(map(mul, y, y)))
+        z = [(x << shift) // ny for x in y]
+    return _power_iteration(matvec, z, precision, Fraction(10) ** -(precision // 8), d=part.den ** 2)[0]

@@ -12,7 +12,15 @@ from math import comb, fsum
 import mpmath as mp
 import numpy as np
 
-from hausmom.exact_core import FactoredTriangular, RationalMatrix, hilbert_matrix, inverse_factor_Linv
+from hausmom.exact_core import (
+    FactoredTriangular,
+    RationalMatrix,
+    factored_gram_norm,
+    hilbert_matrix,
+    inverse_factor_Linv,
+    inverse_hilbert,
+    spectral_norm,
+)
 from hausmom.range_diagnostics import build_DN, build_RN
 
 
@@ -56,6 +64,19 @@ def matrix_inner_products(values):
     col = [[v if isinstance(v, (int, Fraction, float)) else float(v)] for v in values]
     p = inverse_factor_Linv(len(col)).rational_part @ RationalMatrix(col)
     return [x for (x,) in p.num], p.den
+
+
+def all_ones_growth_rel_errs(n_max, precision):
+    """``norm_sq_rel_err`` of ``linv_growth_study(n_max, precision)`` with
+    the factored cross-check started from the all-ones vector: level i
+    compares ``spectral_norm`` of the Gram product H_i^-1 with
+    ``factored_gram_norm`` on the closed-form M_i and no start vector."""
+    rel = []
+    for i in range(1, n_max + 1):
+        lam = spectral_norm(inverse_hilbert(i), precision)
+        indep = factored_gram_norm(inverse_factor_Linv(i).rational_part, precision)
+        rel.append(float(abs(lam - indep) / lam))
+    return rel
 
 
 def matrix_criterion(values, N):

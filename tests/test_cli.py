@@ -202,6 +202,7 @@ class TestCommands:
         (["counterexample", "--C", "nan"], "C must be finite and positive"),
         (["counterexample", "--C", "inf"], "C must be finite and positive"),
         (["pointvalue", "--max-level-exp", "25"], "max_level_exp must be <= 24"),
+        (["growth", "--n-max", "403"], "n_max must be <= 402"),
     ])
     def test_bad_levels_and_tolerances_refused(self, capsys, argv, message):
         assert run(argv) == 1

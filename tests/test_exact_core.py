@@ -16,6 +16,7 @@ from hausmom.exact_core import (
     inverse_factor_Linv,
     inverse_hilbert,
     spectral_norm,
+    spectral_norm_iterate,
 )
 from oracles import back_substitution_inverse, binomial, inverse_factor_rows
 
@@ -248,6 +249,29 @@ class TestSpectralNorm:
             spectral_norm(inverse_hilbert(n), precision=63)
         with pytest.raises(ValueError, match="precision must be >= 64 bits"):
             factored_gram_norm(inverse_factor_Linv(n).rational_part, 63)
+
+    def test_value_is_rayleigh_quotient_of_iterate(self):
+        h = inverse_hilbert(6)
+        lam, v = spectral_norm_iterate(h, 256)
+        assert lam == spectral_norm(h)
+        hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
+        q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
+        with mp.workprec(256):
+            assert lam == mp.mpf(q.numerator) / q.denominator
+
+    def test_factored_start_at_any_scale(self):
+        # H-space starts, scaled by 1, 2^300 and the fixed-point scale of
+        # the spectral iterate, all reach the all-ones start's value
+        part = inverse_factor_Linv(8).rational_part
+        ref = factored_gram_norm(part, 256)
+        _, v = spectral_norm_iterate(inverse_hilbert(8), 256)
+        for start in ([1] * 8, [1 << 300] * 8, v):
+            assert abs(factored_gram_norm(part, 256, start) - ref) / ref < mp.mpf("1e-60")
+
+    @pytest.mark.parametrize("start", [[0, 0, 0], [1, 2]])
+    def test_factored_start_refused(self, start):
+        with pytest.raises(ValueError, match="start must be a nonzero vector of length 3"):
+            factored_gram_norm(inverse_factor_Linv(3).rational_part, 256, start)
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]

@@ -1,14 +1,23 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import hausmom.exact_core as exact_core
 import hausmom.stability_lab as lab
 
-from hausmom.exact_core import factored_gram_norm, inverse_factor_Linv, inverse_hilbert, spectral_norm
+from hausmom.exact_core import (
+    RationalMatrix,
+    factored_gram_norm,
+    inverse_factor_Linv,
+    inverse_hilbert,
+    spectral_norm,
+    spectral_norm_iterate,
+)
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -27,6 +36,7 @@ from hausmom.stability_lab import (
     point_value_noise_study,
     stability_bound,
 )
+from oracles import all_ones_growth_rel_errs
 
 GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
@@ -218,6 +228,65 @@ class TestGrowthStudy:
         with mp.workprec(precision):
             ref = max(mp.eigsy(mp.matrix(inverse_hilbert(12).entries), eigvals_only=True))
             assert abs(lam - ref) / ref < mp.mpf(bound)
+
+    @pytest.mark.parametrize("precision", [256, 512])
+    def test_rel_err_matches_all_ones_start(self, precision):
+        # the cross-check is accurate to ~10^-(precision // 4) from either
+        # start, so the gap to the ~1e-40 spectral value is the same float
+        rel = [row["norm_sq_rel_err"] for row in linv_growth_study(40, precision)]
+        assert rel == all_ones_growth_rel_errs(40, precision)
+
+    @pytest.mark.parametrize("i", [3, 5, 8, 12])
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_seeded_cross_check_reads_m_not_gram(self, i, change):
+        # seeded from the iterate of a wrong Gram matrix, the cross-check on
+        # the true M still finds the eigenvalue it finds from the all-ones
+        # vector, so its gap to the wrong value is far above the ~1e-40 it
+        # reports on the true Gram matrix
+        part = inverse_factor_Linv(i).rational_part
+        num = inverse_hilbert(i).num
+        num[-1][-1] += change
+        lam_wrong, v = spectral_norm_iterate(RationalMatrix(num), 256)
+        indep = factored_gram_norm(part, 256, v)
+        assert abs(indep - factored_gram_norm(part, 256)) / indep < mp.mpf("1e-60")
+        assert abs(lam_wrong - indep) / lam_wrong > mp.mpf("1e-25")
+        lam, v = spectral_norm_iterate(inverse_hilbert(i), 256)
+        assert abs(lam - factored_gram_norm(part, 256, v)) / lam < mp.mpf("1e-38")
+
+    def test_seeded_cross_check_steps(self, monkeypatch):
+        # steps counted as calls of the map; per level the study runs the
+        # spectral iteration, then the cross-check
+        steps = []
+        kernel = exact_core._power_iteration
+
+        def counted(matvec, *args, **kwargs):
+            calls = 0
+
+            def counting(v):
+                nonlocal calls
+                calls += 1
+                return matvec(v)
+
+            try:
+                return kernel(counting, *args, **kwargs)
+            finally:
+                steps.append(calls)
+
+        monkeypatch.setattr(exact_core, "_power_iteration", counted)
+        linv_growth_study(24)
+        spectral, cross = steps[::2], steps[1::2]
+        assert len(cross) == 24 and sum(spectral) == 250
+        assert cross[-1] <= 6 and sum(cross) <= 140
+        factored_gram_norm(inverse_factor_Linv(24).rational_part, 256)
+        assert steps[-1] >= 13  # from the all-ones vector
+
+    def test_refuses_level_past_double_range_before_work(self, monkeypatch):
+        # exp(1.763 i) overflows a double from i = 403
+        monkeypatch.setattr(lab, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="n_max must be <= 402"):
+            linv_growth_study(403)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPointValue:
