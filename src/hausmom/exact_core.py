@@ -12,20 +12,22 @@ like exp(3.5 n).
 Only the power iterations leave the rational world, in one fixed-point
 kernel, ``_power_iteration``, called by ``spectral_norm`` (through
 ``spectral_norm_iterate``, which also hands back the iterate it stopped
-at) and ``factored_gram_norm``: Python ints carry a configurable
-precision (default 256 bits, at least 64) and the result is an mpmath
-float.  That precision is required because the entries of the inverse
-Hilbert matrix grow roughly like exp(3.5 n) and double precision is
-useless long before n = 65.  mpmath is imported there, at the first
-call, so importing this module (or the package) does not load it.
+at and that iterate's product) and ``factored_gram_norm``: Python ints
+carry a configurable precision (default 256 bits, at least 64) and the
+result is an mpmath float.  That precision is required because the
+entries of the inverse Hilbert matrix grow roughly like exp(3.5 n) and
+double precision is useless long before n = 65.  mpmath is imported
+there, at the first call, so importing this module (or the package)
+does not load it.
 
-The spectral iteration on H_n^-1 starts from the all-ones vector.  The
-factored cross-check on Linv Linv^T can start from Linv v, v the
-spectral iteration's last iterate: it then needs fewer steps and still
-never reads H_n^-1, but it shares the spectral iteration's choice of
-eigenvector.  At 256 bits and above the cross-check is far more accurate
-than the spectral value, so their gap is the spectral iteration's own
-error.
+The spectral iteration on H_n^-1 starts from the all-ones vector, whose
+product is H_n^-1's row sums, so its first step computes no product.
+The factored cross-check on Linv Linv^T can start from Linv H_n^-1 v, v
+the spectral iteration's last iterate and H_n^-1 v the product it
+computed there: it then needs fewer steps and still never reads
+H_n^-1, but it shares the spectral iteration's choice of eigenvector.
+At 256 bits and above the cross-check is far more accurate than the
+spectral value, so their gap is the spectral iteration's own error.
 """
 
 from __future__ import annotations
@@ -269,18 +271,20 @@ def inverse_hilbert(n):
     return inverse_factor_Linv(n).gram()
 
 
-def _power_iteration(matvec, v, precision, tol, d=1):
+def _power_iteration(matvec, v, precision, tol, d=1, w=None):
     """Power iteration on a symmetric PSD map, from the start vector ``v``.
 
     Vectors are ints scaled by about 2^(precision + _GUARD_BITS), the
     start ``v`` included; ``matvec`` maps one to ``d`` times the matrix
-    applied to it, at the same scale.  Stops when the Rayleigh quotient l
-    changes by less than relative ``tol`` and the relative residual
-    ||w - l v|| / (l ||v||) is below ``tol``, both decided exactly; then l
-    is within relative ``tol`` of *an* eigenvalue (not certainly the
-    largest) and, as a Rayleigh quotient, off by about tol^2.  Returns
-    l / ``d`` as an mpf at ``precision`` bits (>= 64) and the iterate v
-    that l is the Rayleigh quotient of.
+    applied to it, at the same scale.  ``w``, if given, must be exactly
+    ``matvec(v)``: the first step then takes it instead of calling the
+    map.  Stops when the Rayleigh quotient l changes by less than relative
+    ``tol`` and the relative residual ||w - l v|| / (l ||v||) is below
+    ``tol``, both decided exactly; then l is within relative ``tol`` of
+    *an* eigenvalue (not certainly the largest) and, as a Rayleigh
+    quotient, off by about tol^2.  Returns l / ``d`` as an mpf at
+    ``precision`` bits (>= 64), the iterate v that l is the Rayleigh
+    quotient of, and its product w = ``matvec(v)``.
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
@@ -295,20 +299,21 @@ def _power_iteration(matvec, v, precision, tol, d=1):
     qn, qd = Fraction(tol).as_integer_ratio()
     prev = None  # (v.w, v.v) of the previous step
     for _ in range(_MAX_ITER):
-        w = matvec(v)
+        if w is None:
+            w = matvec(v)
         vv = sum(map(mul, v, v))
         vw = sum(map(mul, v, w))
         ww = sum(map(mul, w, w))
         if ww == 0:
-            return mp.mpf(0), v
+            return mp.mpf(0), v, w
         # l = vw/vv; the tests with denominators cleared, using
         # ||w - l v||^2 ||v||^2 = ww vv - vw^2.  A 1x1 quotient is exact.
         if n == 1 or (prev is not None and vw > 0
                       and abs(vw * prev[1] - prev[0] * vv) * qd < qn * vw * prev[1]
                       and (ww * vv - vw * vw) * qd * qd < qn * qn * vw * vw):
-            return value(Fraction(vw, vv)), v
+            return value(Fraction(vw, vv)), v, w
         nw = isqrt(ww)
-        v = [(y << shift) // nw for y in w]
+        v, w = [(y << shift) // nw for y in w], None
         prev = vw, vv
     raise SpectralNormError(
         f"power iteration did not converge to tol={float(tol):g} in {_MAX_ITER} iterations",
@@ -328,16 +333,21 @@ def spectral_norm(m, precision=256):
 
 
 def spectral_norm_iterate(m, precision):
-    """``spectral_norm(m, precision)`` and the iterate it stopped at.
+    """``spectral_norm(m, precision)``, the iterate v it stopped at and
+    the product w = ``m.num`` v.
 
-    The iterate is the int vector (at a fixed-point scale) whose Rayleigh
-    quotient the value is: within about 1e-20 of the eigenvector that the
-    all-ones start converged to.
+    v is the int vector (at a fixed-point scale) whose Rayleigh quotient
+    the value is: within about 1e-20 of the eigenvector that the all-ones
+    start converged to.  w is exact, at ``m.den`` times the eigenvalue
+    times v's scale.  The all-ones start's product is the row sums of
+    ``m.num`` shifted to that scale, so the first step needs no product.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
+    shift = precision + _GUARD_BITS
     return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in m.num],
-                            [1 << (precision + _GUARD_BITS)] * m.rows, precision, 1e-20, m.den)
+                            [1 << shift] * m.rows, precision, 1e-20, m.den,
+                            w=[sum(row) << shift for row in m.num])
 
 
 def factored_gram_norm(part, precision, start=None):

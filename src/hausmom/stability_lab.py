@@ -237,41 +237,50 @@ def linv_growth_study(n_max, precision=256):
     and its column, the last diagonal entry, the reference curve
     exp(1.763 i), and the exact infinity-norm of the inverse Hilbert
     segment with its logarithmic rate.  n_max is at most 402: from i = 403
-    exp(1.763 i) is beyond the double range.
+    exp(1.763 i) is beyond the double range, and precision is at least
+    64 bits.  Both are refused before any work.
 
-    The cross-check runs on Linv Linv^T in factored form and never reads
-    H_i^{-1}.  It starts from Linv v, v the iterate that the spectral
-    iteration on H_i^{-1} stopped at, so it takes 5 steps at level 24
-    instead of 13 from the all-ones vector, and it converges to the
-    eigenvalue of the eigenvector that the spectral iteration chose (the
-    all-ones start already did so in practice); only a Collatz-Wielandt
-    bracket could certify that this is the largest one.  The cross-check
-    is accurate to about 10^-(precision // 4), the spectral iteration to
-    about 1e-40, so at 256 bits and above ``norm_sq_rel_err`` measures
-    the spectral iteration's own error.
+    The spectral iteration on H_i^{-1} starts from the all-ones vector and
+    takes that start's product from the row sums of H_i^{-1}.  The
+    cross-check runs on Linv Linv^T in factored form and never reads
+    H_i^{-1}.  It starts from Linv H_i^{-1} v, v the iterate that the
+    spectral iteration stopped at and H_i^{-1} v the product it computed
+    there, so it takes 4 steps at level 24 instead of 13 from the
+    all-ones vector, and it converges to the eigenvalue of the
+    eigenvector that the spectral iteration chose (the all-ones start
+    already did so in practice); only a Collatz-Wielandt bracket could
+    certify that this is the largest one.  The cross-check is accurate to
+    about 10^-(precision // 4), the spectral iteration to about 1e-40, so
+    at 256 bits and above ``norm_sq_rel_err`` measures the spectral
+    iteration's own error.  Below 256 bits it is the cross-check's own
+    error, at the rounding level of ``precision`` bits (about 4e-39 or 0
+    at 128 bits, 6e-20 or 0 at 64), and it may change between versions:
+    any change to where the cross-check starts moves it.
 
     The integer factor M of Linv_{n_max} = diag(sqrt(2k-1)) M is built
     once; level i reads its leading i x i block M_i.  H_i^{-1} =
     M_i^T diag(2k-1) M_i is kept as int rows and grown by a rank-one
     update: pad H_{i-1}^{-1} with a zero row and column and add
-    (2i-1) r r^T, r the first i entries of row i of M.  That is O(i^2)
+    ((2i-1) r) r^T, r the first i entries of row i of M.  That is O(i^2)
     exact work per level, so the exact part of the study is O(n_max^3).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > 402:
         raise ValueError("n_max must be <= 402: exp(1.763 i) overflows a double from i = 403")
+    if precision < 64:
+        raise ValueError("precision must be >= 64 bits")
     import mpmath as mp
     m = inverse_factor_Linv(n_max).rational_part.num
     h = []  # int rows of H_i^{-1}
     rows = []
     for i in range(1, n_max + 1):
         r = m[i - 1][:i]
-        h = [[a + (2 * i - 1) * rj * rk for a, rk in zip(row + [0], r)]
-             for row, rj in zip(h + [[0] * (i - 1)], r)]
+        h = [[a + wrj * rk for a, rk in zip(row + [0], r)]
+             for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
         hinv = RationalMatrix._from_int_rows(h)
-        lam, v = spectral_norm_iterate(hinv, precision)
-        lam_indep = factored_gram_norm(RationalMatrix._from_int_rows([row[:i] for row in m[:i]]), precision, v)
+        lam, _, hv = spectral_norm_iterate(hinv, precision)
+        lam_indep = factored_gram_norm(RationalMatrix._from_int_rows([row[:i] for row in m[:i]]), precision, hv)
         rel = abs(lam - lam_indep) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,

@@ -7,7 +7,7 @@ derivative) so that the two can be checked against each other.
 
 import numbers
 from fractions import Fraction
-from math import comb, fsum
+from math import comb, fsum, isqrt
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +64,29 @@ def matrix_inner_products(values):
     col = [[v if isinstance(v, (int, Fraction, float)) else float(v)] for v in values]
     p = inverse_factor_Linv(len(col)).rational_part @ RationalMatrix(col)
     return [x for (x,) in p.num], p.den
+
+
+def all_ones_spectral_norm(m, precision):
+    """``spectral_norm(m, precision)`` by a power iteration from the
+    all-ones vector that computes every product H v, the first included.
+    It keeps the library's fixed-point scale 2^(precision + 32), its
+    rounding and its stopping rule (the Rayleigh quotient l moves by less
+    than 1e-20 l and ||H v - l v||^2 < (1e-20 l ||v||)^2, decided on
+    Fractions), so its value should agree to the bit."""
+    shift = precision + 32
+    tol = Fraction(1e-20)
+    v, prev = [1 << shift] * m.rows, None
+    for _ in range(1000):
+        w = [sum(a * b for a, b in zip(row, v)) for row in m.num]
+        vv, vw, ww = (sum(a * b for a, b in zip(x, y)) for x, y in ((v, v), (v, w), (w, w)))
+        lam = Fraction(vw, vv)
+        if m.rows == 1 or (prev is not None and lam > 0 and abs(lam - prev) < tol * lam
+                           and Fraction(ww, vv) - lam * lam < (tol * lam) ** 2):
+            with mp.workprec(precision):
+                return mp.mpf(lam.numerator) / (lam.denominator * m.den)
+        nw = isqrt(ww)
+        v, prev = [(y << shift) // nw for y in w], lam
+    raise AssertionError("no convergence in 1000 steps")
 
 
 def all_ones_growth_rel_errs(n_max, precision):

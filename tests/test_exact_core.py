@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from hausmom.exact_core import (
     spectral_norm,
     spectral_norm_iterate,
 )
-from oracles import back_substitution_inverse, binomial, inverse_factor_rows
+from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, inverse_factor_rows
 
 _FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 
@@ -252,7 +253,7 @@ class TestSpectralNorm:
 
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
-        lam, v = spectral_norm_iterate(h, 256)
+        lam, v, _ = spectral_norm_iterate(h, 256)
         assert lam == spectral_norm(h)
         hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
         q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
@@ -264,9 +265,19 @@ class TestSpectralNorm:
         # the spectral iterate, all reach the all-ones start's value
         part = inverse_factor_Linv(8).rational_part
         ref = factored_gram_norm(part, 256)
-        _, v = spectral_norm_iterate(inverse_hilbert(8), 256)
+        _, v, _ = spectral_norm_iterate(inverse_hilbert(8), 256)
         for start in ([1] * 8, [1 << 300] * 8, v):
             assert abs(factored_gram_norm(part, 256, start) - ref) / ref < mp.mpf("1e-60")
+
+    @pytest.mark.parametrize("m", [hilbert_matrix(6), *map(inverse_hilbert, range(1, 13)),
+                                   RationalMatrix([[3, -1], [-1, 3]], 2)],
+                             ids=["hilbert_6", *(f"inverse_hilbert_{n}" for n in range(1, 13)), "orthogonal_start"])
+    def test_product_of_iterate_and_all_ones_value(self, m):
+        # the returned product is H v to the int, and taking the start's
+        # product from H's row sums leaves the value unchanged to the bit
+        lam, v, w = spectral_norm_iterate(m, 256)
+        assert w == [sum(map(mul, row, v)) for row in m.num]
+        assert lam == spectral_norm(m) == all_ones_spectral_norm(m, 256)
 
     @pytest.mark.parametrize("start", [[0, 0, 0], [1, 2]])
     def test_factored_start_refused(self, start):

@@ -239,23 +239,25 @@ class TestGrowthStudy:
     @pytest.mark.parametrize("i", [3, 5, 8, 12])
     @pytest.mark.parametrize("change", [1, -1])
     def test_seeded_cross_check_reads_m_not_gram(self, i, change):
-        # seeded from the iterate of a wrong Gram matrix, the cross-check on
-        # the true M still finds the eigenvalue it finds from the all-ones
-        # vector, so its gap to the wrong value is far above the ~1e-40 it
-        # reports on the true Gram matrix
+        # seeded, as in the study, from the last product of the spectral
+        # iteration on a wrong Gram matrix, the cross-check on the true M
+        # still finds the eigenvalue it finds from the all-ones vector, so
+        # its gap to the wrong value is far above the ~1e-40 it reports on
+        # the true Gram matrix
         part = inverse_factor_Linv(i).rational_part
         num = inverse_hilbert(i).num
         num[-1][-1] += change
-        lam_wrong, v = spectral_norm_iterate(RationalMatrix(num), 256)
-        indep = factored_gram_norm(part, 256, v)
+        lam_wrong, _, hv = spectral_norm_iterate(RationalMatrix(num), 256)
+        indep = factored_gram_norm(part, 256, hv)
         assert abs(indep - factored_gram_norm(part, 256)) / indep < mp.mpf("1e-60")
         assert abs(lam_wrong - indep) / lam_wrong > mp.mpf("1e-25")
-        lam, v = spectral_norm_iterate(inverse_hilbert(i), 256)
-        assert abs(lam - factored_gram_norm(part, 256, v)) / lam < mp.mpf("1e-38")
+        lam, _, hv = spectral_norm_iterate(inverse_hilbert(i), 256)
+        assert abs(lam - factored_gram_norm(part, 256, hv)) / lam < mp.mpf("1e-38")
 
     def test_seeded_cross_check_steps(self, monkeypatch):
         # steps counted as calls of the map; per level the study runs the
-        # spectral iteration, then the cross-check
+        # spectral iteration, whose first product is H's row sums, then the
+        # cross-check, started from Linv H v
         steps = []
         kernel = exact_core._power_iteration
 
@@ -275,8 +277,8 @@ class TestGrowthStudy:
         monkeypatch.setattr(exact_core, "_power_iteration", counted)
         linv_growth_study(24)
         spectral, cross = steps[::2], steps[1::2]
-        assert len(cross) == 24 and sum(spectral) == 250
-        assert cross[-1] <= 6 and sum(cross) <= 140
+        assert len(cross) == 24 and sum(spectral) == 226
+        assert cross[-1] <= 4 and sum(cross) <= 115
         factored_gram_norm(inverse_factor_Linv(24).rational_part, 256)
         assert steps[-1] >= 13  # from the all-ones vector
 
@@ -286,6 +288,13 @@ class TestGrowthStudy:
         start = time.perf_counter()
         with pytest.raises(ValueError, match="n_max must be <= 402"):
             linv_growth_study(403)
+        assert time.perf_counter() - start < 0.5
+
+    def test_refuses_low_precision_before_work(self, monkeypatch):
+        monkeypatch.setattr(lab, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="precision must be >= 64 bits"):
+            linv_growth_study(402, precision=63)
         assert time.perf_counter() - start < 0.5
 
 
