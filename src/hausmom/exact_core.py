@@ -350,11 +350,11 @@ def spectral_norm_iterate(m, precision):
                             w=[sum(row) << shift for row in m.num])
 
 
-def factored_gram_norm(part, precision, start=None):
+def factored_gram_norm(n, precision, start=None):
     """lambda_max of Linv Linv^T by power iteration on the factored form.
 
-    ``part`` is M of Linv = S M, as ``part.num`` over ``part.den``; the map
-    is z -> S M M^T S z, S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
+    Linv = S M is the level-``n`` inverse factor, M read from ``inverse_factor_Linv(n)``;
+    the map is z -> S M M^T S z, S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
     It starts from the all-ones vector or, given ``start``, a nonzero int
     vector v at any scale in the space of Linv^T Linv (the Gram matrix
     M^T S^2 M), from Linv v normalised.  Linv maps each eigenvector of
@@ -363,10 +363,10 @@ def factored_gram_norm(part, precision, start=None):
     to that eigenvalue.  Tolerance 10^-(precision // 8) leaves an error of
     about 10^-(precision // 4).  Reads M only, never the Gram matrix.
     """
-    n = part.rows
+    num = inverse_factor_Linv(n).rational_part.num
     shift = precision + _GUARD_BITS
-    m_rows = [row[: i + 1] for i, row in enumerate(part.num)]
-    m_cols = [col[j:] for j, col in enumerate(zip(*part.num))]
+    m_rows = [row[: i + 1] for i, row in enumerate(num)]
+    m_cols = [col[j:] for j, col in enumerate(zip(*num))]
     s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
 
     def matvec(z):
@@ -384,4 +384,4 @@ def factored_gram_norm(part, precision, start=None):
         y = [si * sum(map(mul, row, start)) for si, row in zip(s, m_rows)]
         ny = isqrt(sum(map(mul, y, y)))
         z = [(x << shift) // ny for x in y]
-    return _power_iteration(matvec, z, precision, Fraction(10) ** -(precision // 8), d=part.den ** 2)[0]
+    return _power_iteration(matvec, z, precision, Fraction(10) ** -(precision // 8))[0]

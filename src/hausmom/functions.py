@@ -25,6 +25,14 @@ class TestFunction:
         return self.value(t)
 
 
+def _horner(cs, t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for c in cs[::-1]:
+        out = out * t + c
+    return out
+
+
 def constant(c=1.0):
     c = float(c)
     return TestFunction(
@@ -42,13 +50,6 @@ def polynomial(coeffs, label=None):
     fc = np.array([float(c) for c in coeffs])
     d1 = np.array([k * float(c) for k, c in enumerate(coeffs)][1:] or [0.0])
     d2 = np.array([k * (k - 1) * float(c) for k, c in enumerate(coeffs)][2:] or [0.0])
-
-    def _horner(cs, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for c in cs[::-1]:
-            out = out * t + c
-        return out
 
     return TestFunction(
         value=lambda t: _horner(fc, t),

@@ -19,6 +19,7 @@ from operator import mul
 import numpy as np
 
 from .exact_core import _common_den, cholesky_factor_L, inverse_factor_Linv
+from .functions import _horner
 from .legendre import LegendreExpansion, project
 
 __all__ = [
@@ -143,9 +144,7 @@ def adjoint_apply(y, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > 1):
         raise ValueError("t must lie in [0, 1]")
-    out = np.zeros_like(t_arr)
-    for v in y.to_array()[::-1]:
-        out = out * t_arr + v
+    out = _horner(y.to_array(), t_arr)
     return out if out.shape else float(out)
 
 

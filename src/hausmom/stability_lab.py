@@ -280,7 +280,7 @@ def linv_growth_study(n_max, precision=256):
              for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
         hinv = RationalMatrix._from_int_rows(h)
         lam, _, hv = spectral_norm_iterate(hinv, precision)
-        lam_indep = factored_gram_norm(RationalMatrix._from_int_rows([row[:i] for row in m[:i]]), precision, hv)
+        lam_indep = factored_gram_norm(i, precision, hv)
         rel = abs(lam - lam_indep) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,

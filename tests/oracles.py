@@ -93,13 +93,40 @@ def all_ones_growth_rel_errs(n_max, precision):
     """``norm_sq_rel_err`` of ``linv_growth_study(n_max, precision)`` with
     the factored cross-check started from the all-ones vector: level i
     compares ``spectral_norm`` of the Gram product H_i^-1 with
-    ``factored_gram_norm`` on the closed-form M_i and no start vector."""
+    ``factored_gram_norm`` at level i with no start vector."""
     rel = []
     for i in range(1, n_max + 1):
         lam = spectral_norm(inverse_hilbert(i), precision)
-        indep = factored_gram_norm(inverse_factor_Linv(i).rational_part, precision)
+        indep = factored_gram_norm(i, precision)
         rel.append(float(abs(lam - indep) / lam))
     return rel
+
+
+def same(a, b):
+    """Equal values of the same type, the comparison the per-entry loops are checked with:
+    Fractions stay Fractions and floats match bit for bit."""
+    return type(a) is type(b) and a == b and (not isinstance(a, float) or a.hex() == b.hex())
+
+
+def loop_forward_difference(values, m, n):
+    """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1} term by term: Fractions for rational data, else one fsum."""
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        return sum((-1) ** l * comb(n, l) * Fraction(values[m + l]) for l in range(n + 1))
+    return fsum((-1) ** l * comb(n, l) * float(values[m + l]) for l in range(n + 1))
+
+
+def loop_criterion(values, N):
+    """lambda_{N,m} = C(N,m) mu_{m,N-m} and (N+1) sum lambda^2, from :func:`loop_forward_difference`."""
+    lam = tuple(comb(N, m) * loop_forward_difference(values, m, N - m) for m in range(N + 1))
+    if all(isinstance(v, (Fraction, int)) for v in values):
+        return lam, (N + 1) * sum(v * v for v in lam)
+    return lam, (N + 1) * fsum(v * v for v in lam)
+
+
+def closed_form_RN(N):
+    """Entries of R_N from the closed form (-1)^(j-i) C(N-i, j-i), zero below the diagonal."""
+    return [[(-1) ** (N - i) * (-1) ** (N - j) * comb(N - i, j - i) if j >= i else 0
+             for j in range(1, N + 1)] for i in range(1, N + 1)]
 
 
 def matrix_criterion(values, N):
@@ -119,6 +146,20 @@ def hilbert_polynomial_moments(coeffs, n):
     block = RationalMatrix([row[:len(cs)] for row in h.num], h.den)
     y = block @ RationalMatrix([[c] for c in cs])
     return [Fraction(x, y.den) for (x,) in y.num[:n]]
+
+
+def loop_polynomial_moments(coeffs, n):
+    """y_j = sum_k c_k / (k + j) for j = 1..n, one Fraction term at a time."""
+    cs = [Fraction(c) for c in coeffs]
+    return [sum((c / (k + j) for k, c in enumerate(cs)), Fraction(0)) for j in range(1, n + 1)]
+
+
+def fraction_inner_products(values):
+    """M y for Ln^{-1} = diag(sqrt(2i-1)) M as per-entry Fraction sums, floats taken as exact dyadics."""
+    n = len(values)
+    m = inverse_factor_Linv(n).rational_part
+    yy = [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]
+    return [sum(m[i, j] * yy[j] for j in range(i + 1)) for i in range(n)]
 
 
 def float_picard_partial(values):
@@ -156,6 +197,13 @@ def check_derivative(f, rng=None, npoints=20, h=1e-6, rtol=1e-4):
     t = np.array(pts)
     fd = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2 * h)
     return np.allclose(fd, np.asarray(f.derivative(t)), rtol=rtol, atol=1e-8)
+
+
+def fresh_gauss(npts, interval):
+    """numpy's Gauss-Legendre rule of npts nodes, computed afresh and mapped to interval."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    a, b = interval
+    return (b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w
 
 
 def quad_moments(f, n):

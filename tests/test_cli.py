@@ -29,13 +29,13 @@ CLI_CALLS = _bench_constant("child.py", "CLI_CALLS")
 TRACED_LAYERS = _bench_constant("spans.py", "LAYERS")
 TRACED_METHODS = [(layer, path) for layer, paths in _bench_constant("spans.py", "METHODS").items()
                   for path in paths]
-# (layer, function) of every <layer>.<function>.{calls,self_s,distinct_ratio} counter
-COUNTED_FUNCTIONS = sorted({
-    tuple(name.split(".")[:2])
-    for name in (m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"])
-    if name.split(".")[0] in TRACED_LAYERS and name.count(".") == 2
-    and name.endswith((".calls", ".self_s", ".distinct_ratio"))
-})
+PER_LAYER = [m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
+# [layer, function, metric] of every <layer>.<function>.<metric> metric
+FUNCTION_METRICS = [name.split(".") for name in PER_LAYER if name.split(".")[0] in TRACED_LAYERS and name.count(".") == 2]
+COUNTED_FUNCTIONS = sorted({(layer, fn) for layer, fn, metric in FUNCTION_METRICS
+                            if metric in ("calls", "self_s", "distinct_ratio")})
+TIMED_FUNCTIONS = sorted({(layer, fn) for layer, fn, metric in FUNCTION_METRICS
+                          if metric in ("self_s", "distinct_ratio")})
 
 
 def _run_fresh(code):
@@ -89,19 +89,18 @@ class TestParsing:
         assert run(["reconstruct", "--poly", text]) == 1
         assert capsys.readouterr().err.startswith("error: not a polynomial in t")
 
+    # importing hausmom.cli imports hausmom first, so one interpreter checks both
     def test_import_leaves_sympy_out(self):
-        for module in ("hausmom", "hausmom.cli"):
-            _run_fresh(f"import {module}\n" + _loaded_none_of("scipy", "sympy"))
+        _run_fresh("import hausmom.cli\n" + _loaded_none_of("scipy", "sympy"))
+
+    def test_import_leaves_mpmath_out(self):
+        _run_fresh("import hausmom.cli\n" + _loaded_none_of("mpmath"))
 
     def test_exact_commands_leave_scipy_out(self):
         calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["pointvalue"],
                  ["growth", "--n-max", "4"]]
         _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    + _loaded_none_of("scipy"))
-
-    def test_import_leaves_mpmath_out(self):
-        for module in ("hausmom", "hausmom.cli"):
-            _run_fresh(f"import {module}\n" + _loaded_none_of("mpmath"))
 
     def test_float_commands_leave_mpmath_out(self):
         calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["amplification"],
@@ -336,8 +335,9 @@ class TestGoldenGate:
 class TestBenchHooks:
     """The names bench/spans.py traces and BENCHMARK.json counts stay in the package.
 
-    A rename would not fail a traced run: it would stop tracing the name,
-    or read its counter as zero.
+    A rename would stop tracing a name or read its count as zero, and no
+    traced run fails on that; but a function with a time or distinct-argument
+    metric that a workload never calls fails that workload's traced run.
     """
 
     def test_every_layer_is_a_module(self):
@@ -356,4 +356,26 @@ class TestBenchHooks:
         assert not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == f"hausmom.{layer}"
 
     def test_counters_are_found(self):
-        assert len(COUNTED_FUNCTIONS) >= 10 and TRACED_METHODS
+        assert len(COUNTED_FUNCTIONS) >= 10 and TRACED_METHODS and TIMED_FUNCTIONS
+
+    @pytest.mark.parametrize("layer, name", TIMED_FUNCTIONS)
+    def test_timed_function_is_called_by_each_workload(self, monkeypatch, layer, name):
+        import hausmom as hm
+
+        fn = getattr(importlib.import_module(f"hausmom.{layer}"), name)
+        calls = []
+        # rebound wherever a loaded hausmom module holds it, as spans.instrument does
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "hausmom":
+                for attr in [attr for attr, obj in vars(mod).items() if obj is fn]:
+                    monkeypatch.setattr(mod, attr, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
+        hm.linv_growth_study(_bench_constant("child.py", "GROWTH_N_MAX"), _bench_constant("child.py", "GROWTH_BITS"))
+        assert calls, "not called by a growth round"
+        quad = hm.forward_moments(hm.peak(), 12)
+        data = {"exact": hm.exact_polynomial_moments((1, Fraction(-2, 3), 5), 12), "quadrature": quad,
+                "noisy": hm.noisy_data(quad, hm.NoiseModel(1e-8, seed=1))}
+        for kind, y in data.items():
+            calls.clear()
+            hm.hausdorff_criterion(y, y.n - 1)
+            hm.pseudoinverse(y)
+            assert calls, f"not called by a moment_data op on {kind} data"

@@ -20,12 +20,11 @@ from hausmom.exact_core import (
     spectral_norm_iterate,
 )
 from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, inverse_factor_rows
-
-_FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+from strategies import FRACTION
 
 
 def _rows(r, c):
-    return st.lists(st.lists(_FRACTIONS, min_size=c, max_size=c), min_size=r, max_size=r)
+    return st.lists(st.lists(FRACTION, min_size=c, max_size=c), min_size=r, max_size=r)
 
 
 def _in_lowest_terms(m):
@@ -249,7 +248,7 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="precision must be >= 64 bits"):
             spectral_norm(inverse_hilbert(n), precision=63)
         with pytest.raises(ValueError, match="precision must be >= 64 bits"):
-            factored_gram_norm(inverse_factor_Linv(n).rational_part, 63)
+            factored_gram_norm(n, 63)
 
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
@@ -263,11 +262,10 @@ class TestSpectralNorm:
     def test_factored_start_at_any_scale(self):
         # H-space starts, scaled by 1, 2^300 and the fixed-point scale of
         # the spectral iterate, all reach the all-ones start's value
-        part = inverse_factor_Linv(8).rational_part
-        ref = factored_gram_norm(part, 256)
+        ref = factored_gram_norm(8, 256)
         _, v, _ = spectral_norm_iterate(inverse_hilbert(8), 256)
         for start in ([1] * 8, [1 << 300] * 8, v):
-            assert abs(factored_gram_norm(part, 256, start) - ref) / ref < mp.mpf("1e-60")
+            assert abs(factored_gram_norm(8, 256, start) - ref) / ref < mp.mpf("1e-60")
 
     @pytest.mark.parametrize("m", [hilbert_matrix(6), *map(inverse_hilbert, range(1, 13)),
                                    RationalMatrix([[3, -1], [-1, 3]], 2)],
@@ -282,7 +280,7 @@ class TestSpectralNorm:
     @pytest.mark.parametrize("start", [[0, 0, 0], [1, 2]])
     def test_factored_start_refused(self, start):
         with pytest.raises(ValueError, match="start must be a nonzero vector of length 3"):
-            factored_gram_norm(inverse_factor_Linv(3).rational_part, 256, start)
+            factored_gram_norm(3, 256, start)
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]

@@ -16,6 +16,7 @@ from hausmom.legendre import (
     project,
 )
 from hausmom.moment_ops import projection_error
+from oracles import fresh_gauss
 
 
 class TestLegendreEval:
@@ -60,18 +61,12 @@ class TestQuadrature:
         assert np.allclose(gram, np.eye(13), atol=1e-12)
         assert basis_matrix(0, rule.nodes).shape == (0, 30)
 
-    @staticmethod
-    def _fresh_gauss(npts, interval):
-        x, w = np.polynomial.legendre.leggauss(npts)
-        a, b = interval
-        return (b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w
-
     def test_gauss_is_bit_equal_to_fresh_leggauss(self):
         cases = ((12, (0.0, 1.0)), (48, (0.25, 0.5)), (12, (0.5, 1.0)), (1, (0.0, 1.0)))
         for _ in range(2):
             for npts, interval in cases:
                 rule = QuadratureRule.gauss(npts, interval)
-                x, w = self._fresh_gauss(npts, interval)
+                x, w = fresh_gauss(npts, interval)
                 assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
         # writes into one rule's arrays reach no later rule
         rule = QuadratureRule.gauss(12)
@@ -79,7 +74,7 @@ class TestQuadrature:
         rule.weights[:] = 1.0
         for interval in ((0.0, 1.0), (-1.0, 1.0)):
             again = QuadratureRule.gauss(12, interval)
-            x, w = self._fresh_gauss(12, interval)
+            x, w = fresh_gauss(12, interval)
             assert np.array_equal(again.nodes, x) and np.array_equal(again.weights, w)
 
     def test_endpoint_graded_runs_leggauss_once(self, monkeypatch):

@@ -1,5 +1,5 @@
 """The moment statistics on int dot products over one common denominator,
-against the RationalMatrix products they replace (tests/oracles.py)."""
+against every oracle in tests/oracles.py that computes them another way."""
 
 import math
 from fractions import Fraction
@@ -12,41 +12,37 @@ from hausmom import moment_ops, range_diagnostics
 from hausmom.exact_core import RationalMatrix
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse, reconstruction_norm_sq_exact
 from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, picard_partial_sums
-from oracles import float_picard_partial, hilbert_polynomial_moments, matrix_criterion, matrix_inner_products
-
-_INT = st.integers(-(10**20), 10**20)
-# the values of st.fractions(max_denominator=10**6) below 10**6 in size, drawn faster
-_FRACTION = st.builds(Fraction, st.integers(-(10**12) + 1, 10**12 - 1), st.integers(1, 10**6)).filter(
-    lambda q: abs(q) < 10**6)
-_FLOAT = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-_F64 = _FLOAT.map(np.float64)
-_F32 = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=32).map(np.float32)
-_EXACT = st.one_of(_INT, _FRACTION)
-_FLOATS = st.one_of(_FLOAT, _F64, _F32)
-
-
-def _vectors(element, max_size=40):
-    return st.integers(1, max_size).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
-
-
-_DATA = st.one_of(*(_vectors(e) for e in (_INT, _FRACTION, _FLOAT, _F64, _F32, st.one_of(_EXACT, _FLOATS))))
+from oracles import float_picard_partial, fraction_inner_products, hilbert_polynomial_moments, loop_criterion
+from oracles import loop_polynomial_moments, matrix_criterion, matrix_inner_products, same
+from strategies import DATA, EXACT_DATA, FLOAT_COEFFS, FLOAT_DATA
 
 
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _criterion_matches_loops(values, data):
+    """hausdorff_criterion at a drawn N against the per-entry loops."""
+    y = MomentSequence.from_values(values)
+    N = data.draw(st.integers(0, len(values) - 1))
+    stats = hausdorff_criterion(y, N)
+    lam, crit = loop_criterion(values, N)
+    assert len(stats.lam) == len(lam) and all(map(same, stats.lam, lam))
+    assert same(stats.criterion_value, crit)
+    return y, N, stats
+
+
 class TestInnerProducts:
     @settings(max_examples=150, deadline=None)
-    @given(_DATA)
+    @given(DATA)
     def test_match_matrix_product(self, values):
-        y = MomentSequence.from_values(values)
+        # reconstruction_norm_sq_exact from M y as one RationalMatrix product and as per-entry
+        # Fraction sums; TestPseudoinverse in test_moment_ops.py checks pseudoinverse against both
         xs, den = matrix_inner_products(values)
-        want = [x / den * math.sqrt(2 * i + 1) for i, x in enumerate(xs)]
-        assert _hex(pseudoinverse(y).coefficients.tolist()) == _hex(want)
-        norm = reconstruction_norm_sq_exact(y)
+        norm = reconstruction_norm_sq_exact(MomentSequence.from_values(values))
         assert type(norm) is Fraction
         assert norm == Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
+        assert norm == sum((2 * i + 1) * v * v for i, v in enumerate(fraction_inner_products(values)))
 
     def test_one_pseudoinverse_builds_one_matrix(self, monkeypatch):
         # the only RationalMatrix is the one inverse_factor_Linv returns,
@@ -93,24 +89,22 @@ class TestInnerProducts:
 
 
 class TestCriterion:
-    @settings(max_examples=150, deadline=None)
-    @given(_vectors(st.one_of(_INT, _FRACTION)), st.data())
+    @settings(max_examples=200, deadline=None)
+    @given(EXACT_DATA, st.data())
     def test_exact_matches_matrix_product(self, values, data):
-        N = data.draw(st.integers(0, len(values) - 1))
-        stats = hausdorff_criterion(MomentSequence.from_values(values), N)
+        # against the per-entry loops and the RationalMatrix products; TestLoopOracles in
+        # test_range_diagnostics.py checks forward_differences against its loop
+        _, N, stats = _criterion_matches_loops(values, data)
         lam, crit = matrix_criterion(values, N)
         assert all(type(v) is Fraction for v in stats.lam) and stats.lam == lam
         assert type(stats.criterion_value) is Fraction and stats.criterion_value == crit
         assert stats.picard_partial == reconstruction_norm_sq_exact(MomentSequence.from_values(values[:N + 1]))
 
     @settings(max_examples=100, deadline=None)
-    @given(_vectors(st.one_of(_FLOATS, _EXACT)).filter(lambda v: not all(isinstance(x, (int, Fraction)) for x in v)),
-           st.data())
+    @given(FLOAT_DATA, st.data())
     def test_float_path_bit_for_bit(self, values, data):
-        # the per-m forward differences and the float Picard sum of before
-        y = MomentSequence.from_values(values)
-        N = data.draw(st.integers(0, len(values) - 1))
-        stats = hausdorff_criterion(y, N)
+        # the per-entry loops, the per-m forward differences and the float Picard sum
+        y, N, stats = _criterion_matches_loops(values, data)
         lam = [math.comb(N, m) * forward_differences(y, m, N - m) for m in range(N + 1)]
         assert _hex(stats.lam) == _hex(lam)
         assert _hex([stats.criterion_value]) == _hex([(N + 1) * math.fsum(v * v for v in lam)])
@@ -148,11 +142,13 @@ class TestCriterion:
 
 class TestPolynomialMoments:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(_EXACT, _FLOAT), max_size=12), st.integers(0, 40))
+    @given(FLOAT_COEFFS, st.integers(0, 40))
     def test_match_hilbert_product(self, coeffs, n):
+        # coefficients holding a float, against the RationalMatrix product H c and the per-entry
+        # loop; TestLoopOracles in test_range_diagnostics.py takes rational coefficients
         got = exact_polynomial_moments(coeffs, n).values
-        want = hilbert_polynomial_moments(coeffs, n)
-        assert len(got) == n and all(type(v) is Fraction for v in got) and list(got) == want
+        assert len(got) == n and all(type(v) is Fraction for v in got)
+        assert list(got) == hilbert_polynomial_moments(coeffs, n) == loop_polynomial_moments(coeffs, n)
 
     def test_refuses_negative_n(self):
         # a negative n used to slice from the end: (3, 23/12) for n = -1

@@ -7,10 +7,9 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hausmom import functions
-from hausmom.exact_core import inverse_factor_Linv
 from hausmom.functions import (
     abs_kink,
     constant,
@@ -34,27 +33,11 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
-from oracles import quad_moments, shared_node_moments
+from oracles import fraction_inner_products, matrix_inner_products, quad_moments, shared_node_moments
+from strategies import DATA
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _fraction_inner_products(values):
-    """Oracle for M y: per-entry Fraction sums, floats taken as exact dyadics."""
-    n = len(values)
-    m = inverse_factor_Linv(n).rational_part
-    yy = [v if isinstance(v, (int, Fraction)) else Fraction(float(v)) for v in values]
-    return [sum(m[i, j] * yy[j] for j in range(i + 1)) for i in range(n)]
-
-
-_exact_number = st.one_of(
-    st.integers(-(10**20), 10**20),
-    # the values of st.fractions(max_denominator=10**6) below 10**6 in size, drawn faster
-    st.builds(Fraction, st.integers(-(10**12) + 1, 10**12 - 1), st.integers(1, 10**6)).filter(
-        lambda q: abs(q) < 10**6),
-    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-)
 
 
 class TestMomentSequence:
@@ -206,14 +189,14 @@ class TestPseudoinverse:
         assert np.allclose(lam.coefficients, [1.0] + [0.0] * (n - 1), atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_exact_number, min_size=1, max_size=14))
+    @given(DATA)
     def test_matches_fraction_oracle(self, values):
-        # int, Fraction and float entries, mixed within one vector
-        y = MomentSequence.from_values(values)
-        inners = _fraction_inner_products(values)
-        expect = [float(v) * math.sqrt(2 * i + 1) for i, v in enumerate(inners)]
-        assert pseudoinverse(y).coefficients.tolist() == expect
-        assert reconstruction_norm_sq_exact(y) == sum((2 * i + 1) * v * v for i, v in enumerate(inners))
+        # against M y as per-entry Fraction sums and as one RationalMatrix product, bit for bit;
+        # TestInnerProducts in test_moment_ints.py checks reconstruction_norm_sq_exact against both
+        coeffs = pseudoinverse(MomentSequence.from_values(values)).coefficients.tolist()
+        xs, den = matrix_inner_products(values)
+        assert [c.hex() for c in coeffs] == [(x / den * math.sqrt(2 * i + 1)).hex() for i, x in enumerate(xs)]
+        assert coeffs == [float(v) * math.sqrt(2 * i + 1) for i, v in enumerate(fraction_inner_products(values))]
 
     def test_other_reals_enter_via_float(self):
         # float32 is a dyadic rational; an mpf is rounded to a double, as before

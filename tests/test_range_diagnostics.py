@@ -18,78 +18,38 @@ from hausmom.range_diagnostics import (
     tn_diagonal,
     verify_TN_identity,
 )
+from oracles import closed_form_RN, hilbert_polynomial_moments, loop_forward_difference, loop_polynomial_moments, same
+from strategies import EXACT_COEFFS, EXACT_DATA, FLOAT_DATA
 
 
 def _unit_sequence(n):
     return MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1))
 
 
-# Oracles: the per-entry loops that forward_differences, hausdorff_criterion
-# and exact_polynomial_moments ran before they became integer products.
-def _loop_forward_difference(values, m, n):
-    if all(isinstance(v, (Fraction, int)) for v in values):
-        return sum((-1) ** l * math.comb(n, l) * Fraction(values[m + l]) for l in range(n + 1))
-    return math.fsum((-1) ** l * math.comb(n, l) * float(values[m + l]) for l in range(n + 1))
-
-
-def _loop_criterion(values, N):
-    lam = tuple(math.comb(N, m) * _loop_forward_difference(values, m, N - m) for m in range(N + 1))
-    if all(isinstance(v, (Fraction, int)) for v in values):
-        return lam, (N + 1) * sum(v * v for v in lam)
-    return lam, (N + 1) * math.fsum(v * v for v in lam)
-
-
-def _loop_polynomial_moments(coeffs, n):
-    cs = [Fraction(c) for c in coeffs]
-    return [sum(c / (k + j) for k, c in enumerate(cs)) for j in range(1, n + 1)]
-
-
-def _closed_form_RN(N):
-    return [[(-1) ** (N - i) * (-1) ** (N - j) * math.comb(N - i, j - i) if j >= i else 0
-             for j in range(1, N + 1)] for i in range(1, N + 1)]
-
-
-_INT = st.integers(-(10**12), 10**12)
-# the values of st.fractions(max_denominator=10**4) below 10**4 in size, drawn faster
-_FRACTION = st.builds(Fraction, st.integers(-(10**8) + 1, 10**8 - 1), st.integers(1, 10**4)).filter(
-    lambda q: abs(q) < 10**4)
-_FLOAT = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
-_DATA = st.one_of(
-    st.lists(_INT, min_size=1, max_size=24),
-    st.lists(_FRACTION, min_size=1, max_size=24),
-    st.lists(st.one_of(_INT, _FRACTION), min_size=1, max_size=24),
-    st.lists(st.one_of(_INT, _FRACTION, _FLOAT), min_size=1, max_size=24),
-)
-
-
-def _same(a, b):
-    # equal values of the same type: Fractions stay Fractions, floats match bit for bit
-    return type(a) is type(b) and a == b and (not isinstance(a, float) or a.hex() == b.hex())
-
-
 class TestLoopOracles:
     @settings(max_examples=200, deadline=None)
-    @given(_DATA, st.data())
-    def test_matches_per_entry_loops(self, values, data):
-        y = MomentSequence.from_values(values)
-        N = data.draw(st.integers(0, len(values) - 1))
-        lam, crit = _loop_criterion(values, N)
-        stats = hausdorff_criterion(y, N)
-        assert len(stats.lam) == len(lam) and all(map(_same, stats.lam, lam))
-        assert _same(stats.criterion_value, crit)
-        m = data.draw(st.integers(0, len(values) - 1))
-        n = data.draw(st.integers(0, len(values) - 1 - m))
-        assert _same(forward_differences(y, m, n), _loop_forward_difference(values, m, n))
+    @given(EXACT_DATA, FLOAT_DATA, st.data())
+    def test_matches_per_entry_loops(self, exact, floating, data):
+        # forward_differences at a drawn (m, n) on rational data and on data holding a float;
+        # TestCriterion in test_moment_ints.py checks hausdorff_criterion against the loops
+        for values in (exact, floating):
+            m = data.draw(st.integers(0, len(values) - 1))
+            n = data.draw(st.integers(0, len(values) - 1 - m))
+            got = forward_differences(MomentSequence.from_values(values), m, n)
+            assert same(got, loop_forward_difference(values, m, n))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(_INT, _FRACTION), min_size=1, max_size=24), st.integers(1, 24))
+    @given(EXACT_COEFFS, st.integers(0, 40))
     def test_polynomial_moments_match_loop(self, coeffs, n):
+        # rational coefficients, against the per-entry loop and the RationalMatrix product H c;
+        # TestPolynomialMoments in test_moment_ints.py takes coefficients holding a float
         got = exact_polynomial_moments(coeffs, n).values
-        assert len(got) == n and all(map(_same, got, _loop_polynomial_moments(coeffs, n)))
+        assert len(got) == n and all(type(v) is Fraction for v in got)
+        assert list(got) == loop_polynomial_moments(coeffs, n) == hilbert_polynomial_moments(coeffs, n)
 
     def test_RN_matches_closed_form(self):
         for N in range(1, 31):
-            assert build_RN(N).entries == _closed_form_RN(N)
+            assert build_RN(N).entries == closed_form_RN(N)
 
 
 class TestForwardDifferences:

@@ -13,7 +13,6 @@ import hausmom.stability_lab as lab
 from hausmom.exact_core import (
     RationalMatrix,
     factored_gram_norm,
-    inverse_factor_Linv,
     inverse_hilbert,
     spectral_norm,
     spectral_norm_iterate,
@@ -224,7 +223,7 @@ class TestGrowthStudy:
     @pytest.mark.parametrize("precision,bound", [(256, "1e-60"), (512, "1e-120")])
     def test_factored_norm_matches_eigsy(self, precision, bound):
         # tolerance 10^-(precision // 8) leaves a Rayleigh quotient error ~10^-(precision // 4)
-        lam = factored_gram_norm(inverse_factor_Linv(12).rational_part, precision)
+        lam = factored_gram_norm(12, precision)
         with mp.workprec(precision):
             ref = max(mp.eigsy(mp.matrix(inverse_hilbert(12).entries), eigvals_only=True))
             assert abs(lam - ref) / ref < mp.mpf(bound)
@@ -244,15 +243,14 @@ class TestGrowthStudy:
         # still finds the eigenvalue it finds from the all-ones vector, so
         # its gap to the wrong value is far above the ~1e-40 it reports on
         # the true Gram matrix
-        part = inverse_factor_Linv(i).rational_part
         num = inverse_hilbert(i).num
         num[-1][-1] += change
         lam_wrong, _, hv = spectral_norm_iterate(RationalMatrix(num), 256)
-        indep = factored_gram_norm(part, 256, hv)
-        assert abs(indep - factored_gram_norm(part, 256)) / indep < mp.mpf("1e-60")
+        indep = factored_gram_norm(i, 256, hv)
+        assert abs(indep - factored_gram_norm(i, 256)) / indep < mp.mpf("1e-60")
         assert abs(lam_wrong - indep) / lam_wrong > mp.mpf("1e-25")
         lam, _, hv = spectral_norm_iterate(inverse_hilbert(i), 256)
-        assert abs(lam - factored_gram_norm(part, 256, hv)) / lam < mp.mpf("1e-38")
+        assert abs(lam - factored_gram_norm(i, 256, hv)) / lam < mp.mpf("1e-38")
 
     def test_seeded_cross_check_steps(self, monkeypatch):
         # steps counted as calls of the map; per level the study runs the
@@ -279,7 +277,7 @@ class TestGrowthStudy:
         spectral, cross = steps[::2], steps[1::2]
         assert len(cross) == 24 and sum(spectral) == 226
         assert cross[-1] <= 4 and sum(cross) <= 115
-        factored_gram_norm(inverse_factor_Linv(24).rational_part, 256)
+        factored_gram_norm(24, 256)
         assert steps[-1] >= 13  # from the all-ones vector
 
     def test_refuses_level_past_double_range_before_work(self, monkeypatch):
