@@ -6,9 +6,9 @@ of the lambda_{N,m}) and the Picard-type condition through the inverse
 triangular factor.  The bridge between them is the matrix identity
 V_N^T V_N = T_N, which is verified here in exact rational arithmetic.
 
-The (1-t)^alpha family spans the stable part of the range: its moment
-sequences are positive, slowly decaying, and the inversion constant stays
-bounded as long as alpha stays away from -1/2.
+The (1-t)^alpha family lies in the stable part of the range: it is A* c for
+positive, slowly decaying Taylor coefficients c (not its moments), whose
+Hardy norm stays bounded as long as alpha stays away from -1/2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, fsum, isfinite
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -49,13 +49,12 @@ class HausdorffStats:
 
 @dataclass(frozen=True)
 class StableFamilyMember:
-    """g_alpha(t) = (1-t)^alpha with its moment sequence and norms."""
+    """g_alpha(t) = (1-t)^alpha with the Taylor coefficients c, A* c = g_alpha, and norms."""
 
     alpha: float
     coeffs: np.ndarray
     l2_function_norm_sq: float
     hardy_norm_sq: float
-    tail_bound: float
 
 
 def _is_exact(y):
@@ -199,32 +198,30 @@ def picard_partial_sums(y, N_list):
 
 
 def stable_family(alpha, J):
-    """The moment sequence of (1-t)^alpha, with its norms.
+    """The first J Taylor coefficients of (1-t)^alpha, with its norms.
 
-    coeffs holds y_j = C(alpha, j-1) (-1)^(j-1) for j <= J, all positive.
-    hardy_norm_sq is the sum of C(alpha,k)^2 over all k, computed as a
-    partial sum to max(10^6, J) plus an integral correction of the
-    k^(-2(1+alpha)) envelope; the correction itself is reported as
-    tail_bound.
+    coeffs holds c_j = C(alpha, j-1) (-1)^(j-1) for j <= J, all positive:
+    A* c = sum_j c_j t^(j-1) = (1-t)^alpha.  These are not the moments of
+    (1-t)^alpha, which are B(j, alpha+1), with y_1 = 1/(1+alpha).
+    hardy_norm_sq is the sum of c_j^2 over all j, Gamma(1+2 alpha) /
+    Gamma(1+alpha)^2 by Gauss's summation of 2F1(-alpha, -alpha; 1; 1),
+    evaluated at 80 bits and rounded once.  J must be an integer.
     """
     if not -0.5 < alpha < 0:
         raise ValueError("alpha must lie strictly inside (-1/2, 0)")
+    J = index(J)
     if J < 1:
         raise ValueError("J must be >= 1")
-    K = max(1_000_000, J)
-    k = np.arange(1, K, dtype=float)
+    import mpmath as mp
+    k = np.arange(1, J, dtype=float)
     # |C(alpha,k)| via the ratio |c_k/c_{k-1}| = (k-1-alpha)/k, c_0 = 1
-    absc = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
-    coeffs = absc[:J].copy()
-    s = 2.0 * (1.0 + alpha)
-    partial = float(np.sum(absc**2))
-    # integral of the power-law envelope from K - 1/2 onward
-    last = K - 1.0
-    tail = float(absc[-1] ** 2) * last**s * (last + 0.5) ** (1.0 - s) / (s - 1.0)
+    coeffs = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
+    with mp.workprec(80):
+        a = mp.mpf(alpha)
+        hardy = float(mp.gamma(1 + 2 * a) / mp.gamma(1 + a) ** 2)
     return StableFamilyMember(
         alpha=float(alpha),
         coeffs=coeffs,
         l2_function_norm_sq=1.0 / (1.0 + 2.0 * alpha),
-        hardy_norm_sq=partial + tail,
-        tail_bound=tail,
+        hardy_norm_sq=hardy,
     )

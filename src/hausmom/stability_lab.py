@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, exp, fsum, log, sqrt
+from math import comb, exp, fsum, isqrt, ldexp, log, sqrt
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class AmplificationEstimate:
     f_n: float
     rate: float  # ln(f_n) / n
     realizations: int
-    delta_grid: tuple
+    f_exact: float  # sqrt(trace H_n^-1), the target f_n estimates
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,20 @@ def _as_moments(data, n):
     return forward_moments(data, n)
 
 
+def _f_exact(n):
+    """sqrt(trace H_n^-1) within 1 ulp, or math.inf past the double range."""
+    # trace H_n^-1 = ||Linv_n||_F^2 = sum_i (2i-1) sum_j M_ij^2, an exact int
+    t = sum((2 * i + 1) * sum(x * x for x in row)
+            for i, row in enumerate(inverse_factor_Linv(n).rational_part.num))
+    # scaled by 4^-s to 110 or 111 bits, so that its isqrt keeps 55 bits
+    s = (t.bit_length() - 110) // 2
+    r = isqrt(t >> 2 * s if s >= 0 else t << -2 * s)
+    try:
+        return ldexp(float(r), s)
+    except OverflowError:
+        return math.inf
+
+
 def amplification_experiment(f, n, deltas=_DELTAS, R=20, seed=42):
     """Fitted noise-amplification factor f_n at truncation level n.
 
@@ -160,9 +174,9 @@ def amplification_experiment(f, n, deltas=_DELTAS, R=20, seed=42):
     every delta the reconstruction error against the clean reconstruction
     is recorded, a least-squares line of squared error against squared
     delta through the origin is fitted per realization, and the factor is
-    f_n = sqrt(n * mean slope).  f_n estimates sqrt(trace H_n^-1), the
-    Frobenius norm of the inverse factor (f_n^2 is unbiased for that
-    trace), not its operator norm sqrt(lambda_max(H_n^-1)); the two are
+    f_n = sqrt(n * mean slope).  f_n estimates ``f_exact`` = sqrt(trace
+    H_n^-1), reported alongside: the Frobenius norm of the inverse factor
+    (f_n^2 is unbiased for the trace), not its operator norm; the two are
     close, sqrt(trace / lambda_max) being 1.0256 at n = 2 and 1.0020 at
     n = 12.  At R = 20 one estimate is off by up to +-35 % (peak, n <= 12).
     """
@@ -187,18 +201,19 @@ def amplification_experiment(f, n, deltas=_DELTAS, R=20, seed=42):
         slopes.append(float(np.dot(err2, d2) / np.dot(d2, d2)))
     f_n = sqrt(n * fsum(slopes) / R)
     return AmplificationEstimate(
-        n=n, f_n=f_n, rate=log(f_n) / n, realizations=R, delta_grid=deltas
+        n=n, f_n=f_n, rate=log(f_n) / n, realizations=R, f_exact=_f_exact(n)
     )
 
 
 def error_split_study(f, n_list):
-    """Measured total error against the split envelope sqrt(f_n^2 d^2 + tail^2).
+    """Measured total error against the split envelope sqrt(f^2 d^2 + tail^2).
 
-    Rows (n, delta, total, envelope, ok) for delta in 1e-2 .. 1e-7, each
-    total the mean of 20 realizations from seed 42, ok when it is at most
-    1.2 envelopes; the reference expansion has 160 coefficients, so its
-    own truncation is negligible against the levels in n_list; an empty
-    level list, a level below 1 or above 160 is refused before it is built.
+    Rows (n, delta, total, envelope, ok) for delta in 1e-2 .. 1e-7, f the
+    exact f_exact = sqrt(trace H_n^-1), each total the mean of 20
+    realizations from seed 42, ok when it is at most 1.2 envelopes; the
+    reference expansion has 160 coefficients, so its own truncation is
+    negligible against the levels in n_list; an empty level list, a level
+    below 1 or above 160 is refused before it is built.
     """
     if not n_list or min(n_list) < 1:
         raise ValueError("levels must be a nonempty list of n >= 1")
@@ -211,7 +226,7 @@ def error_split_study(f, n_list):
     rows = []
     for n in n_list:
         y = _as_moments(f, n)
-        est = amplification_experiment(y, n, _DELTAS, R, seed)
+        f_exact = _f_exact(n)
         tail_sq = float(np.sum(ref[n:] ** 2))
         for k, delta in enumerate(_DELTAS):
             tots = []
@@ -220,7 +235,7 @@ def error_split_study(f, n_list):
                 lam = pseudoinverse(_perturbed(y, delta, rng)).coefficients
                 tots.append(sqrt(float(np.sum((lam - ref[:n]) ** 2)) + tail_sq))
             total = fsum(tots) / R
-            envelope = sqrt(est.f_n**2 * delta**2 + tail_sq)
+            envelope = sqrt(f_exact**2 * delta**2 + tail_sq)
             rows.append({
                 "n": n, "delta": delta, "total": total,
                 "envelope": envelope, "ok": total <= 1.2 * envelope,

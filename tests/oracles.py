@@ -170,6 +170,13 @@ def float_picard_partial(values):
     return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))
 
 
+def choi_trace_inverse_hilbert(n):
+    """trace H_n^-1 as an exact int, from Choi's closed-form diagonal
+    (H_n^-1)_ii = (2i-1) C(n+i-1, n-i)^2 C(2i-2, i-1)^2 (Choi, "Tricks or
+    treats with the Hilbert matrix", 1983)."""
+    return sum((2 * i - 1) * (comb(n + i - 1, n - i) * comb(2 * i - 2, i - 1)) ** 2 for i in range(1, n + 1))
+
+
 def binomial(a, k):
     """Generalized binomial coefficient C(a, k) via the running product.
 

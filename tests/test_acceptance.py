@@ -115,7 +115,7 @@ def test_criterion_6_hausdorff_criterion():
 
 
 def test_criterion_7_stable_family():
-    """Coefficient norms and shape of the (1-t)^alpha moment sequences."""
+    """Hardy norm and shape of the (1-t)^alpha Taylor coefficients."""
     target = float(mp.sqrt(mp.pi) / mp.gamma(mp.mpf(3) / 4) ** 2)
     member = hm.stable_family(-0.25, 10_000)
     assert abs(member.hardy_norm_sq - target) < 1e-4

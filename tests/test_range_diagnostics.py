@@ -208,10 +208,13 @@ class TestStableFamily:
         assert got == pytest.approx(target, abs=1e-8)
 
     def test_hardy_norm_gamma_identity(self):
-        # sum of C(alpha,k)^2 = Gamma(1+2a)/Gamma(1+a)^2 across the family
-        for alpha in (-0.1, -0.25, -0.4):
-            target = float(mp.gamma(1 + 2 * alpha) / mp.gamma(1 + alpha) ** 2)
-            assert stable_family(alpha, 10).hardy_norm_sq == pytest.approx(target, rel=1e-7)
+        # sum of C(alpha,k)^2 = Gamma(1+2a)/Gamma(1+a)^2 at 40 digits, across the family
+        for alpha in [-0.5 * i / 51 for i in range(1, 51)] + [-0.45, -0.49]:
+            with mp.workdps(40):
+                a = mp.mpf(alpha)
+                target = mp.gamma(1 + 2 * a) / mp.gamma(1 + a) ** 2
+                err = abs(stable_family(alpha, 10).hardy_norm_sq - target)
+            assert err <= 4 * math.ulp(float(target)), alpha
 
     def test_positive_and_monotone(self):
         for alpha in (-0.1, -0.25, -0.4):
@@ -230,3 +233,8 @@ class TestStableFamily:
         for bad in (-0.5, 0.0, 0.2, -1.0):
             with pytest.raises(ValueError):
                 stable_family(bad, 10)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="J must be >= 1"):
+                stable_family(-0.25, bad)
+        with pytest.raises(TypeError):
+            stable_family(-0.25, 10.5)

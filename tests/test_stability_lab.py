@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -35,7 +36,7 @@ from hausmom.stability_lab import (
     point_value_noise_study,
     stability_bound,
 )
-from oracles import all_ones_growth_rel_errs
+from oracles import all_ones_growth_rel_errs, choi_trace_inverse_hilbert
 
 GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
@@ -147,6 +148,7 @@ class TestAmplification:
     def test_n1_is_unity(self):
         est = amplification_experiment(peak(), 1, R=5)
         assert est.f_n == pytest.approx(1.0, rel=1e-12)
+        assert est.f_exact == 1.0
 
     def test_reproducible(self):
         a = amplification_experiment(peak(), 3, R=4, seed=11)
@@ -167,6 +169,19 @@ class TestAmplification:
         trace = sum(h[i, i] for i in range(n))
         est = amplification_experiment(peak(), n, R=2000, seed=42)
         assert abs(est.f_n ** 2 / trace - 1) <= 0.1
+        assert est.f_exact ** 2 == pytest.approx(trace, rel=1e-15)
+
+    def test_f_exact_is_the_root_of_the_exact_trace(self):
+        for n in range(1, 13):
+            h = inverse_hilbert(n)
+            assert choi_trace_inverse_hilbert(n) == sum(h[i, i] for i in range(n))
+        for n in range(1, 131):
+            t = choi_trace_inverse_hilbert(n)
+            f = lab._f_exact(n)
+            # sqrt(t) lies strictly between f's neighbours: f is within 1 ulp
+            assert Fraction(math.nextafter(f, 0)) ** 2 < t < Fraction(math.nextafter(f, math.inf)) ** 2, n
+        assert lab._f_exact(2) == 4.0
+        assert lab._f_exact(410) == math.inf
 
     def test_frobenius_target_is_near_operator_norm(self):
         for n in range(2, 41):
@@ -439,18 +454,12 @@ class TestCrossChecks:
 
 
 class TestErrorSplit:
-    def test_envelope_holds(self):
+    def test_envelope_holds(self, monkeypatch):
+        # the envelope is the exact sqrt(trace H_n^-1): no Monte Carlo estimate is run
+        monkeypatch.setattr(lab, "amplification_experiment", pytest.fail)
         rows = error_split_study(peak(), [2, 5])
         assert [(r["n"], r["delta"]) for r in rows] == [(n, 10.0 ** -k) for n in (2, 5) for k in range(2, 8)]
         assert all(r["ok"] for r in rows)
-
-    def test_rows_equal_the_quadrature_route(self, monkeypatch):
-        # the amplification estimate from the level's moments, or from f by
-        # its own quadrature as before, gives the same rows
-        rows = error_split_study(peak(), [2, 5])
-        real = lab.amplification_experiment
-        monkeypatch.setattr(lab, "amplification_experiment", lambda y, n, *a: real(peak(), n, *a))
-        assert error_split_study(peak(), [2, 5]) == rows
 
     def test_refuses_level_above_reference(self):
         with pytest.raises(ValueError, match="level 200 exceeds the 160-coefficient reference"):
