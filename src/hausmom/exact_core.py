@@ -36,10 +36,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, sqrt
 from operator import index, mul
-
-import numpy as np
 
 # Fixed-point vectors in the power iterations carry this many bits beyond
 # the requested precision.
@@ -176,7 +174,7 @@ class FactoredTriangular:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"entry ({i}, {j}) is outside 1..{self.n}")
         r = self.rational_part[i - 1, j - 1]
-        return float(r) * np.sqrt(2 * (i if self.scale_rows else j) - 1)
+        return float(r) * sqrt(2 * (i if self.scale_rows else j) - 1)
 
     def gram(self):
         """Exact Gram product with the weights folded in.
@@ -242,14 +240,24 @@ def cholesky_factor_L(n):
 _M_ROWS = ()
 
 
+def _m_row(i):
+    """Row i of M, grown from M_i1 = (-1)^(i+1) by the ratio of consecutive
+    entries, M_i,j+1 = -M_ij (i-j)(i+j-1) / j^2, which divides exactly."""
+    row = [(-1) ** (i + 1)]
+    for j in range(1, i):
+        row.append(-row[-1] * (i - j) * (i + j - 1) // (j * j))
+    return tuple(row)
+
+
 def inverse_factor_Linv(n):
     """Closed-form inverse factor, Ln^{-1} = diag(sqrt(2i-1)) @ M.
 
-    M has the integer entries (-1)^(i+j) C(i-1,j-1) C(i+j-2,j-1); the
-    row weight sqrt(2(i-1)+1) stays factored.  Row i of M does not depend
-    on n, so one triangle of int rows, grown to the largest n requested
-    so far, serves every size: each row is computed once per process, and
-    it holds n(n+1)/2 ints for that largest n.  Each call returns a fresh
+    M has the integer entries (-1)^(i+j) C(i-1,j-1) C(i+j-2,j-1), row by
+    row from ``_m_row``; the row weight sqrt(2(i-1)+1) stays factored.
+    Row i of M does not depend on n, so one triangle of int rows, grown to
+    the largest n requested so far, serves every size: each row is
+    computed once per process, and it holds n(n+1)/2 ints for that
+    largest n.  Each call returns a fresh
     zero-padded copy of the leading n x n block: new int lists, which the
     matrix takes over den 1 without a second copy, type scan or gcd pass.
     """
@@ -258,8 +266,7 @@ def inverse_factor_Linv(n):
         raise ValueError("n must be >= 1")
     rows = _M_ROWS
     if len(rows) < n:
-        rows += tuple(tuple((-1) ** (i + j) * comb(i - 1, j - 1) * comb(i + j - 2, j - 1) for j in range(1, i + 1))
-                      for i in range(len(rows) + 1, n + 1))
+        rows += tuple(map(_m_row, range(len(rows) + 1, n + 1)))
         _M_ROWS = rows
     zeros = (0,) * n
     part = RationalMatrix._from_int_rows([[*row, *zeros[len(row):]] for row in rows[:n]])

@@ -29,14 +29,10 @@ class LegendreExpansion:
     def m(self):
         return len(self.coefficients)
 
-    def norm(self):
-        # Parseval: the L2 norm of the expansion is the l2 norm of lambda
-        return float(np.linalg.norm(self.coefficients))
-
 
 @cache
 def _leggauss(npts):
-    """numpy's leggauss(npts), made read-only; only QuadratureRule.gauss reads it."""
+    """numpy's leggauss(npts), made read-only; only QuadratureRule.composite reads it."""
     x, w = leggauss(npts)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -48,24 +44,23 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
     @classmethod
-    def gauss(cls, npts, interval=(0.0, 1.0)):
-        """Gauss-Legendre with npts nodes on the interval; exact to degree 2*npts-1.
-
-        numpy's leggauss runs once per node count in a process; each rule
-        gets new arrays, mapped from that read-only [-1, 1] rule.
-        """
-        x, w = _leggauss(npts)
-        a, b = interval
-        return cls((b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w)
+    def gauss(cls, npts):
+        """Gauss-Legendre with npts nodes on [0, 1]; exact to degree 2*npts-1."""
+        return cls.composite(npts, (0.0, 1.0))
 
     @classmethod
     def composite(cls, npts, breakpoints):
-        """Gauss-Legendre on each subinterval of the given partition of [0,1]."""
-        pieces = [cls.gauss(npts, (a, b)) for a, b in zip(breakpoints[:-1], breakpoints[1:])]
-        return cls(
-            np.concatenate([p.nodes for p in pieces]),
-            np.concatenate([p.weights for p in pieces]),
-        )
+        """Gauss-Legendre with npts nodes on each piece between consecutive
+        breakpoints, pieces in order; the constructor behind every rule.
+
+        numpy's leggauss runs once per node count in a process; one
+        broadcast maps that read-only [-1, 1] rule onto all pieces, into
+        new arrays for each rule.
+        """
+        x, w = _leggauss(npts)
+        bps = np.asarray(breakpoints, dtype=float)
+        a, b = bps[:-1, None], bps[1:, None]
+        return cls(((b - a) / 2 * x + (a + b) / 2).ravel(), ((b - a) / 2 * w).ravel())
 
     @classmethod
     def endpoint_graded(cls, npts):
@@ -116,10 +111,7 @@ def _rule(m, breakpoints, singular_at_one):
     npts = m + 8
     if singular_at_one:
         return QuadratureRule.endpoint_graded(npts)
-    if breakpoints:
-        bps = sorted({0.0, 1.0, *breakpoints})
-        return QuadratureRule.composite(npts, bps)
-    return QuadratureRule.gauss(npts)
+    return QuadratureRule.composite(npts, sorted({0.0, 1.0, *breakpoints}))
 
 
 def default_rule(f, m):

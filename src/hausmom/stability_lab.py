@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, exp, fsum, isqrt, ldexp, log, sqrt
+from math import exp, fsum, isqrt, ldexp, log, sqrt
 
 import numpy as np
 
@@ -302,7 +302,7 @@ def linv_growth_study(n_max, precision=256):
         # so the argmax over j is that of the integer rational part
         scaled = [sqrt(2 * i - 1) * abs(float(x)) for x in r]
         best = max(scaled)
-        diag = sqrt(2 * i - 1) * comb(2 * i - 2, i - 1)
+        diag = sqrt(2 * i - 1) * r[-1]
         inf_norm = hinv.abs_row_sums()
         rows.append({
             "i": i,

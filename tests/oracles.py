@@ -213,6 +213,13 @@ def fresh_gauss(npts, interval):
     return (b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w
 
 
+def fresh_composite(npts, breakpoints):
+    """fresh_gauss on each piece between consecutive breakpoints, one
+    piece at a time, concatenated in order."""
+    pieces = [fresh_gauss(npts, ab) for ab in zip(breakpoints[:-1], breakpoints[1:])]
+    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
+
+
 def quad_moments(f, n):
     """Moments 1..n of f by one scipy quad per moment, each evaluating f
     afresh at its own nodes, with forward_moments' tolerances and limit."""

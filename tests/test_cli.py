@@ -243,6 +243,27 @@ class TestCommands:
         assert a == b
 
 
+    @pytest.mark.parametrize("argv, config, code, stream, text", [
+        (["reconstruct", "--poly", "t^600*t^600"], None, 1, "err", "error: not a polynomial in t"),
+        (["hausdorff", "--data", "t", "--n-max", "3"], None, 0, "out",
+         "3,0.29999999999999999,3/10,0.33333333333333331\n"),
+        (["hausdorff", "--data", "unit", "--n-max", "3"], None, 0, "out", "3,4,4,16\n"),
+        # exp(1.763 i) passes 1e15 at i = 20, so JSON carries that bound as a string
+        (["growth", "--format", "json"], None, 0, "out", '"bound": "2056948564161933.5"'),
+        (["hilbert"], "# n=4\n\n  n = 2  \n", 0, "out",
+         "i,j,exact,value\n1,1,1,1\n1,2,1/2,0.5\n2,1,1/2,0.5\n2,2,1/3,0.33333333333333331\n"),
+        (["hilbert"], "n=2\nn 2\n", 1, "err", "error: malformed config line: 'n 2'\n"),
+    ], ids=["product-past-degree-cap", "hausdorff-data-t", "hausdorff-data-unit", "json-big-float",
+            "config-comment-and-blank", "config-malformed"])
+    def test_edge_branches(self, tmp_path, capsys, argv, config, code, stream, text):
+        if config is not None:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert run(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
+
+
 class TestOutput:
     def test_out_file_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "h.csv"

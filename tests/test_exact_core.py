@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -180,20 +181,28 @@ class TestInverseFactor:
 
     def test_each_row_is_computed_once(self, monkeypatch):
         calls = []
+        real = exact_core._m_row
 
-        def counting_comb(a, b):
-            calls.append((a, b))
-            return math.comb(a, b)
+        def counting_m_row(i):
+            calls.append(i)
+            return real(i)
 
-        monkeypatch.setattr(exact_core, "comb", counting_comb)
+        monkeypatch.setattr(exact_core, "_m_row", counting_m_row)
         monkeypatch.setattr(exact_core, "_M_ROWS", ())
         inverse_factor_Linv(20)
-        assert len(calls) == 20 * 21  # two per entry of the 20-row triangle
+        assert calls == list(range(1, 21))
         for n in (20, 5, 1, 20):
             inverse_factor_Linv(n)
-        assert len(calls) == 20 * 21
+        assert calls == list(range(1, 21))
         inverse_factor_Linv(22)  # rows 21 and 22 only
-        assert len(calls) == 20 * 21 + 2 * (21 + 22)
+        assert calls == list(range(1, 23))
+
+    def test_row_recurrence_matches_the_two_binomial_oracle(self, monkeypatch):
+        monkeypatch.setattr(exact_core, "_M_ROWS", ())
+        oracle = inverse_factor_rows(130)
+        assert inverse_factor_Linv(130).rational_part.num == oracle
+        for i, row in enumerate(oracle, 1):
+            assert list(exact_core._m_row(i)) == row[:i]
 
 
 class TestInverseHilbert:
@@ -301,6 +310,24 @@ class TestSpectralNorm:
     def test_largest_eigenvalue_of_orthogonal_start(self):
         m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
         assert spectral_norm(m) == 2
+
+
+class TestEdgeBranches:
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: RationalMatrix([[1, 2], [3]]), "ragged rows"),
+        (lambda: RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]]), "dimension mismatch"),
+        (lambda: spectral_norm(RationalMatrix([[0, 0], [0, 0]])), 0),
+        (lambda: spectral_norm(RationalMatrix([[1, 2]])), "matrix must be square"),
+        (lambda: cholesky_factor_L(0), "n must be >= 1"),
+        (lambda: inverse_factor_Linv(0), "n must be >= 1"),
+    ], ids=["ragged", "matmul-mismatch", "zero-spectral-norm", "non-square-spectral-norm",
+            "cholesky-n0", "linv-n0"])
+    def test_refusals_and_zero_norm(self, call, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                call()
+        else:
+            assert call() == expected
 
 
 class TestBinomial:

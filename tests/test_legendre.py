@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hausmom.legendre import (
     project,
 )
 from hausmom.moment_ops import projection_error
-from oracles import fresh_gauss
+from oracles import fresh_composite, fresh_gauss
 
 
 class TestLegendreEval:
@@ -62,18 +63,34 @@ class TestQuadrature:
         assert basis_matrix(0, rule.nodes).shape == (0, 30)
 
     def test_gauss_is_bit_equal_to_fresh_leggauss(self):
-        cases = ((12, (0.0, 1.0)), (48, (0.25, 0.5)), (12, (0.5, 1.0)), (1, (0.0, 1.0)))
+        graded = [0.0] + [1.0 - 2.0 ** -l for l in range(1, 41)] + [1.0]
+        cases = ((12, (0.0, 1.0)), (48, (0.25, 0.5)), (12, (0.5, 1.0)), (1, (0.0, 1.0)),
+                 (8, (0, 0.5, 1)), (48, (0.0, 0.3, 0.7, 1.0)), (154, graded))
         for _ in range(2):
-            for npts, interval in cases:
-                rule = QuadratureRule.gauss(npts, interval)
-                x, w = fresh_gauss(npts, interval)
+            for npts, bps in cases:
+                rule = QuadratureRule.composite(npts, bps)
+                x, w = fresh_composite(npts, bps)
                 assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+        for npts in (1, 12, 48):
+            rule = QuadratureRule.gauss(npts)
+            x, w = fresh_gauss(npts, (0.0, 1.0))
+            assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+        # the graded rule is the fresh composite with nodes at 1.0 moved below it
+        for npts in (10, 154, 168):
+            x, w = fresh_composite(npts, graded)
+            x[x >= 1.0] = np.nextafter(1.0, 0.0)
+            for rule in (QuadratureRule.endpoint_graded(npts), default_rule(g_alpha(-0.25), npts - 8)):
+                assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
+        for f, bps in ((peak(), (0.0, 1.0)), (abs_kink(), (0.0, 0.5, 1.0))):
+            x, w = fresh_composite(48, bps)
+            rule = default_rule(f, 40)
+            assert np.array_equal(rule.nodes, x) and np.array_equal(rule.weights, w)
         # writes into one rule's arrays reach no later rule
         rule = QuadratureRule.gauss(12)
         rule.nodes[:] = 0.0
         rule.weights[:] = 1.0
         for interval in ((0.0, 1.0), (-1.0, 1.0)):
-            again = QuadratureRule.gauss(12, interval)
+            again = QuadratureRule.composite(12, interval)
             x, w = fresh_gauss(12, interval)
             assert np.array_equal(again.nodes, x) and np.array_equal(again.weights, w)
 
@@ -214,3 +231,18 @@ class TestL2Distance:
         a = LegendreExpansion([0.5, math.sqrt(3) / 6])
         b = LegendreExpansion([0.5])
         assert l2_distance(a, b) == pytest.approx(math.sqrt(3) / 6)
+
+
+class TestEdgeBranches:
+    @pytest.mark.parametrize("call, expected", [
+        # f returns one float for all nodes; project broadcasts it
+        (lambda: project(lambda t: 2.0, 3).coefficients, project(constant(2.0), 3).coefficients),
+        (lambda: expansion_eval(LegendreExpansion([1.0]), [0.5, 1.5]), "t must lie in [0, 1]"),
+        (lambda: expansion_eval(LegendreExpansion([1.0]), -0.1), "t must lie in [0, 1]"),
+    ], ids=["project-scalar-f", "expansion-eval-above-one", "expansion-eval-below-zero"])
+    def test_broadcast_and_refusals(self, call, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                call()
+        else:
+            assert np.array_equal(call(), expected)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -315,3 +316,15 @@ class TestRateCheck:
         # E = inf made the budget check vacuous: polynomial((0, 5)) passed it
         with pytest.raises(ValueError, match="E must be finite and positive"):
             SobolevBudget(E=E)
+
+
+class TestEdgeBranches:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: forward_moments(peak(), 0), "n must be >= 1"),
+        (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), 1.5), "t must lie in [0, 1]"),
+        (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), [0.5, -0.5]), "t must lie in [0, 1]"),
+        (lambda: sobolev_norm(abs_kink(), "H2"), "second derivative required for H2 norm"),
+    ], ids=["forward-moments-n0", "adjoint-above-one", "adjoint-below-zero", "h2-without-second-derivative"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

@@ -14,7 +14,6 @@ import hausmom.cli
 
 EXPECTED = {
     "NoiseModel(seed)": 42,
-    "QuadratureRule.gauss(interval)": (0.0, 1.0),
     "RationalMatrix(den)": 1,
     "SobolevBudget(kind)": "H1",
     "SpectralNormError(last_estimate)": None,

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -238,3 +239,20 @@ class TestStableFamily:
                 stable_family(-0.25, bad)
         with pytest.raises(TypeError):
             stable_family(-0.25, 10.5)
+
+
+class TestEdgeBranches:
+    Y3 = exact_polynomial_moments((1,), 3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: forward_differences(TestEdgeBranches.Y3, -1, 0), "m and n must be >= 0"),
+        (lambda: forward_differences(TestEdgeBranches.Y3, 0, -1), "m and n must be >= 0"),
+        (lambda: hausdorff_criterion(TestEdgeBranches.Y3, 3), "level 3 needs 4 moments, have 3"),
+        (lambda: build_RN(0), "N must be >= 1"),
+        (lambda: build_DN(0), "N must be >= 1"),
+        (lambda: picard_partial_sums(TestEdgeBranches.Y3, [1, 4]), "largest level exceeds the available moments"),
+    ], ids=["differences-m-below-0", "differences-n-below-0", "criterion-too-few-moments",
+            "RN-0", "DN-0", "picard-beyond-data"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

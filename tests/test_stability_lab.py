@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -362,7 +363,7 @@ class TestCounterexample:
 
         fam = bump_family(1, 3)
         r = 0.25
-        rule = QuadratureRule.gauss(400, (0.0, r))
+        rule = QuadratureRule.composite(400, (0.0, r))
         vals = r**fam.p * np.asarray(fam.value(rule.nodes / r))
         got = math.sqrt(float(np.sum(rule.weights * vals**2)))
         assert got == pytest.approx(r ** (fam.p + 0.5) * fam.l2_norm, rel=1e-6)
@@ -476,3 +477,22 @@ class TestErrorSplit:
         monkeypatch.setattr(lab, "forward_moments", lambda f, n: levels.append(n) or forward_moments(f, n))
         error_split_study(peak(), [2, 5])
         assert levels == [2, 5]
+
+
+class TestEdgeBranches:
+    Y3 = MomentSequence.from_values([1.0, 0.5, 1 / 3])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: amplification_experiment(TestEdgeBranches.Y3, 4), "need 4 moments, data has 3"),
+        (lambda: linv_growth_study(0), "n_max must be >= 1"),
+        (lambda: point_value_estimator(TestEdgeBranches.Y3, 0), "N must satisfy 1 <= N <= y.n"),
+        (lambda: point_value_estimator(TestEdgeBranches.Y3, 4), "N must satisfy 1 <= N <= y.n"),
+        (lambda: bump_family(0, 3), "k and m must be >= 1"),
+        (lambda: bump_family(1, 0), "k and m must be >= 1"),
+        (lambda: holder_counterexample(0.0, 1, 2.0), "mu must lie in (0, 1)"),
+        (lambda: holder_counterexample(1.0, 1, 2.0), "mu must lie in (0, 1)"),
+    ], ids=["amplification-short-data", "growth-n0", "point-value-N0", "point-value-past-data",
+            "bump-k0", "bump-m0", "holder-mu0", "holder-mu1"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
