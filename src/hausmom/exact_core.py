@@ -9,6 +9,10 @@ rational part, so all product identities (Cholesky, inversion, Gram) can
 be verified with zero residual even where the condition number grows
 like exp(3.5 n).
 
+The Picard kernel ``_picard_sum`` (with ``_inner_products``, the M a
+it sums) is exact for ints over a common denominator and also takes
+floats, summed with ``fsum``: one kernel for exact and float moments.
+
 Only the power iterations leave the rational world, in one fixed-point
 kernel, ``_power_iteration``, called by ``spectral_norm`` (through
 ``spectral_norm_iterate``, which also hands back the iterate it stopped
@@ -36,7 +40,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, isqrt, lcm, sqrt
+from math import comb, fsum, gcd, isqrt, lcm, sqrt
 from operator import index, mul
 
 # Fixed-point vectors in the power iterations carry this many bits beyond
@@ -271,6 +275,26 @@ def inverse_factor_Linv(n):
     zeros = (0,) * n
     part = RationalMatrix._from_int_rows([[*row, *zeros[len(row):]] for row in rows[:n]])
     return FactoredTriangular(part, scale_rows=True)
+
+
+def _inner_products(a, den):
+    """M a, (M a)_i one dot product of row i of M with the values a: int
+    sums for ints over ``den`` (as ``_common_den`` returns them), ``fsum``
+    for floats (``den`` None), where int * float rounds the int as float() does.
+    """
+    add = fsum if den is None else sum
+    return [add(map(mul, row[:i + 1], a)) for i, row in enumerate(inverse_factor_Linv(len(a)).rational_part.num)]
+
+
+def _picard_sum(a, den):
+    """||Linv y||^2 = sum_i (2i-1) (M a)_i^2 for y = a / den: an exact
+    Fraction for ints over ``den``; for floats (``den`` None) the entries of
+    M and the products round, and past n of about 12 the value is wrong.
+    """
+    xs = _inner_products(a, den)
+    if den is None:
+        return fsum((2 * i + 1) * x * x for i, x in enumerate(xs))
+    return Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
 
 
 def inverse_hilbert(n):

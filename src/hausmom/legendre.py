@@ -77,13 +77,19 @@ class QuadratureRule:
         return rule
 
 
+def _unit_points(t):
+    """t as a float array, refused unless every entry lies in [0, 1] (NaN does not)."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr >= 0) & (t_arr <= 1)):
+        raise ValueError("t must lie in [0, 1]")
+    return t_arr
+
+
 def legendre_eval(k, t):
     """L_k(t) for scalar or array t, the last row of :func:`basis_matrix`."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > 1):
-        raise ValueError("t must lie in [0, 1]")
+    t_arr = _unit_points(t)
     out = basis_matrix(k + 1, t_arr.ravel())[k].reshape(t_arr.shape)
     return out if out.shape else float(out)
 
@@ -159,9 +165,7 @@ def project(f, m):
 
 def expansion_eval(e, t):
     """Evaluate sum_i lambda_i L_{i-1}(t)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0) or np.any(t_arr > 1):
-        raise ValueError("t must lie in [0, 1]")
+    t_arr = np.atleast_1d(_unit_points(t))
     vals = e.coefficients @ basis_matrix(e.m, t_arr)
     return vals if np.ndim(t) else float(vals[0])
 

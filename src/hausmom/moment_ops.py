@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm, sqrt
+from math import inf, isfinite, lcm, sqrt
 from operator import mul
 
 import numpy as np
 
-from .exact_core import _common_den, cholesky_factor_L, inverse_factor_Linv
+from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_factor_L
 from .functions import _horner
-from .legendre import LegendreExpansion, project
+from .legendre import LegendreExpansion, _unit_points, project
 
 __all__ = [
     "MomentSequence",
@@ -35,6 +35,8 @@ __all__ = [
     "h1_rate_check",
     "sobolev_norm",
 ]
+
+_NORM_KINDS = ("H1", "H1-seminorm", "H2")  # the norms a SobolevBudget can bound
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class SobolevBudget:
     def __post_init__(self):
         if not 0 < self.E < inf:
             raise ValueError("E must be finite and positive")
-        if self.kind not in ("H1", "H1-seminorm", "H2"):
+        if self.kind not in _NORM_KINDS:
             raise ValueError(f"unknown budget kind {self.kind!r}")
 
 
@@ -97,8 +99,8 @@ def forward_moments(f, n):
     vals = []
     for j in range(1, n + 1):
         v, err = quad(integrand(j - 1), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=pts)
-        if err > 10 * max(tol, abs(v) * tol) + 1e-15:
-            raise RuntimeError(f"quadrature for moment {j} did not converge (err={err:.2e})")
+        if not (isfinite(v) and err <= 10 * max(tol, abs(v) * tol) + 1e-15):
+            raise RuntimeError(f"quadrature for moment {j} did not converge (v={v!r}, err={err:.2e})")
         vals.append(v)
     return MomentSequence.from_values(vals)
 
@@ -141,39 +143,27 @@ def forward_from_expansion(e, n):
 
 def adjoint_apply(y, t):
     """[A* y](t) = sum_j y_j t^(j-1), by Horner."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > 1):
-        raise ValueError("t must lie in [0, 1]")
-    out = _horner(y.to_array(), t_arr)
+    out = _horner(y.to_array(), _unit_points(t))
     return out if out.shape else float(out)
-
-
-def _inner_products(y):
-    """M y as ``(ints, den)``, (M y)_i = ints[i] / den, for Ln^{-1} = diag(sqrt(2i-1)) M.
-
-    y is put over one common denominator (see ``_common_den``: int,
-    Fraction and float values exactly, other reals via float, non-finite
-    values refused), and each entry is one int dot product with a row of M.
-    """
-    a, den = _common_den(y.values)
-    return [sum(map(mul, row, a)) for row in inverse_factor_Linv(y.n).rational_part.num], den
 
 
 def pseudoinverse(y):
     """Minimum-norm solution of the truncated problem: lambda = Ln^{-1} y.
 
-    The inner products are exact; rounding happens once when each
-    coefficient is emitted (int true division rounds correctly, so the
-    unreduced denominator gives the same double).
+    y is put over one common denominator (see ``_common_den``: int,
+    Fraction and float values exactly, other reals via float, non-finite
+    values refused), so the inner products (M y)_i are exact ints over it;
+    rounding happens once when each coefficient is emitted (int true
+    division rounds correctly, so the unreduced denominator gives the
+    same double).
     """
-    xs, den = _inner_products(y)
-    return LegendreExpansion([x / den * sqrt(2 * i + 1) for i, x in enumerate(xs)])
+    a, den = _common_den(y.values)
+    return LegendreExpansion([x / den * sqrt(2 * i + 1) for i, x in enumerate(_inner_products(a, den))])
 
 
 def reconstruction_norm_sq_exact(y):
     """||A_n^+ P_n y||^2 = sum (2i-1) (M y)_i^2, an exact Fraction."""
-    xs, den = _inner_products(y)
-    return Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
+    return _picard_sum(*_common_den(y.values))
 
 
 def projection_error(f, n):
@@ -186,7 +176,7 @@ def projection_error(f, n):
 
 def sobolev_norm(f, kind="H1"):
     """The norm a SobolevBudget names, H1, H1-seminorm or H2, by quadrature."""
-    if kind not in ("H1", "H1-seminorm", "H2"):
+    if kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
     if f.derivative is None:
         raise ValueError(f"{f.label}: derivative required for {kind} norm")

@@ -20,8 +20,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .exact_core import RationalMatrix, _common_den, cholesky_factor_L, inverse_factor_Linv
-from .moment_ops import MomentSequence, reconstruction_norm_sq_exact
+from .exact_core import RationalMatrix, _common_den, _picard_sum, cholesky_factor_L
 
 __all__ = [
     "HausdorffStats",
@@ -57,15 +56,17 @@ class StableFamilyMember:
     hardy_norm_sq: float
 
 
-def _is_exact(y):
-    return all(isinstance(v, (Fraction, int)) for v in y.values)
-
-
-def _finite_floats(values):
-    vals = [float(v) for v in values]
-    if not all(map(isfinite, vals)):
+def _window(y, stop, start=0):
+    """Moments start..stop-1 of y, read once: ``(ints, den)`` over one
+    common denominator when every moment of y is an int or a Fraction,
+    else ``(floats, None)``, refused unless all finite."""
+    values = y.values[start:stop]
+    if all(isinstance(v, (Fraction, int)) for v in y.values):
+        return _common_den(values)
+    floats = [float(v) for v in values]
+    if not all(map(isfinite, floats)):
         raise ValueError("moments must be finite")
-    return vals
+    return floats, None
 
 
 def _diagonal(values):
@@ -83,12 +84,11 @@ def forward_differences(y, m, n):
         raise ValueError("m and n must be >= 0")
     if m + n + 1 > y.n:
         raise ValueError(f"mu_({m},{n}) needs {m + n + 1} moments, have {y.n}")
-    window = y.values[m:m + n + 1]
-    if _is_exact(y):
-        a, den = _common_den(window)
+    a, den = _window(y, m + n + 1, m)
+    if den is not None:
         return Fraction(sum(map(mul, _stencil(n), a)), den)
     # the alternating sum loses ~n bits naively; fsum keeps one rounding
-    return fsum(s * float(v) for s, v in zip(_stencil(n), window))
+    return fsum(map(mul, _stencil(n), a))
 
 
 def hausdorff_criterion(y, N):
@@ -106,11 +106,9 @@ def hausdorff_criterion(y, N):
         raise ValueError("N must be >= 0")
     if N + 1 > y.n:
         raise ValueError(f"level {N} needs {N + 1} moments, have {y.n}")
-    exact = _is_exact(y)
-    if exact:
-        window = y.values[:N + 1]
-        a, den = _common_den(window)
-        mu = []  # mu_{N-k,k}, k = 0..N: the last entry of row k of the table, a
+    window, den = _window(y, N + 1)
+    if den is not None:
+        a, mu = window, []  # mu_{N-k,k}, k = 0..N: the last entry of row k of the table, a
         while a:
             mu.append(a[-1])
             a = [u - v for u, v in zip(a, a[1:])]
@@ -118,11 +116,10 @@ def hausdorff_criterion(y, N):
         lam = tuple(Fraction(x, den) for x in xs)
         crit = Fraction((N + 1) * sum(x * x for x in xs), den * den)
     else:
-        window = _finite_floats(y.values[:N + 1])
         # the alternating sums lose ~N bits naively; fsum keeps one rounding
         lam = tuple(comb(N, m) * fsum(map(mul, _stencil(N - m), window[m:])) for m in range(N + 1))
         crit = (N + 1) * fsum(v * v for v in lam)
-    picard = _picard_partial(window, exact)
+    picard = _picard_sum(window, den)
     return HausdorffStats(N=N, lam=lam, criterion_value=crit, picard_partial=picard)
 
 
@@ -169,21 +166,6 @@ def verify_TN_identity(N):
     return residual.is_zero(), residual
 
 
-def _picard_partial(values, exact):
-    """||P_N Linv y||^2 = sum_{i<=N} (2i-1) inner_i^2 over the N moments
-    ``values``, exact for rational data (``exact``).
-
-    Otherwise ``values`` are floats, and the float path rounds the entries
-    of M and the products; past n of about 12 its value is wrong (see
-    ROADMAP).
-    """
-    if exact:
-        return reconstruction_norm_sq_exact(MomentSequence.from_values(values))
-    inners = [fsum(map(mul, row[:i + 1], values))  # int * float rounds the int as float() does
-              for i, row in enumerate(inverse_factor_Linv(len(values)).rational_part.num)]
-    return fsum((2 * i + 1) * v * v for i, v in enumerate(inners))
-
-
 def picard_partial_sums(y, N_list):
     """Rows (N, ||P_N Linv y||^2); monotone non-decreasing in N."""
     if not N_list:
@@ -192,9 +174,8 @@ def picard_partial_sums(y, N_list):
         raise ValueError("levels must be >= 1")
     if max(N_list) > y.n:
         raise ValueError("largest level exceeds the available moments")
-    exact = _is_exact(y)
-    values = y.values if exact else _finite_floats(y.values[:max(N_list)])
-    return [{"N": N, "partial": _picard_partial(values[:N], exact)} for N in N_list]
+    a, den = _window(y, max(N_list))
+    return [{"N": N, "partial": _picard_sum(a[:N], den)} for N in N_list]
 
 
 def stable_family(alpha, J):

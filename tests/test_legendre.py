@@ -239,7 +239,12 @@ class TestEdgeBranches:
         (lambda: project(lambda t: 2.0, 3).coefficients, project(constant(2.0), 3).coefficients),
         (lambda: expansion_eval(LegendreExpansion([1.0]), [0.5, 1.5]), "t must lie in [0, 1]"),
         (lambda: expansion_eval(LegendreExpansion([1.0]), -0.1), "t must lie in [0, 1]"),
-    ], ids=["project-scalar-f", "expansion-eval-above-one", "expansion-eval-below-zero"])
+        # NaN passes both t < 0 and t > 1 as False; the check asks 0 <= t <= 1
+        (lambda: expansion_eval(LegendreExpansion([1.0, 2.0]), math.nan), "t must lie in [0, 1]"),
+        (lambda: legendre_eval(2, math.nan), "t must lie in [0, 1]"),
+        (lambda: legendre_eval(2, [0.5, math.nan]), "t must lie in [0, 1]"),
+    ], ids=["project-scalar-f", "expansion-eval-above-one", "expansion-eval-below-zero",
+            "expansion-eval-nan", "legendre-eval-nan", "legendre-eval-nan-in-array"])
     def test_broadcast_and_refusals(self, call, expected):
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=re.escape(expected)):

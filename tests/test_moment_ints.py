@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hausmom import moment_ops, range_diagnostics
+from hausmom import exact_core, range_diagnostics
 from hausmom.exact_core import RationalMatrix
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse, reconstruction_norm_sq_exact
 from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, picard_partial_sums
@@ -48,7 +48,7 @@ class TestInnerProducts:
         # the only RationalMatrix is the one inverse_factor_Linv returns,
         # by either constructor
         depth, builds = [0], []
-        init, from_rows, linv = RationalMatrix.__init__, RationalMatrix._from_int_rows, moment_ops.inverse_factor_Linv
+        init, from_rows, linv = RationalMatrix.__init__, RationalMatrix._from_int_rows, exact_core.inverse_factor_Linv
 
         def counting_init(self, *args, **kwargs):
             builds.append(depth[0])
@@ -67,7 +67,7 @@ class TestInnerProducts:
 
         monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
         monkeypatch.setattr(RationalMatrix, "_from_int_rows", classmethod(counting_from_rows))
-        monkeypatch.setattr(moment_ops, "inverse_factor_Linv", counting_linv)
+        monkeypatch.setattr(exact_core, "inverse_factor_Linv", counting_linv)
         y = MomentSequence.from_values([Fraction(1, 3), 0.25, 7, np.float32(0.5)] * 10)
         pseudoinverse(y)
         assert builds == [1]
@@ -113,21 +113,24 @@ class TestCriterion:
         assert _hex([rows[0]["partial"]]) == _hex([stats.picard_partial])
 
     def test_exactness_decided_once(self, monkeypatch):
+        # one window read per call, whether the data are exact or float
         calls = []
-        is_exact = range_diagnostics._is_exact
-        monkeypatch.setattr(range_diagnostics, "_is_exact", lambda y: calls.append(1) or is_exact(y))
+        window = range_diagnostics._window
+        monkeypatch.setattr(range_diagnostics, "_window", lambda *args: calls.append(1) or window(*args))
         for values in ([Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]):
-            hausdorff_criterion(MomentSequence.from_values(values), 19)
-            assert len(calls) == 1
-            calls.clear()
+            y = MomentSequence.from_values(values)
+            for call in (lambda: hausdorff_criterion(y, 19), lambda: forward_differences(y, 3, 12),
+                         lambda: picard_partial_sums(y, [1, 10, 20])):
+                call()
+                assert len(calls) == 1
+                calls.clear()
 
     @pytest.mark.parametrize("values", [[1, Fraction(1, 2), 3], [1.0, 0.5, 0.25]])
     def test_refuses_negative_level_before_any_work(self, values, monkeypatch):
         def no_work(*args):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(range_diagnostics, "inverse_factor_Linv", no_work)
-        monkeypatch.setattr(range_diagnostics, "reconstruction_norm_sq_exact", no_work)
+        monkeypatch.setattr(exact_core, "inverse_factor_Linv", no_work)
         with pytest.raises(ValueError, match="N must be >= 0"):
             hausdorff_criterion(MomentSequence.from_values(values), -1)
 
@@ -138,6 +141,8 @@ class TestCriterion:
             hausdorff_criterion(y, len(values) - 1)
         with pytest.raises(ValueError, match="moments must be finite"):
             picard_partial_sums(y, [len(values)])
+        with pytest.raises(ValueError, match="moments must be finite"):
+            forward_differences(y, 0, len(values) - 1)
 
 
 class TestPolynomialMoments:

@@ -116,6 +116,16 @@ class TestForwardMoments:
         with pytest.raises(RuntimeError, match="quadrature for moment 1 did not converge"):
             forward_moments(f, 3)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("value", [
+        lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0),
+        lambda t: np.full_like(np.asarray(t, dtype=float), np.inf),
+    ], ids=["nan-on-upper-half", "infinite"])
+    def test_non_finite_moment_is_refused(self, value):
+        # err > bound is False for a NaN err, and for v and err both inf, so the bound alone passes these
+        with pytest.raises(RuntimeError, match="quadrature for moment 1 did not converge"):
+            forward_moments(functions.TestFunction(value=value), 3)
+
 
 class TestForwardFromExpansion:
     def test_first_column(self):
@@ -323,8 +333,10 @@ class TestEdgeBranches:
         (lambda: forward_moments(peak(), 0), "n must be >= 1"),
         (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), 1.5), "t must lie in [0, 1]"),
         (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), [0.5, -0.5]), "t must lie in [0, 1]"),
+        (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), [0.2, math.nan]), "t must lie in [0, 1]"),
         (lambda: sobolev_norm(abs_kink(), "H2"), "second derivative required for H2 norm"),
-    ], ids=["forward-moments-n0", "adjoint-above-one", "adjoint-below-zero", "h2-without-second-derivative"])
+    ], ids=["forward-moments-n0", "adjoint-above-one", "adjoint-below-zero", "adjoint-nan",
+            "h2-without-second-derivative"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
