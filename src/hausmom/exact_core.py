@@ -13,25 +13,20 @@ The Picard kernel ``_picard_sum`` (with ``_inner_products``, the M a
 it sums) is exact for ints over a common denominator and also takes
 floats, summed with ``fsum``: one kernel for exact and float moments.
 
-Only the power iterations leave the rational world, in one fixed-point
-kernel, ``_power_iteration``, called by ``spectral_norm`` (through
-``spectral_norm_iterate``, which also hands back the iterate it stopped
-at and that iterate's product) and ``factored_gram_norm``: Python ints
-carry a configurable precision (default 256 bits, at least 64) and the
-result is an mpmath float.  That precision is required because the
-entries of the inverse Hilbert matrix grow roughly like exp(3.5 n) and
-double precision is useless long before n = 65.  mpmath is imported
-there, at the first call, so importing this module (or the package)
-does not load it.
+Only the power iteration leaves the rational world, in one fixed-point
+kernel, ``_power_iteration``, called by ``spectral_norm`` and
+``spectral_norm_with_reference``: Python ints carry a configurable
+precision (default 256 bits, at least 64) and the result is an mpmath
+float.  That precision is required because the entries of the inverse
+Hilbert matrix grow roughly like exp(3.5 n) and double precision is
+useless long before n = 65.  mpmath is imported there, at the first
+call, so importing this module (or the package) does not load it.
 
-The spectral iteration on H_n^-1 starts from the all-ones vector, whose
-product is H_n^-1's row sums, so its first step computes no product.
-The factored cross-check on Linv Linv^T can start from Linv H_n^-1 v, v
-the spectral iteration's last iterate and H_n^-1 v the product it
-computed there: it then needs fewer steps and still never reads
-H_n^-1, but it shares the spectral iteration's choice of eigenvector.
-At 256 bits and above the cross-check is far more accurate than the
-spectral value, so their gap is the spectral iteration's own error.
+The value's iteration starts from the all-ones vector, whose product is
+the matrix's row sums, so its first step computes no product.  The
+reference continues that iteration from the iterate and product it
+stopped at, to a tighter tolerance, so at 256 bits and above the gap
+between the two is the value's own error.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import comb, fsum, gcd, isqrt, lcm, sqrt
 from operator import index, mul
@@ -360,59 +356,34 @@ def spectral_norm(m, precision=256):
     relative tolerance 1e-20.  If the all-ones start misses the top
     eigenvector, the result is a lower one.
     """
-    return spectral_norm_iterate(m, precision)[0]
+    return _all_ones_iteration(m, precision)[0]
 
 
-def spectral_norm_iterate(m, precision):
-    """``spectral_norm(m, precision)``, the iterate v it stopped at and
-    the product w = ``m.num`` v.
+def spectral_norm_with_reference(m, precision):
+    """``spectral_norm(m, precision)`` and a reference value for it.
 
-    v is the int vector (at a fixed-point scale) whose Rayleigh quotient
-    the value is: within about 1e-20 of the eigenvector that the all-ones
-    start converged to.  w is exact, at ``m.den`` times the eigenvalue
-    times v's scale.  The all-ones start's product is the row sums of
-    ``m.num`` shifted to that scale, so the first step needs no product.
+    The reference continues the same iteration from the iterate v it
+    stopped at and its product ``m.num`` v, until the Rayleigh quotient
+    also meets relative tolerance 10^-(precision // 8), which leaves an
+    error of about 10^-(precision // 4): at 256 bits and above it is far
+    more accurate than the value, so their gap is the value's own error.
     """
+    value, v, w = _all_ones_iteration(m, precision)
+    tol = Fraction(10) ** -(precision // 8)
+    return value, _power_iteration(partial(_times, m.num), v, precision, tol, m.den, w)[0]
+
+
+def _times(rows, v):
+    return [sum(map(mul, row, v)) for row in rows]
+
+
+def _all_ones_iteration(m, precision):
+    """``_power_iteration`` on ``m`` from the all-ones vector at tolerance
+    1e-20: the value, the iterate v it stopped at and w = ``m.num`` v.  The
+    start's product is the row sums of ``m.num`` shifted to the start's
+    scale, so the first step computes no product."""
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     shift = precision + _GUARD_BITS
-    return _power_iteration(lambda v: [sum(map(mul, row, v)) for row in m.num],
-                            [1 << shift] * m.rows, precision, 1e-20, m.den,
+    return _power_iteration(partial(_times, m.num), [1 << shift] * m.rows, precision, 1e-20, m.den,
                             w=[sum(row) << shift for row in m.num])
-
-
-def factored_gram_norm(n, precision, start=None):
-    """lambda_max of Linv Linv^T by power iteration on the factored form.
-
-    Linv = S M is the level-``n`` inverse factor, M read from ``inverse_factor_Linv(n)``;
-    the map is z -> S M M^T S z, S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift).
-    It starts from the all-ones vector or, given ``start``, a nonzero int
-    vector v at any scale in the space of Linv^T Linv (the Gram matrix
-    M^T S^2 M), from Linv v normalised.  Linv maps each eigenvector of
-    Linv^T Linv to one of Linv Linv^T with the same eigenvalue, so the
-    iterate of a power iteration on the Gram matrix starts this one close
-    to that eigenvalue.  Tolerance 10^-(precision // 8) leaves an error of
-    about 10^-(precision // 4).  Reads M only, never the Gram matrix.
-    """
-    num = inverse_factor_Linv(n).rational_part.num
-    shift = precision + _GUARD_BITS
-    m_rows = [row[: i + 1] for i, row in enumerate(num)]
-    m_cols = [col[j:] for j, col in enumerate(zip(*num))]
-    s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
-
-    def matvec(z):
-        u = [(si * zi) >> shift for si, zi in zip(s, z)]
-        # w = M^T u, then S M w
-        w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
-        return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
-
-    if start is None:
-        z = [1 << shift] * n
-    else:
-        if len(start) != n or not any(start):
-            raise ValueError(f"start must be a nonzero vector of length {n}")
-        # S M v at 2^shift times the scale of v, normalised to 2^shift
-        y = [si * sum(map(mul, row, start)) for si, row in zip(s, m_rows)]
-        ny = isqrt(sum(map(mul, y, y)))
-        z = [(x << shift) // ny for x in y]
-    return _power_iteration(matvec, z, precision, Fraction(10) ** -(precision // 8))[0]

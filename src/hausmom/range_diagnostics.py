@@ -13,6 +13,7 @@ Hardy norm stays bounded as long as alpha stays away from -1/2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, fsum, isfinite
@@ -58,10 +59,11 @@ class StableFamilyMember:
 
 def _window(y, stop, start=0):
     """Moments start..stop-1 of y, read once: ``(ints, den)`` over one
-    common denominator when every moment of y is an int or a Fraction,
-    else ``(floats, None)``, refused unless all finite."""
+    common denominator when every moment of y is rational (an int, numpy
+    integer or Fraction), else ``(floats, None)``, refused unless all
+    finite."""
     values = y.values[start:stop]
-    if all(isinstance(v, (Fraction, int)) for v in y.values):
+    if all(isinstance(v, numbers.Rational) for v in y.values):
         return _common_den(values)
     floats = [float(v) for v in values]
     if not all(map(isfinite, floats)):

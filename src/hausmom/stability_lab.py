@@ -16,7 +16,7 @@ from math import exp, fsum, isqrt, ldexp, log, sqrt
 
 import numpy as np
 
-from .exact_core import RationalMatrix, factored_gram_norm, inverse_factor_Linv, spectral_norm_iterate
+from .exact_core import RationalMatrix, inverse_factor_Linv, spectral_norm_with_reference
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -247,30 +247,23 @@ def linv_growth_study(n_max, precision=256):
     """Growth table of the inverse factor for i = 1..n_max.
 
     Per level: the spectral norm of the inverse factor (squared it equals
-    the spectral norm of the inverse Hilbert segment, cross-checked by an
-    independent factored power iteration), the row-wise absolute maximum
-    and its column, the last diagonal entry, the reference curve
-    exp(1.763 i), and the exact infinity-norm of the inverse Hilbert
-    segment with its logarithmic rate.  n_max is at most 402: from i = 403
-    exp(1.763 i) is beyond the double range, and precision is at least
-    64 bits.  Both are refused before any work.
+    the spectral norm of the inverse Hilbert segment) with the relative
+    error of that square, the row-wise absolute maximum and its column,
+    the last diagonal entry, the reference curve exp(1.763 i), and the
+    exact infinity-norm of the inverse Hilbert segment with its
+    logarithmic rate.  n_max is at most 402: from i = 403 exp(1.763 i) is
+    beyond the double range, and precision is at least 64 bits.  Both are
+    refused before any work.
 
-    The spectral iteration on H_i^{-1} starts from the all-ones vector and
-    takes that start's product from the row sums of H_i^{-1}.  The
-    cross-check runs on Linv Linv^T in factored form and never reads
-    H_i^{-1}.  It starts from Linv H_i^{-1} v, v the iterate that the
-    spectral iteration stopped at and H_i^{-1} v the product it computed
-    there, so it takes 4 steps at level 24 instead of 13 from the
-    all-ones vector, and it converges to the eigenvalue of the
-    eigenvector that the spectral iteration chose (the all-ones start
-    already did so in practice); only a Collatz-Wielandt bracket could
-    certify that this is the largest one.  The cross-check is accurate to
-    about 10^-(precision // 4), the spectral iteration to about 1e-40, so
-    at 256 bits and above ``norm_sq_rel_err`` measures the spectral
-    iteration's own error.  Below 256 bits it is the cross-check's own
-    error, at the rounding level of ``precision`` bits (about 4e-39 or 0
-    at 128 bits, 6e-20 or 0 at 64), and it may change between versions:
-    any change to where the cross-check starts moves it.
+    Each level makes one ``spectral_norm_with_reference`` call on
+    H_i^{-1}: the power iteration from the all-ones vector gives the
+    value, and its continuation to tolerance 10^-(precision // 8) gives
+    the reference that ``norm_sq_rel_err`` compares it with.  At 256 bits
+    and above that is the value's own error (about 1e-40); below, it is
+    at the rounding level of ``precision`` bits and may change between
+    versions.  Both come from the one H_i^{-1}, so the column does not
+    check that H_i^{-1} was built right; the tests compare it with an
+    independent power iteration on the factored form.
 
     The integer factor M of Linv_{n_max} = diag(sqrt(2k-1)) M is built
     once; level i reads its leading i x i block M_i.  H_i^{-1} =
@@ -294,9 +287,8 @@ def linv_growth_study(n_max, precision=256):
         h = [[a + wrj * rk for a, rk in zip(row + [0], r)]
              for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
         hinv = RationalMatrix._from_int_rows(h)
-        lam, _, hv = spectral_norm_iterate(hinv, precision)
-        lam_indep = factored_gram_norm(i, precision, hv)
-        rel = abs(lam - lam_indep) / lam
+        lam, ref = spectral_norm_with_reference(hinv, precision)
+        rel = abs(lam - ref) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
         # so the argmax over j is that of the integer rational part
@@ -413,12 +405,31 @@ def bump_family(k, m):
 
 
 def _choose_m(mu, p):
-    """Smallest m beyond the proof inequality that also gives squared-ratio
-    growth of at least 2^2 per halving of r."""
-    m = 1
-    while not (m > (2 * p + 1) * (1 - mu) / mu - 0.5 and (1 + 2 * m) * mu - (2 * p + 1) * (1 - mu) >= 2):
-        m += 1
-    return m
+    """Smallest m >= 1 beyond the proof inequality, m > (2p+1)(1-mu)/mu - 1/2,
+    that also gives squared-ratio growth of at least 2^2 per halving of r,
+    (1+2m) mu - (2p+1)(1-mu) >= 2.
+
+    Each test, in floats, fails below some m and holds from it on, so m is
+    found by doubling and then bisection: about 2 log2(m) tests instead of
+    m, whatever the float rounding near the thresholds.  A mu so small
+    that 1 + 2m could pass the double range in the search is refused.
+    """
+    c = (2 * p + 1) * (1 - mu)
+    bound = c / mu - 0.5
+    if not bound + (2 + c) / mu < 2.0**1020:
+        raise RuntimeError(f"mu = {mu:g} needs a bump order m beyond any limit")
+
+    def holds(m):
+        return m > bound and (1 + 2 * m) * mu - c >= 2
+
+    hi = 1
+    while not holds(hi):
+        hi *= 2
+    lo = hi // 2  # 0, or an m that fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def log_ratio(family, mu, r):

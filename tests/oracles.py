@@ -8,6 +8,7 @@ derivative) so that the two can be checked against each other.
 import numbers
 from fractions import Fraction
 from math import comb, fsum, isqrt
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from hausmom.exact_core import (
     FactoredTriangular,
     RationalMatrix,
-    factored_gram_norm,
+    _GUARD_BITS,
+    _power_iteration,
     hilbert_matrix,
     inverse_factor_Linv,
     inverse_hilbert,
@@ -89,11 +91,39 @@ def all_ones_spectral_norm(m, precision):
     raise AssertionError("no convergence in 1000 steps")
 
 
+def factored_gram_norm(n, precision):
+    """lambda_max of Linv Linv^T by power iteration on the factored form.
+
+    Linv = S M is the level-``n`` inverse factor, M read from
+    ``inverse_factor_Linv(n)``; the map is z -> S M M^T S z,
+    S = diag(sqrt(2i-1)) as isqrt((2i-1) << 2 * shift), from the all-ones
+    vector.  Linv Linv^T has the eigenvalues of H_n^-1 = Linv^T Linv but
+    is another matrix, formed another way: it reads M only, never the Gram
+    matrix.  Tolerance 10^-(precision // 8) leaves an error of about
+    10^-(precision // 4).
+    """
+    num = inverse_factor_Linv(n).rational_part.num
+    shift = precision + _GUARD_BITS
+    m_rows = [row[: i + 1] for i, row in enumerate(num)]
+    m_cols = [col[j:] for j, col in enumerate(zip(*num))]
+    s = [isqrt((2 * i + 1) << (2 * shift)) for i in range(n)]
+
+    def matvec(z):
+        u = [(si * zi) >> shift for si, zi in zip(s, z)]
+        # w = M^T u, then S M w
+        w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
+        return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
+
+    return _power_iteration(matvec, [1 << shift] * n, precision, Fraction(10) ** -(precision // 8))[0]
+
+
 def all_ones_growth_rel_errs(n_max, precision):
-    """``norm_sq_rel_err`` of ``linv_growth_study(n_max, precision)`` with
-    the factored cross-check started from the all-ones vector: level i
-    compares ``spectral_norm`` of the Gram product H_i^-1 with
-    ``factored_gram_norm`` at level i with no start vector."""
+    """``norm_sq_rel_err`` of ``linv_growth_study(n_max, precision)`` from
+    two independent computations: level i compares ``spectral_norm`` of
+    the Gram product H_i^-1 with :func:`factored_gram_norm` at level i.
+    This reference and the study's are both accurate to about
+    10^-(precision // 4), far below the value's error of about 1e-40, so
+    from 256 bits on the float should be the study's to the bit."""
     rel = []
     for i in range(1, n_max + 1):
         lam = spectral_norm(inverse_hilbert(i), precision)
@@ -110,7 +140,7 @@ def same(a, b):
 
 def loop_forward_difference(values, m, n):
     """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1} term by term: Fractions for rational data, else one fsum."""
-    if all(isinstance(v, (Fraction, int)) for v in values):
+    if all(isinstance(v, numbers.Rational) for v in values):
         return sum((-1) ** l * comb(n, l) * Fraction(values[m + l]) for l in range(n + 1))
     return fsum((-1) ** l * comb(n, l) * float(values[m + l]) for l in range(n + 1))
 
@@ -118,7 +148,7 @@ def loop_forward_difference(values, m, n):
 def loop_criterion(values, N):
     """lambda_{N,m} = C(N,m) mu_{m,N-m} and (N+1) sum lambda^2, from :func:`loop_forward_difference`."""
     lam = tuple(comb(N, m) * loop_forward_difference(values, m, N - m) for m in range(N + 1))
-    if all(isinstance(v, (Fraction, int)) for v in values):
+    if all(isinstance(v, numbers.Rational) for v in values):
         return lam, (N + 1) * sum(v * v for v in lam)
     return lam, (N + 1) * fsum(v * v for v in lam)
 
@@ -192,6 +222,16 @@ def binomial(a, k):
     for j in range(k):
         out *= (a - j) / (j + 1)
     return out
+
+
+def loop_choose_m(mu, p):
+    """The bump order of the Hoelder counterexample by counting m up from 1
+    until m > (2p+1)(1-mu)/mu - 1/2 and (1+2m) mu - (2p+1)(1-mu) >= 2 both
+    hold, in the same float arithmetic: about 2(2p+1)/mu steps."""
+    m = 1
+    while not (m > (2 * p + 1) * (1 - mu) / mu - 0.5 and (1 + 2 * m) * mu - (2 * p + 1) * (1 - mu) >= 2):
+        m += 1
+    return m
 
 
 def check_derivative(f, rng=None, npoints=20, h=1e-6, rtol=1e-4):

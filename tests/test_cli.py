@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -210,14 +211,20 @@ class TestCommands:
         assert captured.err.startswith("error:") and message in captured.err
 
     def test_counterexample_beyond_symbolic_limit_fails_fast(self, capsys, monkeypatch):
-        # mu = 0.1 needs m = 19, so derivative orders 19 and 20
+        # mu = 0.1 needs m = 19, so derivative orders 19 and 20; counting m
+        # up from 1 took seconds at mu = 1e-7 and did not end at mu = 1e-12
         import hausmom.stability_lab as lab
 
         monkeypatch.setattr(lab, "_mother_bump_derivative", lambda order: pytest.fail("sympy work started"))
-        assert run(["counterexample", "--mu", "0.1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric failure:") and "order m + k = 20 exceeds" in captured.err
+        for mu, message in (("0.1", "order m + k = 20 exceeds"),
+                            ("1e-12", "order m + k = 2000000000000 exceeds"),
+                            ("5e-324", "needs a bump order m beyond any limit")):
+            start = time.perf_counter()
+            assert run(["counterexample", "--mu", mu]) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numeric failure:") and message in captured.err
 
     @pytest.mark.parametrize("module", ["hausmom", "hausmom.cli"])
     def test_python_dash_m(self, capsys, module):

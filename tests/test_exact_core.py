@@ -13,14 +13,12 @@ from hausmom.exact_core import (
     RationalMatrix,
     SpectralNormError,
     cholesky_factor_L,
-    factored_gram_norm,
     hilbert_matrix,
     inverse_factor_Linv,
     inverse_hilbert,
     spectral_norm,
-    spectral_norm_iterate,
 )
-from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, inverse_factor_rows
+from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, factored_gram_norm, inverse_factor_rows
 from strategies import FRACTION
 
 
@@ -261,20 +259,12 @@ class TestSpectralNorm:
 
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
-        lam, v, _ = spectral_norm_iterate(h, 256)
+        lam, v, _ = exact_core._all_ones_iteration(h, 256)
         assert lam == spectral_norm(h)
         hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
         q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
         with mp.workprec(256):
             assert lam == mp.mpf(q.numerator) / q.denominator
-
-    def test_factored_start_at_any_scale(self):
-        # H-space starts, scaled by 1, 2^300 and the fixed-point scale of
-        # the spectral iterate, all reach the all-ones start's value
-        ref = factored_gram_norm(8, 256)
-        _, v, _ = spectral_norm_iterate(inverse_hilbert(8), 256)
-        for start in ([1] * 8, [1 << 300] * 8, v):
-            assert abs(factored_gram_norm(8, 256, start) - ref) / ref < mp.mpf("1e-60")
 
     @pytest.mark.parametrize("m", [hilbert_matrix(6), *map(inverse_hilbert, range(1, 13)),
                                    RationalMatrix([[3, -1], [-1, 3]], 2)],
@@ -282,14 +272,9 @@ class TestSpectralNorm:
     def test_product_of_iterate_and_all_ones_value(self, m):
         # the returned product is H v to the int, and taking the start's
         # product from H's row sums leaves the value unchanged to the bit
-        lam, v, w = spectral_norm_iterate(m, 256)
+        lam, v, w = exact_core._all_ones_iteration(m, 256)
         assert w == [sum(map(mul, row, v)) for row in m.num]
         assert lam == spectral_norm(m) == all_ones_spectral_norm(m, 256)
-
-    @pytest.mark.parametrize("start", [[0, 0, 0], [1, 2]])
-    def test_factored_start_refused(self, start):
-        with pytest.raises(ValueError, match="start must be a nonzero vector of length 3"):
-            factored_gram_norm(3, 256, start)
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]

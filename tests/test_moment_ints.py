@@ -86,6 +86,12 @@ class TestInnerProducts:
         big = 2**60 + 1  # no double holds it
         got = reconstruction_norm_sq_exact(MomentSequence.from_values(np.array([big], dtype=np.int64)))
         assert got == big * big
+        # the range statistics take the exact path for numpy integers too
+        y = MomentSequence.from_values(np.array([big, 3], dtype=np.int64))
+        stats = hausdorff_criterion(y, 1)
+        assert all(type(v) is Fraction for v in stats.lam) and stats.lam == (big - 3, 3)
+        assert stats.picard_partial == reconstruction_norm_sq_exact(y)
+        assert forward_differences(y, 0, 1) == big - 3 and type(forward_differences(y, 0, 1)) is Fraction
 
 
 class TestCriterion:

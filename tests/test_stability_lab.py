@@ -12,13 +12,7 @@ import pytest
 import hausmom.exact_core as exact_core
 import hausmom.stability_lab as lab
 
-from hausmom.exact_core import (
-    RationalMatrix,
-    factored_gram_norm,
-    inverse_hilbert,
-    spectral_norm,
-    spectral_norm_iterate,
-)
+from hausmom.exact_core import inverse_hilbert, spectral_norm, spectral_norm_with_reference
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -37,7 +31,7 @@ from hausmom.stability_lab import (
     point_value_noise_study,
     stability_bound,
 )
-from oracles import all_ones_growth_rel_errs, choi_trace_inverse_hilbert
+from oracles import all_ones_growth_rel_errs, choi_trace_inverse_hilbert, factored_gram_norm, loop_choose_m
 
 GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
@@ -238,42 +232,33 @@ class TestGrowthStudy:
 
     @pytest.mark.parametrize("precision,bound", [(256, "1e-60"), (512, "1e-120")])
     def test_factored_norm_matches_eigsy(self, precision, bound):
-        # tolerance 10^-(precision // 8) leaves a Rayleigh quotient error ~10^-(precision // 4)
-        lam = factored_gram_norm(12, precision)
+        # tolerance 10^-(precision // 8) leaves a Rayleigh quotient error
+        # ~10^-(precision // 4), in the factored oracle and in the study's
+        # reference; the value, at tolerance 1e-20, is off by far more
+        h = inverse_hilbert(12)
+        indep = factored_gram_norm(12, precision)
+        lam, ref = spectral_norm_with_reference(h, precision)
+        assert lam == spectral_norm(h, precision)
         with mp.workprec(precision):
-            ref = max(mp.eigsy(mp.matrix(inverse_hilbert(12).entries), eigvals_only=True))
-            assert abs(lam - ref) / ref < mp.mpf(bound)
+            top = max(mp.eigsy(mp.matrix(h.entries), eigvals_only=True))
+            assert max(abs(indep - top), abs(ref - top)) / top < mp.mpf(bound) < abs(lam - top) / top
 
     @pytest.mark.parametrize("precision", [256, 512])
     def test_rel_err_matches_all_ones_start(self, precision):
-        # the cross-check is accurate to ~10^-(precision // 4) from either
-        # start, so the gap to the ~1e-40 spectral value is the same float
+        # the study's reference (the continued spectral iteration on H) and
+        # the factored oracle (on Linv Linv^T, from M) are each accurate to
+        # ~10^-(precision // 4), so their gaps to the ~1e-40 spectral value
+        # are the same float
         rel = [row["norm_sq_rel_err"] for row in linv_growth_study(40, precision)]
         assert rel == all_ones_growth_rel_errs(40, precision)
 
-    @pytest.mark.parametrize("i", [3, 5, 8, 12])
-    @pytest.mark.parametrize("change", [1, -1])
-    def test_seeded_cross_check_reads_m_not_gram(self, i, change):
-        # seeded, as in the study, from the last product of the spectral
-        # iteration on a wrong Gram matrix, the cross-check on the true M
-        # still finds the eigenvalue it finds from the all-ones vector, so
-        # its gap to the wrong value is far above the ~1e-40 it reports on
-        # the true Gram matrix
-        num = inverse_hilbert(i).num
-        num[-1][-1] += change
-        lam_wrong, _, hv = spectral_norm_iterate(RationalMatrix(num), 256)
-        indep = factored_gram_norm(i, 256, hv)
-        assert abs(indep - factored_gram_norm(i, 256)) / indep < mp.mpf("1e-60")
-        assert abs(lam_wrong - indep) / lam_wrong > mp.mpf("1e-25")
-        lam, _, hv = spectral_norm_iterate(inverse_hilbert(i), 256)
-        assert abs(lam - factored_gram_norm(i, 256, hv)) / lam < mp.mpf("1e-38")
-
     def test_seeded_cross_check_steps(self, monkeypatch):
         # steps counted as calls of the map; per level the study runs the
-        # spectral iteration, whose first product is H's row sums, then the
-        # cross-check, started from Linv H v
-        steps = []
-        kernel = exact_core._power_iteration
+        # spectral iteration, whose first product is H's row sums, then its
+        # continuation to the reference, whose first step reuses the last
+        # product of the spectral iteration; M is built once per study
+        steps, builds = [], []
+        kernel, linv = exact_core._power_iteration, exact_core.inverse_factor_Linv
 
         def counted(matvec, *args, **kwargs):
             calls = 0
@@ -289,12 +274,12 @@ class TestGrowthStudy:
                 steps.append(calls)
 
         monkeypatch.setattr(exact_core, "_power_iteration", counted)
+        for mod in (exact_core, lab):
+            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: builds.append(n) or linv(n))
         linv_growth_study(24)
-        spectral, cross = steps[::2], steps[1::2]
-        assert len(cross) == 24 and sum(spectral) == 226
-        assert cross[-1] <= 4 and sum(cross) <= 115
-        factored_gram_norm(24, 256)
-        assert steps[-1] >= 13  # from the all-ones vector
+        spectral, reference = steps[::2], steps[1::2]
+        assert builds == [24] and len(reference) == 24
+        assert sum(spectral) == 226 and sum(reference) == 121 and reference[-1] == 5
 
     def test_refuses_level_past_double_range_before_work(self, monkeypatch):
         # exp(1.763 i) overflows a double from i = 403
@@ -372,6 +357,14 @@ class TestCounterexample:
         r, m, ratio = holder_counterexample(0.5, 1, 100.0)
         assert ratio > 100.0
         assert m == 3
+
+    def test_choose_m_matches_loop(self):
+        # the float tests near their thresholds decide, so the search must
+        # land on the loop's m exactly, including at mu = 1/j
+        assert [lab._choose_m(mu, 0.5) for mu in (0.5, 0.25, 0.1)] == [3, 7, 19]
+        grid = [*map(float, np.geomspace(1e-3, 1, 300, endpoint=False)), *(1 / j for j in range(2, 101))]
+        for k in (1, 2, 3):
+            assert [lab._choose_m(mu, k - 0.5) for mu in grid] == [loop_choose_m(mu, k - 0.5) for mu in grid]
 
     def test_ratio_monotone_in_r(self):
         for mu in (0.5, 0.25):
