@@ -293,9 +293,24 @@ def _picard_sum(a, den):
     return Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
 
 
+def _inverse_hilbert_levels(n):
+    """(r, H_i^{-1}) for i = 1..n from one M, r the first i entries of row i:
+    H_i^{-1} is H_{i-1}^{-1} padded with a zero row and column plus
+    ((2i-1) r) r^T, O(i^2) exact work, in new int rows never written again."""
+    m = inverse_factor_Linv(n).rational_part.num
+    h = []
+    for i in range(1, n + 1):
+        r = m[i - 1][:i]
+        h = [[a + wrj * rk for a, rk in zip(row + [0], r)]
+             for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
+        yield r, RationalMatrix._from_int_rows(h)
+
+
 def inverse_hilbert(n):
     """Exact inverse Hilbert segment, H_n^{-1} = M^T diag(2j-1) M."""
-    return inverse_factor_Linv(n).gram()
+    for _, hinv in _inverse_hilbert_levels(n):
+        pass
+    return hinv
 
 
 def _power_iteration(matvec, v, precision, tol, d=1, w=None):

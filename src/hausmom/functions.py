@@ -34,14 +34,7 @@ def _horner(cs, t):
 
 
 def constant(c=1.0):
-    c = float(c)
-    return TestFunction(
-        value=lambda t: np.full_like(np.asarray(t, dtype=float), c),
-        derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        second_derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        label=f"const({c})",
-        poly_coeffs=(Fraction(c),),
-    )
+    return polynomial((float(c),), label=f"const({float(c)})")
 
 
 def polynomial(coeffs, label=None):

@@ -20,7 +20,6 @@ from hausmom.exact_core import (
     _power_iteration,
     hilbert_matrix,
     inverse_factor_Linv,
-    inverse_hilbert,
     spectral_norm,
 )
 from hausmom.range_diagnostics import build_DN, build_RN
@@ -120,13 +119,14 @@ def factored_gram_norm(n, precision):
 def all_ones_growth_rel_errs(n_max, precision):
     """``norm_sq_rel_err`` of ``linv_growth_study(n_max, precision)`` from
     two independent computations: level i compares ``spectral_norm`` of
-    the Gram product H_i^-1 with :func:`factored_gram_norm` at level i.
+    the Gram product H_i^-1 = ``inverse_factor_Linv(i).gram()`` with
+    :func:`factored_gram_norm` at level i.
     This reference and the study's are both accurate to about
     10^-(precision // 4), far below the value's error of about 1e-40, so
     from 256 bits on the float should be the study's to the bit."""
     rel = []
     for i in range(1, n_max + 1):
-        lam = spectral_norm(inverse_hilbert(i), precision)
+        lam = spectral_norm(inverse_factor_Linv(i).gram(), precision)
         indep = factored_gram_norm(i, precision)
         rel.append(float(abs(lam - indep) / lam))
     return rel

@@ -61,8 +61,18 @@ def _capture(capsys, argv):
 
 
 class TestParsing:
-    def test_delta_range(self):
+    def test_delta_range(self, capsys):
         assert _parse_deltas("1e-2..1e-5") == [1e-2, 1e-3, 1e-4, 1e-5]
+        # only the decades inside the closed range, in the ends' order
+        assert _parse_deltas("0.05..1e-3") == [1e-2, 1e-3]
+        assert _parse_deltas("3e-3..1e-2") == [1e-2]
+        assert _parse_deltas("1e-3..1e-3") == [1e-3]
+        assert _parse_deltas("1e-2..1e-7") == [10.0**-k for k in range(2, 8)]
+        assert _parse_deltas("1e-2..1e-6") == [10.0**-k for k in range(2, 7)]
+        with pytest.raises(ValueError, match="no decade"):
+            _parse_deltas("0.02..0.05")
+        assert run(["pointvalue", "--deltas", "0.02..0.05"]) == 1
+        assert capsys.readouterr().err.startswith("error: no decade")
 
     @pytest.mark.parametrize("text", ["1e-2..0", "-1e-2..1e-4", "1e-2..inf", "nan..1e-3", "1e-2..1e-3..1e-4"])
     def test_delta_range_needs_finite_positive_ends(self, text):

@@ -217,6 +217,11 @@ class TestInverseHilbert:
         for n in (2, 5, 8):
             assert (hilbert_matrix(n) @ inverse_hilbert(n)).is_identity()
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 65, 130])
+    def test_recurrence_matches_gram_product(self, n):
+        # the rank-one recurrence against M^T diag(2j-1) M formed directly
+        assert inverse_hilbert(n) == inverse_factor_Linv(n).gram()
+
     def test_integer_entries(self):
         hinv = inverse_hilbert(6)
         assert all(x.denominator == 1 for row in hinv.entries for x in row)

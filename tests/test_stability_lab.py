@@ -120,6 +120,13 @@ class TestNoise:
         y = exact_polynomial_moments((1,), 6)
         out = noisy_data(y, NoiseModel(delta=1e-3, seed=5))
         assert np.linalg.norm(out.to_array() - y.to_array()) == pytest.approx(1e-3, abs=1e-15)
+        # e has norm delta, but y + e rounds: the perturbation applied is
+        # delta only within 2^-53 ||y + e||, relative 1e-7 at delta = 1e-10
+        y, delta = forward_moments(peak(), 12), 1e-10
+        for seed in range(20):
+            out = noisy_data(y, NoiseModel(delta=delta, seed=seed)).to_array()
+            applied = np.linalg.norm(out - y.to_array())
+            assert abs(applied - delta) <= 2.0**-53 * np.linalg.norm(out) + 1e-15 * delta
 
     def test_bitwise_reproducible(self):
         y = exact_polynomial_moments((0, 1), 6)
@@ -223,10 +230,10 @@ class TestGrowthStudy:
         assert json.loads(json.dumps(rows)) == json.loads(GROWTH_GOLDEN.read_text())
 
     def test_rank_one_update_matches_closed_form(self):
-        # every level of the updated H_i^{-1} against the Gram of the closed
-        # form, through the two columns that read it, bit for bit
+        # every level of the updated H_i^{-1} against the Gram product of the
+        # closed-form factor, through the two columns that read it, bit for bit
         for i, row in enumerate(linv_growth_study(40), 1):
-            hinv = inverse_hilbert(i)
+            hinv = exact_core.inverse_factor_Linv(i).gram()
             assert row["ln_inf_over_i"] == math.log(float(hinv.abs_row_sums())) / i
             assert row["norm"] == float(mp.sqrt(spectral_norm(hinv)))
 
@@ -283,14 +290,16 @@ class TestGrowthStudy:
 
     def test_refuses_level_past_double_range_before_work(self, monkeypatch):
         # exp(1.763 i) overflows a double from i = 403
-        monkeypatch.setattr(lab, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        for mod in (exact_core, lab):
+            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="n_max must be <= 402"):
             linv_growth_study(403)
         assert time.perf_counter() - start < 0.5
 
     def test_refuses_low_precision_before_work(self, monkeypatch):
-        monkeypatch.setattr(lab, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        for mod in (exact_core, lab):
+            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="precision must be >= 64 bits"):
             linv_growth_study(402, precision=63)
