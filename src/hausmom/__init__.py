@@ -4,9 +4,18 @@ Exact rational construction and inversion of the Hilbert-matrix and
 Legendre-triangular operators, truncated pseudoinverse reconstruction,
 range diagnostics, and conditional-stability experiments for the moment
 problem on [0, 1].
+
+``import hausmom`` loads the exact core, which needs only the standard
+library.  The float layers (``functions``, ``legendre``, ``moment_ops``,
+``range_diagnostics``, ``stability_lab``) and numpy load when one of
+their names is first read from the package; the name is then stored
+here, so later reads, and code that rebinds it, see an ordinary module
+attribute.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .exact_core import (
     FactoredTriangular,
@@ -16,57 +25,49 @@ from .exact_core import (
     hilbert_matrix,
     inverse_factor_Linv,
     inverse_hilbert,
+    linv_growth_study,
     spectral_norm,
 )
-from .functions import TestFunction, abs_kink, constant, cubic_exp, g_alpha, monomial_witness, peak, polynomial
-from .legendre import (
-    LegendreExpansion,
-    QuadratureRule,
-    expansion_eval,
-    l2_distance,
-    legendre_eval,
-    project,
-)
-from .moment_ops import (
-    MomentSequence,
-    SobolevBudget,
-    adjoint_apply,
-    exact_polynomial_moments,
-    forward_from_expansion,
-    forward_moments,
-    h1_rate_check,
-    projection_error,
-    pseudoinverse,
-    reconstruction_norm_sq_exact,
-    sobolev_norm,
-)
-from .range_diagnostics import (
-    HausdorffStats,
-    StableFamilyMember,
-    build_DN,
-    build_RN,
-    forward_differences,
-    hausdorff_criterion,
-    picard_partial_sums,
-    stable_family,
-    verify_TN_identity,
-)
-from .stability_lab import (
-    AmplificationEstimate,
-    BumpFamily,
-    NoiseModel,
-    StabilityBound,
-    amplification_experiment,
-    bump_family,
-    eit_forward,
-    error_split_study,
-    holder_counterexample,
-    lambert_w,
-    laplace_consistency,
-    linv_growth_study,
-    log_ratio,
-    noisy_data,
-    point_value_estimator,
-    point_value_noise_study,
-    stability_bound,
-)
+
+# The module each float-layer name is imported from at its first use.
+_HOME = {name: module for module, names in {
+    "functions": ("TestFunction", "abs_kink", "constant", "cubic_exp", "g_alpha", "monomial_witness", "peak",
+                  "polynomial"),
+    "legendre": ("LegendreExpansion", "QuadratureRule", "expansion_eval", "l2_distance", "legendre_eval",
+                 "project"),
+    "moment_ops": ("MomentSequence", "SobolevBudget", "adjoint_apply", "exact_polynomial_moments",
+                   "forward_from_expansion", "forward_moments", "h1_rate_check", "projection_error",
+                   "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm"),
+    "range_diagnostics": ("HausdorffStats", "StableFamilyMember", "build_DN", "build_RN", "forward_differences",
+                          "hausdorff_criterion", "picard_partial_sums", "stable_family", "verify_TN_identity"),
+    "stability_lab": ("AmplificationEstimate", "BumpFamily", "NoiseModel", "StabilityBound",
+                      "amplification_experiment", "bump_family", "eit_forward", "error_split_study",
+                      "holder_counterexample", "lambert_w", "laplace_consistency", "log_ratio", "noisy_data",
+                      "point_value_estimator", "point_value_noise_study", "stability_bound"),
+}.items() for name in names}
+
+__all__ = [
+    "FactoredTriangular",
+    "RationalMatrix",
+    "SpectralNormError",
+    "cholesky_factor_L",
+    "hilbert_matrix",
+    "inverse_factor_Linv",
+    "inverse_hilbert",
+    "linv_growth_study",
+    "spectral_norm",
+    *_HOME,
+]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

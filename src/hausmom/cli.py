@@ -21,7 +21,7 @@ from operator import add
 from pathlib import Path
 
 from . import __version__
-from .exact_core import hilbert_matrix, inverse_factor_Linv
+from .exact_core import hilbert_matrix, inverse_factor_Linv, linv_growth_study
 from .functions import constant, peak, polynomial
 from .legendre import l2_distance, project
 from .moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse
@@ -30,7 +30,6 @@ from .stability_lab import (
     amplification_experiment,
     holder_counterexample,
     laplace_consistency,
-    linv_growth_study,
     eit_forward,
     point_value_noise_study,
 )

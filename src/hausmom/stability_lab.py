@@ -1,11 +1,11 @@
 """Noise experiments and conditional-stability estimators.
 
-This module reproduces the numerical case studies: the growth of the
-inverse triangular factor, the noise-amplification regression, the
-Lambert-W balancing of the logarithmic stability bound, point-value
-recovery at t = 1, the Hoelder-rate counterexample built from scaled
-bumps with vanishing moments, and the Laplace / layered-conductivity
-cross-checks of the forward map.
+This module reproduces the numerical case studies: the noise-amplification
+regression, the Lambert-W balancing of the logarithmic stability bound,
+point-value recovery at t = 1, the Hoelder-rate counterexample built from
+scaled bumps with vanishing moments, and the Laplace / layered-conductivity
+cross-checks of the forward map.  The growth table of the inverse factor,
+``linv_growth_study``, needs only exact kernels and lives in exact_core.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import exp, fsum, isqrt, ldexp, log, sqrt
 
 import numpy as np
 
-from .exact_core import _inverse_hilbert_levels, inverse_factor_Linv, spectral_norm_with_reference
+from .exact_core import inverse_factor_Linv
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -30,7 +30,6 @@ __all__ = [
     "noisy_data",
     "amplification_experiment",
     "error_split_study",
-    "linv_growth_study",
     "point_value_estimator",
     "point_value_noise_study",
     "bump_family",
@@ -248,68 +247,20 @@ def error_split_study(f, n_list):
     return rows
 
 
-def linv_growth_study(n_max, precision=256):
-    """Growth table of the inverse factor for i = 1..n_max.
-
-    Per level: the spectral norm of the inverse factor (squared it equals
-    the spectral norm of the inverse Hilbert segment) with the relative
-    error of that square, the row-wise absolute maximum and its column,
-    the last diagonal entry, the reference curve exp(1.763 i), and the
-    exact infinity-norm of the inverse Hilbert segment with its
-    logarithmic rate.  n_max is at most 402: from i = 403 exp(1.763 i) is
-    beyond the double range, and precision is at least 64 bits.  Both are
-    refused before any work.
-
-    Each level makes one ``spectral_norm_with_reference`` call on
-    H_i^{-1}: the power iteration from the all-ones vector gives the
-    value, and its continuation to tolerance 10^-(precision // 8) gives
-    the reference that ``norm_sq_rel_err`` compares it with.  At 256 bits
-    and above that is the value's own error (about 1e-40); below, it is
-    at the rounding level of ``precision`` bits and may change between
-    versions.  It can read exactly 0 where the value is not exact: of the
-    40 levels of ``linv_growth_study(40)`` it reads 0 at 34 at 64 bits,
-    35 at 128 and 9 at 144, and from 152 bits on only at level 1, which
-    is exact.  Both come from the one H_i^{-1}, so the column does not
-    check that H_i^{-1} was built right; the tests compare it with an
-    independent power iteration on the factored form.
-
-    H_i^{-1} and row i of M come from exact_core's rank-one recurrence,
-    O(i^2) exact work per level, so the exact part is O(n_max^3).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_max > 402:
-        raise ValueError("n_max must be <= 402: exp(1.763 i) overflows a double from i = 403")
-    if precision < 64:
-        raise ValueError("precision must be >= 64 bits")
-    import mpmath as mp
-    rows = []
-    for i, (r, hinv) in enumerate(_inverse_hilbert_levels(n_max), 1):
-        lam, ref = spectral_norm_with_reference(hinv, precision)
-        rel = abs(lam - ref) / lam
-        norm = float(mp.sqrt(lam))
-        # row maxima of |Linv|: the sqrt-weight is constant along a row,
-        # so the argmax over j is that of the integer rational part
-        scaled = [sqrt(2 * i - 1) * abs(float(x)) for x in r]
-        best = max(scaled)
-        diag = sqrt(2 * i - 1) * r[-1]
-        inf_norm = hinv.abs_row_sums()
-        rows.append({
-            "i": i,
-            "norm": norm,
-            "norm_sq_rel_err": float(rel),
-            "row_max": best,
-            "row_max_col": scaled.index(best) + 1,
-            "diag": diag,
-            "bound": exp(1.763 * i),
-            "ln_spectral_over_i": float(mp.log(lam)) / i,
-            "ln_inf_over_i": log(inf_norm) / i,
-        })
-    return rows
-
-
 def point_value_estimator(y, N):
-    """(1/N) sum_{j<=N} j y_j, the data part of the averaged t=1 identity."""
+    """(1/N) sum_{j<=N} j y_j, the data part of the averaged t=1 identity.
+
+    With K_N(t) = t + ... + t^N, integration by parts gives
+    sum_{j<=N} j y_j = N x(1) - int K_N x', so the estimate is x(1) minus
+    (1/N) int K_N x'.  As ||K_N||^2 = sum_{j,k<=N} 1/(j+k+1) <= (2N+1) ln 2,
+    for x in H^1 and data off the exact moments by at most delta in l2,
+
+        |estimate - x(1)| <= ||x'|| sqrt((2N+1) ln 2) / N
+                             + delta sqrt((N+1)(2N+1) / (6N)),
+
+    and N near sqrt(6 ln 2) ||x'|| / delta makes this about
+    1.65 sqrt(||x'|| delta): the value at t = 1 is Hoelder-1/2 stable.
+    """
     if N < 1 or N > y.n:
         raise ValueError("N must satisfy 1 <= N <= y.n")
     vals = y.to_array()[:N]
@@ -323,7 +274,10 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
     Cauchy-Schwarz step of the estimator's noise term, e = -delta j/|j|,
     so the measured error is bias(N) + delta sqrt(sum j^2)/N with no
     sampling noise.  Returns rows (delta, best_N, error) where the error
-    is minimized over N in {2^0 .. 2^max_level_exp}.
+    is minimized over N in {2^0 .. 2^max_level_exp}.  For the exact moments
+    of an x in H^1 and true_value = x(1), each row's error is at most the
+    bound of ``point_value_estimator`` at its best_N, whose noise term is
+    this one: ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
     """
     if max_level_exp < 0:
         raise ValueError("max_level_exp must be >= 0")

@@ -7,7 +7,7 @@ derivative) so that the two can be checked against each other.
 
 import numbers
 from fractions import Fraction
-from math import comb, fsum, isqrt
+from math import comb, fsum, isqrt, log, sqrt
 from operator import mul
 
 import mpmath as mp
@@ -289,3 +289,22 @@ def shared_node_moments(f, n):
 
     return [quad(integrand, 0.0, 1.0, args=(j - 1,), epsabs=tol, epsrel=tol, limit=200, points=pts)[0]
             for j in range(1, n + 1)]
+
+
+def point_value_bound(dx_norm, delta, N):
+    """The Hoelder-1/2 bound on the point-value estimate at level N.
+
+    For x in H^1 with ||x'|| = ``dx_norm`` and data off the exact moments
+    by e with ||e|| <= ``delta``: integration by parts against
+    K_N(t) = t + ... + t^N gives sum_{j<=N} j y_j = N x(1) - int K_N x',
+    so the bias is at most ||x'|| ||K_N|| / N with ||K_N||^2 =
+    sum_{j,k<=N} 1/(j+k+1) <= (2N+1) ln 2, and by Cauchy-Schwarz the noise
+    moves the estimate by at most delta sqrt(sum_{j<=N} j^2) / N.
+    """
+    return dx_norm * sqrt((2 * N + 1) * log(2)) / N + delta * sqrt((N + 1) * (2 * N + 1) / (6 * N))
+
+
+def kernel_norm_sq(N):
+    """||K_N||^2 = sum_{j,k=1..N} 1/(j+k+1) as a Fraction, one term per
+    s = j + k, which min(s - 1, 2N + 1 - s) of the pairs share."""
+    return sum(Fraction(min(s - 1, 2 * N + 1 - s), s + 1) for s in range(2, 2 * N + 1))

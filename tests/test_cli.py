@@ -60,6 +60,42 @@ def _capture(capsys, argv):
     return code, out
 
 
+class TestPackageImport:
+    """``import hausmom`` loads the exact core only; the float layers load at
+    the first read of one of their names, and ``hausmom.cli`` loads them all."""
+
+    def test_growth_study_leaves_numpy_out(self):
+        _run_fresh("import hausmom\nrows = hausmom.linv_growth_study(24)\nassert len(rows) == 24\n"
+                   + _loaded_none_of("numpy", "scipy", "sympy"))
+
+    def test_exports_are_their_home_module_objects(self):
+        # each name resolved lazily in a fresh interpreter, then kept in the package dict
+        _run_fresh("import sys, hausmom\n"
+                   "assert dir(hausmom) == sorted(hausmom.__all__) and len(hausmom.__all__) == 59\n"
+                   "for name in hausmom.__all__:\n"
+                   "    obj = getattr(hausmom, name)\n"
+                   "    home = obj.__module__\n"
+                   "    assert home.startswith('hausmom.') and getattr(sys.modules[home], name) is obj, name\n"
+                   "    assert vars(hausmom)[name] is obj, name\n"
+                   "assert hausmom.linv_growth_study.__module__ == 'hausmom.exact_core'\n")
+
+    def test_star_import_binds_every_export(self):
+        _run_fresh("from hausmom import *\nimport hausmom\n"
+                   "assert len(hausmom.__all__) == 59 and all(n in globals() for n in hausmom.__all__)\n")
+
+    def test_unknown_name_raises_attribute_error(self):
+        import hausmom
+
+        with pytest.raises(AttributeError, match="module 'hausmom' has no attribute 'no_such_name'"):
+            hausmom.no_such_name
+        assert not hasattr(hausmom, "no_such_name")
+
+    def test_cli_loads_every_layer(self):
+        # the traced benchmark instruments the layer modules loaded by `import hausmom.cli`
+        layers = {f"hausmom.{layer}" for layer in TRACED_LAYERS}
+        _run_fresh(f"import sys, hausmom.cli\nassert {layers!r} <= set(sys.modules)\n")
+
+
 class TestParsing:
     def test_delta_range(self, capsys):
         assert _parse_deltas("1e-2..1e-5") == [1e-2, 1e-3, 1e-4, 1e-5]

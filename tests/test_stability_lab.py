@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -8,11 +9,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hausmom.exact_core as exact_core
 import hausmom.stability_lab as lab
 
-from hausmom.exact_core import inverse_hilbert, spectral_norm, spectral_norm_with_reference
+from hausmom.exact_core import inverse_hilbert, linv_growth_study, spectral_norm, spectral_norm_with_reference
 from hausmom.functions import constant, peak, polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
 from hausmom.stability_lab import (
@@ -24,14 +26,21 @@ from hausmom.stability_lab import (
     holder_counterexample,
     lambert_w,
     laplace_consistency,
-    linv_growth_study,
     log_ratio,
     noisy_data,
     point_value_estimator,
     point_value_noise_study,
     stability_bound,
 )
-from oracles import all_ones_growth_rel_errs, choi_trace_inverse_hilbert, factored_gram_norm, loop_choose_m
+from oracles import (
+    all_ones_growth_rel_errs,
+    choi_trace_inverse_hilbert,
+    factored_gram_norm,
+    kernel_norm_sq,
+    loop_choose_m,
+    point_value_bound,
+)
+from strategies import EXACT
 
 GROWTH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "growth.json"
 
@@ -281,8 +290,7 @@ class TestGrowthStudy:
                 steps.append(calls)
 
         monkeypatch.setattr(exact_core, "_power_iteration", counted)
-        for mod in (exact_core, lab):
-            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: builds.append(n) or linv(n))
+        monkeypatch.setattr(exact_core, "inverse_factor_Linv", lambda n: builds.append(n) or linv(n))
         linv_growth_study(24)
         spectral, reference = steps[::2], steps[1::2]
         assert builds == [24] and len(reference) == 24
@@ -290,16 +298,14 @@ class TestGrowthStudy:
 
     def test_refuses_level_past_double_range_before_work(self, monkeypatch):
         # exp(1.763 i) overflows a double from i = 403
-        for mod in (exact_core, lab):
-            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        monkeypatch.setattr(exact_core, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="n_max must be <= 402"):
             linv_growth_study(403)
         assert time.perf_counter() - start < 0.5
 
     def test_refuses_low_precision_before_work(self, monkeypatch):
-        for mod in (exact_core, lab):
-            monkeypatch.setattr(mod, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
+        monkeypatch.setattr(exact_core, "inverse_factor_Linv", lambda n: pytest.fail("built M"))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="precision must be >= 64 bits"):
             linv_growth_study(402, precision=63)
@@ -325,6 +331,35 @@ class TestPointValue:
         for N in (10, 100, 1000, 10_000):
             err = abs(point_value_estimator(seq, N) - 1.0)
             assert err <= (math.log(N) + 1) / N
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(EXACT, min_size=1, max_size=8), N=st.integers(1, 50))
+    def test_averaged_identity_is_exact(self, coeffs, N):
+        # x = sum c_k t^k, K_N = t + ... + t^N: sum_{j<=N} j y_j = N x(1) - int K_N x'
+        # in Fractions, and the bias (1/N) int K_N x' is within ||x'|| ||K_N|| / N,
+        # ||K_N||^2 <= (2N+1) ln 2, the bias term of point_value_bound
+        y = exact_polynomial_moments(coeffs, N)
+        weighted = sum(j * v for j, v in enumerate(y.values, 1))
+        kx = sum(Fraction(k * c, j + k) for j in range(1, N + 1) for k, c in enumerate(coeffs) if k)
+        assert weighted == N * sum(coeffs) - kx
+        dx_sq = sum(Fraction(k * l * a * b, k + l - 1)
+                    for k, a in enumerate(coeffs) for l, b in enumerate(coeffs) if k and l)
+        assert kx * kx <= dx_sq * kernel_norm_sq(N) and kernel_norm_sq(N) <= (2 * N + 1) * math.log(2)
+        # the estimator rounds each y_j and each j y_j once, then sums them with fsum
+        scale = float(sum(abs(j * v) for j, v in enumerate(y.values, 1))) / N
+        assert abs(point_value_estimator(y, N) - float(weighted / N)) <= 2.0**-50 * scale
+
+    @pytest.mark.parametrize("x1, dx_norm, moments", [
+        (1.0, 1.0, lambda n: [1.0 / (j + 1) for j in range(1, n + 1)]),
+        # (1-t)^0.75: moments B(j, 1.75), by y_{j+1} = y_j j / (j + 1.75); ||x'||^2 = 9/8
+        (0.0, math.sqrt(9 / 8), lambda n: list(itertools.accumulate(range(1, n), lambda y, j: y * j / (j + 1.75),
+                                                                    initial=1 / 1.75))),
+    ], ids=["t", "(1-t)^0.75"])
+    def test_noise_study_within_holder_bound(self, x1, dx_norm, moments):
+        deltas = [10.0**-k for k in range(2, 7)]
+        rows = point_value_noise_study(moments(2**17), x1, deltas, max_level_exp=17)
+        for row, delta in zip(rows, deltas):
+            assert row["error"] <= point_value_bound(dx_norm, delta, row["best_N"])
 
     def test_noise_study_structure(self):
         y = [1.0 / (j + 1) for j in range(1, 2**12 + 1)]
