@@ -7,10 +7,13 @@ problem on [0, 1].
 
 ``import hausmom`` loads the exact core, which needs only the standard
 library.  The float layers (``functions``, ``legendre``, ``moment_ops``,
-``range_diagnostics``, ``stability_lab``) and numpy load when one of
-their names is first read from the package; the name is then stored
-here, so later reads, and code that rebinds it, see an ordinary module
-attribute.
+``range_diagnostics``, ``stability_lab``) load when one of their names
+is first read from the package; the name is then stored here, so later
+reads, and code that rebinds it, see an ordinary module attribute.  The
+layers bind numpy through ``hausmom._lazy``, so importing them, as
+``hausmom.cli`` does, leaves numpy's import to the first numpy
+operation: the ``hilbert``, ``linv``, ``hausdorff`` and ``growth``
+commands never execute it.
 """
 
 __version__ = "0.1.0"

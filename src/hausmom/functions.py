@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
+from ._lazy import numpy as np
 
 
 @dataclass(frozen=True)

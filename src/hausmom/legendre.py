@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import sqrt
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
+from ._lazy import numpy as np
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,13 @@ class LegendreExpansion:
 
 @cache
 def _leggauss(npts):
-    """numpy's leggauss(npts), made read-only; only QuadratureRule.composite reads it."""
+    """numpy's leggauss(npts), made read-only; only QuadratureRule.composite reads it.
+
+    leggauss is imported here, at call time, so that importing this module
+    does not execute numpy.
+    """
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(npts)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import inf, isfinite, lcm, sqrt
 from operator import mul
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_factor_L
 from .functions import _horner
 from .legendre import LegendreExpansion, _unit_points, project

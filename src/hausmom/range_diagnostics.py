@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import comb, fsum, isfinite
 from operator import index, mul
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .exact_core import RationalMatrix, _common_den, _picard_sum, cholesky_factor_L
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "verify_TN_identity",
     "picard_partial_sums",
     "stable_family",
+    "lacunary_stability_bound",
 ]
 
 
@@ -208,3 +208,45 @@ def stable_family(alpha, J):
         l2_function_norm_sq=1.0 / (1.0 + 2.0 * alpha),
         hardy_norm_sq=hardy,
     )
+
+
+_LN2_UPPER = Fraction(6931472, 10**7)  # ln 2 = 0.69314718..., rounded up
+
+
+def lacunary_stability_bound(q):
+    """Exact lower bound on ||Ax||^2 / ||x||^2 over the closed span of the
+    witnesses x_i = sqrt(i) t^i, i = q^(2a), a >= 1 (q an integer >= 2).
+
+    A is not compact: the unit vectors u_i = sqrt(2i+1) t^i tend weakly to
+    0, yet ||A u_i||^2 = (2i+1) psi'(i+1) > (2i+1)/(i+1) >= 3/2, with psi'
+    the trigamma function.  Its range is not closed either, yet on this
+    infinite-dimensional subspace A has a bounded inverse.  With
+    sqrt(ik) = q^(a+b) the Gram matrices are
+
+        G_x: <x_i, x_k> = sqrt(ik)/(i+k+1),
+        G_A: <A x_i, A x_k> = sqrt(ik) (H_k - H_i)/(k - i) for i < k,
+             ||A x_i||^2 = i psi'(i+1),
+
+    H the harmonic numbers.  Gershgorin bounds both, with r = 1/q: the
+    diagonal of G_x is below 1/2 and its entry at distance d below r^d, so
+    lambda_max(G_x) <= 1/2 + 2/(q-1); the diagonal of G_A exceeds
+    q^2/(q^2+1), and as H_k - H_i <= ln(k/i) = 2d ln q its entry at distance
+    d is at most 2d ln q r^d / (1 - r^2), so its off-diagonal row sum is at
+    most 4 ln q r / ((1 - r)^2 (1 - r^2)).  Writing q = 2^k x with
+    1 <= x < 2, ln q <= k ln 2 + (x - 1/x)/2, with a rational upper bound
+    on ln 2.  The result is lambda_min(G_A) / lambda_max(G_x) as a
+    Fraction: 1.3755 at q = 64.  A q whose G_A rows are not diagonally
+    dominant (q <= 12) is refused.
+    """
+    q = index(q)
+    if q < 2:
+        raise ValueError("q must be an integer >= 2")
+    r = Fraction(1, q)
+    gx_max = Fraction(1, 2) + 2 * r / (1 - r)
+    k = q.bit_length() - 1
+    x = Fraction(q, 1 << k)
+    ln_q = k * _LN2_UPPER + (x - 1 / x) / 2
+    ga_min = Fraction(q * q, q * q + 1) - 4 * ln_q * r / ((1 - r) ** 2 * (1 - r * r))
+    if ga_min <= 0:
+        raise ValueError(f"the rows of G_A are not diagonally dominant at q = {q}")
+    return ga_min / gx_max

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from math import exp, fsum, isqrt, ldexp, log, sqrt
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .exact_core import inverse_factor_Linv
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse

@@ -308,3 +308,29 @@ def kernel_norm_sq(N):
     """||K_N||^2 = sum_{j,k=1..N} 1/(j+k+1) as a Fraction, one term per
     s = j + k, which min(s - 1, 2N + 1 - s) of the pairs share."""
     return sum(Fraction(min(s - 1, 2 * N + 1 - s), s + 1) for s in range(2, 2 * N + 1))
+
+
+def witness_grams(exponents):
+    """The Gram matrices G_x and G_A of the witnesses x_i = sqrt(i) t^i, i in
+    ``exponents``, as mpmath matrices at the working precision:
+    <x_i, x_k> = sqrt(ik)/(i+k+1) and <A x_i, A x_k> = sqrt(ik) sum_{j>=1}
+    1/((i+j)(k+j)), which is sqrt(ik) (psi(k+1) - psi(i+1))/(k-i) for i != k
+    and i psi'(i+1) for i = k."""
+    n = len(exponents)
+    gx, ga = mp.matrix(n), mp.matrix(n)
+    for a, i in enumerate(exponents):
+        for b, k in enumerate(exponents):
+            s = mp.sqrt(mp.mpf(i) * k)
+            gx[a, b] = s / (i + k + 1)
+            ga[a, b] = s * (mp.psi(1, i + 1) if i == k else (mp.digamma(k + 1) - mp.digamma(i + 1)) / (k - i))
+    return gx, ga
+
+
+def witness_section_eigenvalues(exponents, dps=80):
+    """The generalised eigenvalues of (G_A, G_x), ascending: mp.eigsy of
+    C^-1 G_A C^-T with G_x = C C^T.  The smallest is the squared infimum of
+    ||Ax|| / ||x|| over the span of the witnesses x_i, i in ``exponents``."""
+    with mp.workdps(dps):
+        gx, ga = witness_grams(list(exponents))
+        cinv = mp.cholesky(gx) ** -1
+        return sorted(mp.eigsy(cinv * ga * cinv.T, eigvals_only=True))

@@ -54,6 +54,10 @@ def _loaded_none_of(*packages):
     return f"import sys\nassert not {set(packages)!r} & {{m.split('.')[0] for m in sys.modules}}\n"
 
 
+# numpy's own __init__ imports dozens of numpy.* submodules, so while none is loaded numpy has not run
+_NUMPY_RAN = "any(m.startswith('numpy.') for m in sys.modules)"
+
+
 def _capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -148,6 +152,23 @@ class TestParsing:
                  ["growth", "--n-max", "4"]]
         _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    + _loaded_none_of("scipy"))
+
+    def test_cli_import_leaves_numpy_unexecuted(self):
+        layers = {f"hausmom.{layer}" for layer in
+                  ("exact_core", "functions", "legendre", "moment_ops", "range_diagnostics", "stability_lab")}
+        _run_fresh(f"import sys, hausmom.cli\nassert {layers!r} <= set(sys.modules)\n"
+                   f"assert not {_NUMPY_RAN}\n")
+
+    def test_exact_commands_leave_numpy_unexecuted(self):
+        calls = [["hilbert"], ["linv"], ["hausdorff"], ["growth", "--n-max", "4"]]
+        _run_fresh(f"import sys\nfrom hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
+                   f"assert not {_NUMPY_RAN}\nassert run(['reconstruct', '--poly', '3t^2-1']) == 0\n"
+                   f"assert {_NUMPY_RAN}\n")
+
+    def test_layers_bind_an_already_imported_numpy(self):
+        _run_fresh("import sys, types, numpy\nimport hausmom.legendre\n"
+                   "assert hausmom.legendre.np is sys.modules['numpy'] is numpy\n"
+                   "assert type(numpy) is types.ModuleType\n")
 
     def test_float_commands_leave_mpmath_out(self):
         calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["amplification"],

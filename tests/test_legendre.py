@@ -95,14 +95,15 @@ class TestQuadrature:
             assert np.array_equal(again.nodes, x) and np.array_equal(again.weights, w)
 
     def test_endpoint_graded_runs_leggauss_once(self, monkeypatch):
+        # _leggauss imports numpy's leggauss at call time, so the patch goes on numpy's module
         calls = []
-        real = legendre.leggauss
+        real = np.polynomial.legendre.leggauss
 
         def counting_leggauss(npts):
             calls.append(npts)
             return real(npts)
 
-        monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
         legendre._leggauss.cache_clear()
         rule = QuadratureRule.endpoint_graded(48)
         assert calls == [48]

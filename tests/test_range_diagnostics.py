@@ -14,12 +14,20 @@ from hausmom.range_diagnostics import (
     build_RN,
     forward_differences,
     hausdorff_criterion,
+    lacunary_stability_bound,
     picard_partial_sums,
     stable_family,
     tn_diagonal,
     verify_TN_identity,
 )
-from oracles import closed_form_RN, hilbert_polynomial_moments, loop_forward_difference, loop_polynomial_moments, same
+from oracles import (
+    closed_form_RN,
+    hilbert_polynomial_moments,
+    loop_forward_difference,
+    loop_polynomial_moments,
+    same,
+    witness_section_eigenvalues,
+)
 from strategies import EXACT_COEFFS, EXACT_DATA, FLOAT_DATA
 
 
@@ -239,6 +247,49 @@ class TestStableFamily:
                 stable_family(-0.25, bad)
         with pytest.raises(TypeError):
             stable_family(-0.25, 10.5)
+
+
+class TestTypeOneIllPosedness:
+    """A is not compact, and bounded below on the span of the lacunary
+    witnesses x_i = sqrt(i) t^i, i = q^(2a); consecutive i are not."""
+
+    def test_non_compactness_bound(self):
+        # ||A u_i||^2 for the weakly null unit vectors u_i = sqrt(2i+1) t^i
+        with mp.workdps(30):
+            norms_sq = [(2 * i + 1) * mp.psi(1, i + 1) for i in range(1, 1001)]
+        assert min(norms_sq) > 1.5
+        assert [round(float(norms_sq[i - 1]), 5) for i in (1, 2, 10, 100)] == [1.9348, 1.97467, 1.99849, 1.99998]
+
+    def test_certificate_at_q_64(self):
+        bound = lacunary_stability_bound(64)
+        assert isinstance(bound, Fraction) and bound > Fraction(13, 10)
+        assert float(bound) == pytest.approx(1.3755, abs=1e-4)
+
+    @pytest.mark.parametrize("q", [13, 16, 64, 1000])
+    def test_certificate_below_every_finite_section(self, q):
+        bound = lacunary_stability_bound(q)
+        infima = []
+        for K in range(2, 6):
+            lam_min = witness_section_eigenvalues([q ** (2 * a) for a in range(1, K + 1)])[0]
+            assert mp.mpf(bound.numerator) / bound.denominator <= lam_min, K
+            infima.append(round(float(mp.sqrt(lam_min)), 3))
+        if q == 64:
+            assert infima == [1.340, 1.308, 1.292, 1.283]
+
+    def test_consecutive_sections_collapse(self):
+        infima = [mp.sqrt(witness_section_eigenvalues(range(1, K + 1))[0]) for K in (4, 8, 16)]
+        assert [float(mp.nstr(v, 2)) for v in infima] == [0.13, 0.0027, 6.6e-7]
+        assert infima[-1] < 1e-6
+
+    def test_refusals(self):
+        assert lacunary_stability_bound(13) > 0
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            lacunary_stability_bound(1)
+        for q in (8, 12):
+            with pytest.raises(ValueError, match=f"not diagonally dominant at q = {q}"):
+                lacunary_stability_bound(q)
+        with pytest.raises(TypeError):
+            lacunary_stability_bound(64.0)
 
 
 class TestEdgeBranches:
