@@ -366,7 +366,7 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
         prev = vw, vv
     raise SpectralNormError(
         f"power iteration did not converge to tol={float(tol):g} in {_MAX_ITER} iterations",
-        last_estimate=None if prev is None else value(Fraction(*prev)),
+        last_estimate=value(Fraction(*prev)),
         iterations=_MAX_ITER,
     )
 

@@ -18,7 +18,7 @@ from operator import mul
 
 from ._lazy import numpy as np
 from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_factor_L
-from .functions import _horner
+from .functions import TestFunction, _horner
 from .legendre import LegendreExpansion, _unit_points, project
 
 __all__ = [
@@ -174,19 +174,17 @@ def projection_error(f, n):
 
 
 def sobolev_norm(f, kind="H1"):
-    """The norm a SobolevBudget names, H1, H1-seminorm or H2, by quadrature."""
+    """The norm a SobolevBudget names, H1, H1-seminorm or H2; each squared L2 norm by ``forward_moments``."""
     if kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
     if f.derivative is None:
         raise ValueError(f"{f.label}: derivative required for {kind} norm")
     if kind == "H2" and f.second_derivative is None:
         raise ValueError(f"{f.label}: second derivative required for H2 norm")
-    from scipy.integrate import quad
-    pts = sorted(set(f.breakpoints)) or None
 
-    def _l2sq(g):
-        return quad(lambda t: np.asarray(g(t), dtype=float) ** 2, 0.0, 1.0,
-                    epsabs=1e-13, epsrel=1e-13, limit=200, points=pts)[0]
+    def _l2sq(g):  # moment 1 of g^2, on f's breakpoints
+        g_sq = TestFunction(lambda t: np.asarray(g(t), dtype=float) ** 2, breakpoints=f.breakpoints)
+        return forward_moments(g_sq, 1).values[0]
 
     if kind == "H1-seminorm":
         return sqrt(_l2sq(f.derivative))

@@ -16,6 +16,7 @@ from math import exp, fsum, isqrt, ldexp, log, sqrt
 
 from ._lazy import numpy as np
 from .exact_core import inverse_factor_Linv
+from .functions import TestFunction
 from .legendre import QuadratureRule, l2_distance, project
 from .moment_ops import MomentSequence, forward_moments, pseudoinverse
 
@@ -100,16 +101,17 @@ class BumpFamily:
 
 
 def lambert_w(z):
-    """Principal branch W(z) for finite z >= -1/e, from ``scipy.special.lambertw``.
+    """Principal branch W(z) for finite z >= -1/e: ``mpmath.lambertw`` at 80 bits, rounded once.
 
-    W(-1/e) = -1 is returned directly: scipy gives nan at that double.
+    W(-1/e) = -1 is returned directly: mpmath's W is complex at that double, just below -1/e.
     """
     if not -1.0 / math.e <= z < math.inf:
         raise ValueError("lambert_w needs a finite z >= -1/e")
     if z == -1.0 / math.e:
         return -1.0
-    from scipy.special import lambertw
-    return float(lambertw(z).real)
+    import mpmath as mp
+    with mp.workprec(80):
+        return float(mp.lambertw(z))
 
 
 def stability_bound(delta, E, C_hat):
@@ -259,10 +261,13 @@ def point_value_estimator(y, N):
 
     and N near sqrt(6 ln 2) ||x'|| / delta makes this about
     1.65 sqrt(||x'|| delta): the value at t = 1 is Hoelder-1/2 stable.
+    A non-finite moment among the N it reads is refused.
     """
     if N < 1 or N > y.n:
         raise ValueError("N must satisfy 1 <= N <= y.n")
     vals = y.to_array()[:N]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("moments must be finite")
     return fsum((j + 1) * v for j, v in enumerate(vals)) / N
 
 
@@ -277,14 +282,19 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
     of an x in H^1 and true_value = x(1), each row's error is at most the
     bound of ``point_value_estimator`` at its best_N, whose noise term is
     this one: ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
+    Non-finite moments or true_value are refused.
     """
     if max_level_exp < 0:
         raise ValueError("max_level_exp must be >= 0")
     if not all(0 <= d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and >= 0")
+    if not math.isfinite(true_value):
+        raise ValueError("true_value must be finite")
     y = np.asarray(y_values, dtype=float)
     if not y.size:
         raise ValueError("y_values must not be empty")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("moments must be finite")
     levels = [2**q for q in range(max_level_exp + 1) if 2**q <= len(y)]
     j = np.arange(1, len(y) + 1, dtype=float)
     partial = np.cumsum(j * y)
@@ -463,12 +473,8 @@ def laplace_consistency(f, j_list, tol=1e-8):
 
 
 def eit_forward(sigma, n_list):
-    """Linearized layered-disc forward map: ((n+1)/2) moment_n of sigma(sqrt(t))."""
+    """Linearized layered-disc forward map: ((n+1)/2) moment_n of sigma(sqrt(t)), by ``forward_moments``."""
     if not n_list or min(n_list) < 1:
         raise ValueError("mode numbers must be a nonempty list of n >= 1")
-    from scipy.integrate import quad
-    out = []
-    for n in n_list:
-        out.append((n + 1) / 2.0 * quad(lambda t: float(sigma(sqrt(t))) * t ** (n - 1), 0.0, 1.0,
-                                        epsabs=1e-13, epsrel=1e-13, limit=200)[0])
-    return np.array(out)
+    y = forward_moments(TestFunction(lambda t: sigma(sqrt(t))), max(n_list)).values
+    return np.array([(n + 1) / 2.0 * y[n - 1] for n in n_list])

@@ -100,6 +100,44 @@ class TestPackageImport:
         _run_fresh(f"import sys, hausmom.cli\nassert {layers!r} <= set(sys.modules)\n")
 
 
+def _import_sites(package):
+    """(module, function) of every import of package in src/hausmom/*.py: the outermost
+    enclosing def, or None for an import that runs when the module is imported."""
+    sites = set()
+
+    def visit(node, module, function):
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+        if any(name.split(".")[0] == package for name in names):
+            sites.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hausmom").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+class TestDependencyOwners:
+    """Each optional dependency is imported by the few functions that need it, never at module level."""
+
+    @pytest.mark.parametrize("package, owners", [
+        ("scipy", {("moment_ops", "forward_moments"), ("stability_lab", "laplace_consistency")}),
+        ("sympy", {("stability_lab", "_mother_bump_derivative")}),
+    ])
+    def test_one_owner(self, package, owners):
+        assert _import_sites(package) == owners
+
+    @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath"])
+    def test_never_at_module_level(self, package):
+        sites = _import_sites(package)
+        assert sites and all(function is not None for _, function in sites)
+
+
 class TestParsing:
     def test_delta_range(self, capsys):
         assert _parse_deltas("1e-2..1e-5") == [1e-2, 1e-3, 1e-4, 1e-5]
@@ -164,6 +202,12 @@ class TestParsing:
         _run_fresh(f"import sys\nfrom hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    f"assert not {_NUMPY_RAN}\nassert run(['reconstruct', '--poly', '3t^2-1']) == 0\n"
                    f"assert {_NUMPY_RAN}\n")
+
+    def test_stability_bound_leaves_scipy_out_and_numpy_unexecuted(self):
+        # lambert_w is mpmath's, so the balanced truncation level needs neither scipy nor numpy
+        _run_fresh("import sys\nfrom hausmom import stability_bound\n"
+                   "assert stability_bound(1e-6, 1, 1).N_star > 0\n"
+                   f"assert not {_NUMPY_RAN}\n" + _loaded_none_of("scipy"))
 
     def test_layers_bind_an_already_imported_numpy(self):
         _run_fresh("import sys, types, numpy\nimport hausmom.legendre\n"

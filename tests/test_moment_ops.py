@@ -259,6 +259,22 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match="unknown norm kind"):
             sobolev_norm(polynomial((0, 1)), kind)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("kind", ["H1", "H1-seminorm"])
+    def test_non_convergence_is_refused(self, kind):
+        # each squared norm is a forward_moments integral, which refuses a NaN
+        f = functions.TestFunction(value=lambda t: 1.0, derivative=lambda t: math.nan)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sobolev_norm(f, kind)
+
+    def test_squared_norms_on_the_breakpoints(self, monkeypatch):
+        import hausmom.moment_ops as mo
+
+        calls = []
+        monkeypatch.setattr(mo, "forward_moments", lambda g, n: calls.append((g.breakpoints, n)) or forward_moments(g, n))
+        assert sobolev_norm(abs_kink(), "H1") == pytest.approx(math.sqrt(1 / 12 + 1))
+        assert calls == [((0.5,), 1), ((0.5,), 1)]
+
     def test_missing_derivative(self):
         from hausmom.functions import g_alpha
 

@@ -379,6 +379,24 @@ class TestPointValue:
         with pytest.raises(ValueError, match="y_values must not be empty"):
             point_value_noise_study([], 1.0, [1e-2])
 
+    @pytest.mark.parametrize("y_values, true_value, message", [
+        ([math.nan, 0.5, 0.3, 0.2], 1.0, "moments must be finite"),
+        ([1.0, 0.5, math.inf], 1.0, "moments must be finite"),
+        ([1.0, 0.5, 0.3, 0.2], math.nan, "true_value must be finite"),
+        ([1.0, 0.5], -math.inf, "true_value must be finite"),
+    ], ids=["nan-moment", "inf-moment", "nan-true-value", "inf-true-value"])
+    def test_noise_study_refuses_non_finite(self, y_values, true_value, message):
+        with pytest.raises(ValueError, match=message):
+            point_value_noise_study(y_values, true_value, [0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_estimator_refuses_non_finite(self, bad):
+        # like range_diagnostics, only the moments read are checked
+        y = MomentSequence.from_values([1.0, bad, 1 / 3])
+        with pytest.raises(ValueError, match="moments must be finite"):
+            point_value_estimator(y, 2)
+        assert point_value_estimator(y, 1) == 1.0
+
 
 class TestCounterexample:
     def test_bump_moments_vanish(self):
@@ -482,6 +500,19 @@ class TestCrossChecks:
         monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: pytest.fail("quadrature ran"))
         with pytest.raises(ValueError, match="mode numbers must be a nonempty list of n >= 1"):
             eit_forward(constant(1.0), modes)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_eit_refuses_non_convergence(self):
+        # the moments come from forward_moments, which refuses a NaN integral
+        with pytest.raises(RuntimeError, match="did not converge"):
+            eit_forward(lambda r: math.nan, [1, 2])
+
+    def test_eit_one_quadrature_for_all_modes(self, monkeypatch):
+        levels = []
+        monkeypatch.setattr(lab, "forward_moments", lambda f, n: levels.append(n) or forward_moments(f, n))
+        vals = eit_forward(constant(1.0), [5, 1, 3])
+        assert levels == [5]
+        assert np.allclose(vals, [(n + 1) / (2 * n) for n in (5, 1, 3)])
 
     def test_eit_linearity(self):
         s1, s2 = constant(1.0), polynomial((0, 0, 1))
