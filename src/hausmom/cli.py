@@ -263,11 +263,12 @@ def _cmd_growth(args):
 
 def _cmd_pointvalue(args):
     deltas = _parse_deltas(args.deltas)
+    if args.max_level_exp < 0:
+        raise ValueError("max_level_exp must be >= 0")
     if args.max_level_exp > _MAX_LEVEL_EXP:
         raise ValueError(f"max_level_exp must be <= {_MAX_LEVEL_EXP}")
-    # the study itself refuses a negative exponent
-    y = [1.0 / (j + 1) for j in range(1, 2 ** max(args.max_level_exp, 0) + 1)]
-    rows = point_value_noise_study(y, 1.0, deltas, args.max_level_exp)
+    y = [1.0 / (j + 1) for j in range(1, 2**args.max_level_exp + 1)]
+    rows = point_value_noise_study(y, 1.0, deltas)
     return rows, None
 
 

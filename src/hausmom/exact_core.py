@@ -23,10 +23,12 @@ useless long before n = 65.  mpmath is imported there, at the first
 call, so importing this module (or the package) does not load it.
 
 The value's iteration starts from the all-ones vector, whose product is
-the matrix's row sums, so its first step computes no product.  The
-reference continues that iteration from the iterate and product it
-stopped at, to a tighter tolerance, so at 256 bits and above the gap
-between the two is the value's own error.
+the matrix's row sums, so its first step computes no product.  If its
+iterate has mixed signs in D, the signs of row 1, it is restarted once
+from D times the all-ones vector and the larger Rayleigh quotient is
+kept.  The reference continues the iteration that gave the value from
+the iterate and product it stopped at, to a tighter tolerance, so at 256
+bits and above the gap between the two is the value's own error.
 
 The paper's growth table, ``linv_growth_study``, is built here from
 those two pieces alone: each level's H_i^{-1} from the rank-one
@@ -375,10 +377,15 @@ def spectral_norm(m, precision=256):
     """Power-iteration eigenvalue of a symmetric PSD RationalMatrix.
 
     Exact products on the int rows ``m.num``, divided by ``m.den``; stops at
-    relative tolerance 1e-20.  If the all-ones start misses the top
-    eigenvector, the result is a lower one.
+    relative tolerance 1e-20.  The iteration starts from the all-ones
+    vector and is restarted once from D 1 when its iterate has components
+    of both signs in D, the signs of row 1 (see ``_signed_iteration``).
+    Where D m D > 0, as for H_n and H_n^-1, the value therefore comes from
+    an iterate with no mixed signs in D, so from the Perron direction.
+    That is not a bracket: the value is not certified to be the largest
+    eigenvalue.
     """
-    return _all_ones_iteration(m, precision)[0]
+    return _signed_iteration(m, precision)[0]
 
 
 def spectral_norm_with_reference(m, precision):
@@ -390,7 +397,7 @@ def spectral_norm_with_reference(m, precision):
     error of about 10^-(precision // 4): at 256 bits and above it is far
     more accurate than the value, so their gap is the value's own error.
     """
-    value, v, w = _all_ones_iteration(m, precision)
+    value, v, w = _signed_iteration(m, precision)
     tol = Fraction(10) ** -(precision // 8)
     return value, _power_iteration(partial(_times, m.num), v, precision, tol, m.den, w)[0]
 
@@ -409,6 +416,22 @@ def _all_ones_iteration(m, precision):
     shift = precision + _GUARD_BITS
     return _power_iteration(partial(_times, m.num), [1 << shift] * m.rows, precision, 1e-20, m.den,
                             w=[sum(row) << shift for row in m.num])
+
+
+def _signed_iteration(m, precision):
+    """``_all_ones_iteration``, restarted once when its iterate v has
+    components of both signs in D = diag(signs of row 1 of ``m.num``, 0
+    counted as +): from D 1, which is positive in the flipped basis, so
+    not orthogonal to the Perron vector of a D m D > 0.  The larger
+    Rayleigh quotient is kept with its own iterate and product."""
+    found = _all_ones_iteration(m, precision)
+    signs = [-1 if x < 0 else 1 for x in m.num[0]]
+    dv = list(map(mul, signs, found[1]))
+    if min(dv) < 0 < max(dv):
+        shift = precision + _GUARD_BITS
+        again = _power_iteration(partial(_times, m.num), [s << shift for s in signs], precision, 1e-20, m.den)
+        found = max(found, again, key=lambda r: r[0])
+    return found
 
 
 def linv_growth_study(n_max, precision=256):

@@ -119,7 +119,10 @@ def stability_bound(delta, E, C_hat):
 
     N* = (4/7) W(7 E / (8 sqrt(C_hat) delta)) equalizes the smoothness
     term E^2/(4N^2) against the noise term C_hat exp(3.5 N) delta^2; the
-    returned bound is (7/sqrt(8)) E / W(arg).
+    returned bound is (7/sqrt(8)) E / W(arg).  It is checked at the
+    integer level floor(N*), not at ceil(N*), for delta from 1e-3 to 1e-33
+    (floor(N*) from 2 to 40): there the exact worst-case reconstruction
+    error of ``abs_kink`` (E = 1, C_hat = 1) stays below it.
     """
     if not all(0 < v < math.inf for v in (delta, E, C_hat)):
         raise ValueError("delta, E and C_hat must be finite and positive")
@@ -145,8 +148,6 @@ def _perturbed(y, delta, rng):
 
 def noisy_data(y, model):
     """y plus a Gaussian perturbation of l2 norm delta, up to rounding (see NoiseModel)."""
-    if model.delta == 0.0:
-        return MomentSequence.from_values([float(v) for v in y.values])
     return _perturbed(y, model.delta, np.random.default_rng(model.seed))
 
 
@@ -271,21 +272,20 @@ def point_value_estimator(y, N):
     return fsum((j + 1) * v for j, v in enumerate(vals)) / N
 
 
-def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
+def point_value_noise_study(y_values, true_value, deltas):
     """Worst-case point-value errors over dyadic averaging lengths.
 
     For each delta the perturbation is the one that saturates the
     Cauchy-Schwarz step of the estimator's noise term, e = -delta j/|j|,
     so the measured error is bias(N) + delta sqrt(sum j^2)/N with no
     sampling noise.  Returns rows (delta, best_N, error) where the error
-    is minimized over N in {2^0 .. 2^max_level_exp}.  For the exact moments
-    of an x in H^1 and true_value = x(1), each row's error is at most the
-    bound of ``point_value_estimator`` at its best_N, whose noise term is
-    this one: ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
+    is minimized over the dyadic N = 2^q <= len(y_values), so the data's
+    length sets the largest level.  For the exact moments of an x in H^1
+    and true_value = x(1), each row's error is at most the bound of
+    ``point_value_estimator`` at its best_N, whose noise term is this one:
+    ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
     Non-finite moments or true_value are refused.
     """
-    if max_level_exp < 0:
-        raise ValueError("max_level_exp must be >= 0")
     if not all(0 <= d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and >= 0")
     if not math.isfinite(true_value):
@@ -295,7 +295,7 @@ def point_value_noise_study(y_values, true_value, deltas, max_level_exp=17):
         raise ValueError("y_values must not be empty")
     if not np.all(np.isfinite(y)):
         raise ValueError("moments must be finite")
-    levels = [2**q for q in range(max_level_exp + 1) if 2**q <= len(y)]
+    levels = [2**q for q in range(len(y).bit_length())]
     j = np.arange(1, len(y) + 1, dtype=float)
     partial = np.cumsum(j * y)
     partial_j2 = np.cumsum(j * j)
@@ -346,16 +346,14 @@ def bump_family(k, m):
         raise RuntimeError(f"bump derivative order m + k = {m + k} exceeds the symbolic limit {_MAX_BUMP_ORDER}")
     rule = QuadratureRule.gauss(400)
     derivs = [_mother_bump_derivative(m + order) for order in range(k + 1)]
-    hk_sq = fsum(
-        float(np.sum(rule.weights * np.asarray(d(rule.nodes)) ** 2)) for d in derivs
-    )
-    hk = sqrt(hk_sq)
+    at_nodes = [np.asarray(d(rule.nodes)) for d in derivs]
+    hk = sqrt(fsum(float(np.sum(rule.weights * a**2)) for a in at_nodes))
     base = derivs[0]
 
     def value(t):
         return np.asarray(base(t)) / hk
 
-    vals = np.asarray(base(rule.nodes)) / hk
+    vals = at_nodes[0] / hk
     moments = np.array([
         float(np.sum(rule.weights * rule.nodes ** (j - 1) * vals))
         for j in range(1, 61)
@@ -445,8 +443,9 @@ def laplace_consistency(f, j_list, tol=1e-8):
 
     The substitution t = exp(-tau) turns the j-th moment into an integral
     of exp(-j tau) f(exp(-tau)) over (0, inf), truncated at T_j with the
-    exp(-j T)/j tail bound kept below tol/10.  An empty level list or a
-    level below 1 is refused before any quadrature runs.
+    exp(-j T)/j tail bound kept below tol/10.  An empty level list, a
+    level below 1, or an f that is not finite on its 2001-point grid of
+    [0, 1] is refused before any quadrature runs.
     """
     if not j_list:
         raise ValueError("j_list must not be empty")
@@ -454,10 +453,11 @@ def laplace_consistency(f, j_list, tol=1e-8):
         raise ValueError("levels must be >= 1")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
+    mf = float(np.max(np.abs(np.asarray(f(np.linspace(0.0, 1.0, 2001)))))) or 1.0
+    if not math.isfinite(mf):
+        raise ValueError("f must be finite on [0, 1]")
     from scipy.integrate import quad
     y = forward_moments(f, max(j_list))
-    t_grid = np.linspace(0.0, 1.0, 2001)
-    mf = float(np.max(np.abs(np.asarray(f(t_grid))))) or 1.0
     rows = []
     for j in j_list:
         T = max(1.0, log(10.0 * mf / (j * tol)) / j)

@@ -334,3 +334,33 @@ def witness_section_eigenvalues(exponents, dps=80):
         gx, ga = witness_grams(list(exponents))
         cinv = mp.cholesky(gx) ** -1
         return sorted(mp.eigsy(cinv * ga * cinv.T, eigvals_only=True))
+
+
+def abs_kink_moments(n):
+    """The moments y_j = int_0^1 t^(j-1) |t - 1/2| dt, j = 1..n, as exact
+    Fractions: F(1) - 2 F(1/2) for F(t) = t^(j+1)/(j+1) - t^j/(2j), the
+    antiderivative of (t - 1/2) t^(j-1) that vanishes at 0."""
+    h = Fraction(1, 2)
+    return [Fraction(1, j + 1) - Fraction(1, 2 * j) - 2 * (h ** (j + 1) / (j + 1) - h**j / (2 * j))
+            for j in range(1, n + 1)]
+
+
+def closed_form_inverse_hilbert(n):
+    """H_n^-1 as an mpmath matrix of the exact closed-form entries
+    (-1)^(i+j) (i+j-1) C(n+i-1, n-j) C(n+j-1, n-i) C(i+j-2, i-1)^2."""
+    return mp.matrix([[(-1) ** (i + j) * (i + j - 1) * comb(n + i - 1, n - j) * comb(n + j - 1, n - i)
+                       * comb(i + j - 2, i - 1) ** 2 for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def worst_case_total(coefficients, norm_sq, n, delta):
+    """L2 error of the level-n pseudoinverse on exact moments plus the worst
+    noise of norm delta, the top eigenvector of H_n^-1: the reconstruction
+    is f's first n Legendre coefficients plus Linv e, with ||Linv e||^2 =
+    delta^2 lambda_max(H_n^-1), orthogonal to f's tail beyond n, so the
+    error is sqrt(tail_n^2 + delta^2 lambda_max).  tail_n^2 is ||f||^2 =
+    ``norm_sq`` less the squares of ``coefficients[:n]``, which keeps the
+    part of the tail beyond the given coefficients; lambda_max is the
+    largest of mp.eigsy's eigenvalues at 20 digits."""
+    with mp.workdps(20):
+        lam = max(mp.eigsy(closed_form_inverse_hilbert(n), eigvals_only=True))
+    return sqrt(norm_sq - fsum(c * c for c in coefficients[:n]) + delta**2 * float(lam))

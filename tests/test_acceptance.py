@@ -132,7 +132,7 @@ def test_criterion_8_point_value():
     seq = hm.MomentSequence.from_values(y[:200])
     assert 0.03 <= abs(hm.point_value_estimator(seq, 100) - 1.0) <= 0.07
     deltas = [10.0**-k for k in range(2, 7)]
-    rows = hm.point_value_noise_study(y, 1.0, deltas, max_level_exp=17)
+    rows = hm.point_value_noise_study(y, 1.0, deltas)
     errs = [r["error"] for r in rows]
     slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
     assert 0.35 <= slope <= 0.65

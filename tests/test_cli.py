@@ -128,11 +128,12 @@ class TestDependencyOwners:
     @pytest.mark.parametrize("package, owners", [
         ("scipy", {("moment_ops", "forward_moments"), ("stability_lab", "laplace_consistency")}),
         ("sympy", {("stability_lab", "_mother_bump_derivative")}),
+        ("numpy", {("legendre", "_leggauss")}),
     ])
     def test_one_owner(self, package, owners):
         assert _import_sites(package) == owners
 
-    @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath"])
+    @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath", "numpy"])
     def test_never_at_module_level(self, package):
         sites = _import_sites(package)
         assert sites and all(function is not None for _, function in sites)

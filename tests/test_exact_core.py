@@ -17,6 +17,7 @@ from hausmom.exact_core import (
     inverse_factor_Linv,
     inverse_hilbert,
     spectral_norm,
+    spectral_norm_with_reference,
 )
 from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, factored_gram_norm, inverse_factor_rows
 from strategies import FRACTION
@@ -271,15 +272,18 @@ class TestSpectralNorm:
         with mp.workprec(256):
             assert lam == mp.mpf(q.numerator) / q.denominator
 
-    @pytest.mark.parametrize("m", [hilbert_matrix(6), *map(inverse_hilbert, range(1, 13)),
-                                   RationalMatrix([[3, -1], [-1, 3]], 2)],
+    @pytest.mark.parametrize("m, restarts", [(hilbert_matrix(6), False),
+                                             *((inverse_hilbert(n), False) for n in range(1, 13)),
+                                             (RationalMatrix([[3, -1], [-1, 3]], 2), True)],
                              ids=["hilbert_6", *(f"inverse_hilbert_{n}" for n in range(1, 13)), "orthogonal_start"])
-    def test_product_of_iterate_and_all_ones_value(self, m):
+    def test_product_of_iterate_and_all_ones_value(self, m, restarts):
         # the returned product is H v to the int, and taking the start's
-        # product from H's row sums leaves the value unchanged to the bit
+        # product from H's row sums leaves the value unchanged to the bit;
+        # spectral_norm returns that value unless its restart from D 1 fires
         lam, v, w = exact_core._all_ones_iteration(m, 256)
         assert w == [sum(map(mul, row, v)) for row in m.num]
-        assert lam == spectral_norm(m) == all_ones_spectral_norm(m, 256)
+        assert lam == all_ones_spectral_norm(m, 256)
+        assert (spectral_norm(m) == lam) is not restarts
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]
@@ -295,11 +299,25 @@ class TestSpectralNorm:
                                eigvals_only=True))
             assert abs(lam - ref) / ref < mp.mpf("1e-35")
 
-    @pytest.mark.xfail(strict=True, reason="the all-ones start vector is the eigenvector for 1; "
-                                           "a start vector that reaches the top eigenvalue is ROADMAP item 1")
     def test_largest_eigenvalue_of_orthogonal_start(self):
+        # the all-ones start is the eigenvector for 1; its iterate has mixed
+        # signs in D = diag(1, -1), so the restart from D 1 reaches 2
         m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
         assert spectral_norm(m) == 2
+        assert spectral_norm_with_reference(m, 256) == (2, 2)
+
+    def test_restart_that_does_not_converge_raises(self):
+        # eigenvalue 1 on the all-ones vector, 1000 and 999 on (1,-1,0) and
+        # (1,1,-2): row 1 gives D = diag(1, -1, -1), and from D 1 the
+        # quotient creeps toward 1000 as slowly as in test_iteration_cap
+        j = [[2] * 3] * 3
+        p2 = [[3000, -3000, 0], [-3000, 3000, 0], [0, 0, 0]]
+        p3 = [[999, 999, -1998], [999, 999, -1998], [-1998, -1998, 3996]]
+        m = RationalMatrix([[a + b + c for a, b, c in zip(*rows)] for rows in zip(j, p2, p3)], 6)
+        assert exact_core._all_ones_iteration(m, 256)[0] == 1
+        with pytest.raises(SpectralNormError, match="did not converge") as exc:
+            spectral_norm(m)
+        assert 999 < exc.value.last_estimate < 1000
 
 
 class TestEdgeBranches:

@@ -32,7 +32,6 @@ EXPECTED = {
     "constant(c)": 1.0,
     "laplace_consistency(tol)": 1e-8,
     "linv_growth_study(precision)": 256,
-    "point_value_noise_study(max_level_exp)": 17,
     "polynomial(label)": None,
     "sobolev_norm(kind)": "H1",
     "spectral_norm(precision)": 256,

@@ -15,8 +15,9 @@ import hausmom.exact_core as exact_core
 import hausmom.stability_lab as lab
 
 from hausmom.exact_core import inverse_hilbert, linv_growth_study, spectral_norm, spectral_norm_with_reference
-from hausmom.functions import constant, peak, polynomial
-from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments
+from hausmom.functions import abs_kink, constant, g_alpha, peak, polynomial
+from hausmom.legendre import project
+from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments, pseudoinverse
 from hausmom.stability_lab import (
     NoiseModel,
     amplification_experiment,
@@ -33,12 +34,15 @@ from hausmom.stability_lab import (
     stability_bound,
 )
 from oracles import (
+    abs_kink_moments,
     all_ones_growth_rel_errs,
     choi_trace_inverse_hilbert,
+    closed_form_inverse_hilbert,
     factored_gram_norm,
     kernel_norm_sq,
     loop_choose_m,
     point_value_bound,
+    worst_case_total,
 )
 from strategies import EXACT
 
@@ -117,6 +121,33 @@ class TestStabilityBound:
         # finite inputs whose W argument 7 E / (8 sqrt(C_hat) delta) overflows to inf
         with pytest.raises(ValueError, match="finite"):
             stability_bound(1e-300, 1e300, 1.0)
+
+    def test_worst_case_reconstruction_within_bound(self):
+        """abs_kink (E = ||f'|| = 1, C_hat = 1) from its exact moments plus the
+        worst noise of norm delta, reconstructed at N = floor(N*), for delta =
+        1e-3, 1e-6, ..., 1e-33: N* runs from 2.9 to 40.9, so N from 2 to 40.
+        The total error sqrt(tail_N^2 + delta^2 lambda_max(H_N^-1)) stays
+        below ``bound``; at N <= 10 the pseudoinverse of y + e, e the top
+        eigenvector scaled to norm delta, has exactly that error."""
+        c = project(abs_kink(), 160).coefficients
+        y = abs_kink_moments(40)
+        norm_sq = 1 / 12  # ||f||^2 = int_0^1 (t - 1/2)^2 dt
+        for k in range(3, 34, 3):
+            delta = 10.0**-k
+            b = stability_bound(delta, 1.0, 1.0)
+            n = math.floor(b.N_star)
+            total = worst_case_total(c, norm_sq, n, delta)
+            assert total <= b.bound
+            if n <= 10:
+                with mp.workdps(20):
+                    vals, vecs = mp.eigsy(closed_form_inverse_hilbert(n))
+                    top = max(range(n), key=lambda i: vals[i])
+                    e = [float(delta * vecs[i, top]) for i in range(n)]
+                lam = pseudoinverse(MomentSequence.from_values([a + Fraction(x) for a, x in zip(y, e)])).coefficients
+                # ||p - f||^2 = ||f||^2 - 2 <p, f> + ||p||^2, p in the span of the first n
+                measured = math.sqrt(norm_sq - 2 * np.dot(lam, c[:n]) + np.dot(lam, lam))
+                assert measured == pytest.approx(total, rel=1e-12)
+        assert n == 40
 
 
 class TestNoise:
@@ -357,23 +388,22 @@ class TestPointValue:
     ], ids=["t", "(1-t)^0.75"])
     def test_noise_study_within_holder_bound(self, x1, dx_norm, moments):
         deltas = [10.0**-k for k in range(2, 7)]
-        rows = point_value_noise_study(moments(2**17), x1, deltas, max_level_exp=17)
+        rows = point_value_noise_study(moments(2**17), x1, deltas)
         for row, delta in zip(rows, deltas):
             assert row["error"] <= point_value_bound(dx_norm, delta, row["best_N"])
 
     def test_noise_study_structure(self):
         y = [1.0 / (j + 1) for j in range(1, 2**12 + 1)]
-        rows = point_value_noise_study(y, 1.0, [1e-2, 1e-3], max_level_exp=12)
+        rows = point_value_noise_study(y, 1.0, [1e-2, 1e-3])
         assert rows[0]["error"] > rows[1]["error"]
+        # the levels are the dyadic N <= len(y); noise-free, the bias
+        # (H_(N+1) - 1)/N falls with N, so the largest level wins
+        assert [point_value_noise_study(y[:n], 1.0, [0.0])[0]["best_N"] for n in (1, 5, 2**12)] == [1, 4, 2**12]
 
     @pytest.mark.parametrize("deltas", [[-0.1], [1e-3, math.nan], [math.inf]])
     def test_noise_study_refuses_bad_deltas(self, deltas):
         with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
-            point_value_noise_study([0.5, 1 / 3], 1.0, deltas, max_level_exp=1)
-
-    def test_noise_study_refuses_negative_level_exponent(self):
-        with pytest.raises(ValueError, match="max_level_exp must be >= 0"):
-            point_value_noise_study([0.5], 1.0, [1e-2], max_level_exp=-1)
+            point_value_noise_study([0.5, 1 / 3], 1.0, deltas)
 
     def test_noise_study_refuses_empty_data(self):
         with pytest.raises(ValueError, match="y_values must not be empty"):
@@ -488,6 +518,16 @@ class TestCrossChecks:
         monkeypatch.setattr(lab, "forward_moments", lambda f, n: pytest.fail("quadrature ran"))
         with pytest.raises(ValueError, match="levels must be >= 1"):
             laplace_consistency(peak(), levels)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.parametrize("f", [g_alpha(-0.25), lambda t: np.full(np.shape(t), math.nan)],
+                             ids=["pole-at-one", "nan"])
+    def test_laplace_refuses_non_finite_f(self, monkeypatch, f):
+        # g_alpha(-0.25) is inf at t = 1; its moments and Laplace integrals
+        # agree, but the tail bound would be inf * 0
+        monkeypatch.setattr(lab, "forward_moments", lambda f, n: pytest.fail("quadrature ran"))
+        with pytest.raises(ValueError, match=r"f must be finite on \[0, 1\]"):
+            laplace_consistency(f, [1, 2])
 
     def test_eit_constant(self):
         vals = eit_forward(constant(1.0), [1, 2, 3, 4])
