@@ -42,7 +42,8 @@ _HOME = {name: module for module, names in {
                    "forward_from_expansion", "forward_moments", "h1_rate_check", "projection_error",
                    "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm"),
     "range_diagnostics": ("HausdorffStats", "StableFamilyMember", "build_DN", "build_RN", "forward_differences",
-                          "hausdorff_criterion", "picard_partial_sums", "stable_family", "verify_TN_identity"),
+                          "hausdorff_criterion", "lacunary_stability_bound", "picard_partial_sums", "stable_family",
+                          "tn_diagonal", "verify_TN_identity"),
     "stability_lab": ("AmplificationEstimate", "BumpFamily", "NoiseModel", "StabilityBound",
                       "amplification_experiment", "bump_family", "eit_forward", "error_split_study",
                       "holder_counterexample", "lambert_w", "laplace_consistency", "log_ratio", "noisy_data",

@@ -21,20 +21,6 @@ from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_fact
 from .functions import TestFunction, _horner
 from .legendre import LegendreExpansion, _unit_points, project
 
-__all__ = [
-    "MomentSequence",
-    "SobolevBudget",
-    "forward_moments",
-    "exact_polynomial_moments",
-    "forward_from_expansion",
-    "adjoint_apply",
-    "pseudoinverse",
-    "reconstruction_norm_sq_exact",
-    "projection_error",
-    "h1_rate_check",
-    "sobolev_norm",
-]
-
 _NORM_KINDS = ("H1", "H1-seminorm", "H2")  # the norms a SobolevBudget can bound
 
 
@@ -165,12 +151,18 @@ def reconstruction_norm_sq_exact(y):
     return _picard_sum(*_common_den(y.values))
 
 
+def _reference_coefficients(f, n):
+    """f's first max(4n, 96) Legendre coefficients, from which every tail at
+    levels up to n is read; the cut reads ``abs_kink``'s tail 0.8 % low."""
+    return project(f, max(4 * n, 96)).coefficients
+
+
 def projection_error(f, n):
     """||(A_n^+ A - I) f|| = l2 tail of the Legendre coefficients from n on,
-    truncated at max(4n, 64) coefficients."""
+    up to ``_reference_coefficients``' cut."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(np.linalg.norm(project(f, max(4 * n, 64)).coefficients[n:]))
+    return float(np.linalg.norm(_reference_coefficients(f, n)[n:]))
 
 
 def sobolev_norm(f, kind="H1"):
@@ -198,9 +190,9 @@ def h1_rate_check(f, budget, n_list):
 
     Rows (n, error, bound) with bound = E/(2n) for H1 budgets (full norm
     or seminorm) and E/(2 sqrt(2) n^2) for H2; the errors are tails of
-    max(4 max(n_list), 96) coefficients.  The norm the budget names is
-    measured and checked against E before the run; an empty level list or
-    a level below 1 is refused first.
+    ``_reference_coefficients`` at the largest level.  The norm the budget
+    names is measured and checked against E before the run; an empty level
+    list or a level below 1 is refused first.
     """
     if not n_list or min(n_list) < 1:
         raise ValueError("levels must be a nonempty list of n >= 1")
@@ -208,7 +200,7 @@ def h1_rate_check(f, budget, n_list):
     if measured > budget.E * (1 + 1e-9):
         raise ValueError(f"budget violated: measured {budget.kind} norm "
                          f"{measured:.6g} exceeds E={budget.E:.6g}")
-    coeffs = project(f, max(4 * max(n_list), 96)).coefficients
+    coeffs = _reference_coefficients(f, max(n_list))
     rows = []
     for n in n_list:
         err = float(np.linalg.norm(coeffs[n:]))

@@ -22,20 +22,6 @@ from operator import index, mul
 from ._lazy import numpy as np
 from .exact_core import RationalMatrix, _common_den, _picard_sum, cholesky_factor_L
 
-__all__ = [
-    "HausdorffStats",
-    "StableFamilyMember",
-    "forward_differences",
-    "hausdorff_criterion",
-    "build_RN",
-    "build_DN",
-    "tn_diagonal",
-    "verify_TN_identity",
-    "picard_partial_sums",
-    "stable_family",
-    "lacunary_stability_bound",
-]
-
 
 @dataclass(frozen=True)
 class HausdorffStats:

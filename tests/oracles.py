@@ -7,7 +7,7 @@ derivative) so that the two can be checked against each other.
 
 import numbers
 from fractions import Fraction
-from math import comb, fsum, isqrt, log, sqrt
+from math import comb, factorial, fsum, isqrt, log, sqrt
 from operator import mul
 
 import mpmath as mp
@@ -343,6 +343,22 @@ def abs_kink_moments(n):
     h = Fraction(1, 2)
     return [Fraction(1, j + 1) - Fraction(1, 2 * j) - 2 * (h ** (j + 1) / (j + 1) - h**j / (2 * j))
             for j in range(1, n + 1)]
+
+
+def abs_kink_tail_sq(n):
+    """The exact squared L2 tail sum_{k>=n} lambda_k^2 of |t - 1/2| in the
+    orthonormal Legendre basis sqrt(2k+1) P_k(2t-1) of [0, 1], as a Fraction:
+    1/12 less the first n squares.  With x = 2t - 1, lambda_k =
+    sqrt(2k+1)/2 int_0^1 x P_k(x) dx for even k (0 for odd k), and the
+    integral is 1/2 at k = 0 and (-1)^(k/2+1) (k-2)! / (2^k (k/2-1)! (k/2+1)!)
+    from k = 2 on."""
+    def moment(k):
+        if k == 0:
+            return Fraction(1, 2)
+        h = k // 2
+        return Fraction((-1) ** (h + 1) * factorial(k - 2), 2**k * factorial(h - 1) * factorial(h + 1))
+
+    return Fraction(1, 12) - sum(Fraction(2 * k + 1, 4) * moment(k) ** 2 for k in range(0, n, 2))
 
 
 def closed_form_inverse_hilbert(n):

@@ -75,7 +75,7 @@ class TestPackageImport:
     def test_exports_are_their_home_module_objects(self):
         # each name resolved lazily in a fresh interpreter, then kept in the package dict
         _run_fresh("import sys, hausmom\n"
-                   "assert dir(hausmom) == sorted(hausmom.__all__) and len(hausmom.__all__) == 59\n"
+                   "assert dir(hausmom) == sorted(hausmom.__all__) and len(hausmom.__all__) == 61\n"
                    "for name in hausmom.__all__:\n"
                    "    obj = getattr(hausmom, name)\n"
                    "    home = obj.__module__\n"
@@ -85,7 +85,7 @@ class TestPackageImport:
 
     def test_star_import_binds_every_export(self):
         _run_fresh("from hausmom import *\nimport hausmom\n"
-                   "assert len(hausmom.__all__) == 59 and all(n in globals() for n in hausmom.__all__)\n")
+                   "assert len(hausmom.__all__) == 61 and all(n in globals() for n in hausmom.__all__)\n")
 
     def test_unknown_name_raises_attribute_error(self):
         import hausmom
@@ -98,6 +98,12 @@ class TestPackageImport:
         # the traced benchmark instruments the layer modules loaded by `import hausmom.cli`
         layers = {f"hausmom.{layer}" for layer in TRACED_LAYERS}
         _run_fresh(f"import sys, hausmom.cli\nassert {layers!r} <= set(sys.modules)\n")
+
+
+def _src_trees():
+    """(module name, parsed tree) of every src/hausmom/*.py."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hausmom").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
 
 
 def _import_sites(package):
@@ -117,8 +123,8 @@ def _import_sites(package):
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hausmom").glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
+    for module, tree in _src_trees():
+        visit(tree, module, None)
     return sites
 
 
@@ -137,6 +143,25 @@ class TestDependencyOwners:
     def test_never_at_module_level(self, package):
         sites = _import_sites(package)
         assert sites and all(function is not None for _, function in sites)
+
+
+class TestOnePlacePerDecision:
+    """The package's public names are listed once, in ``hausmom._HOME``, and the
+    noise draws come from one generator (plus ``noisy_data``'s single draw)."""
+
+    def test_only_package_and_cli_list_names(self):
+        listers = {module for module, tree in _src_trees() for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)}
+        assert listers == {"__init__", "cli"}
+
+    def test_two_default_rng_callers(self):
+        def draws(stmt):
+            return any(isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng")
+                       for node in ast.walk(stmt))
+
+        callers = {(module, getattr(stmt, "name", None)) for module, tree in _src_trees()
+                   for stmt in tree.body if draws(stmt)}
+        assert callers == {("stability_lab", "noisy_data"), ("stability_lab", "_noisy_reconstructions")}
 
 
 class TestParsing:

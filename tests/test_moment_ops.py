@@ -34,7 +34,13 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
-from oracles import fraction_inner_products, matrix_inner_products, quad_moments, shared_node_moments
+from oracles import (
+    abs_kink_tail_sq,
+    fraction_inner_products,
+    matrix_inner_products,
+    quad_moments,
+    shared_node_moments,
+)
 from strategies import DATA
 
 
@@ -245,6 +251,12 @@ class TestProjectionError:
         errs = [projection_error(f, n) for n in (2, 4, 8)]
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("n", [40, 80, 120, 150])
+    def test_kink_tail_near_exact(self, n):
+        # the 4n-coefficient cut reads |t - 1/2|'s tail 0.8 % low at each level
+        exact = math.sqrt(abs_kink_tail_sq(n))
+        assert abs(projection_error(abs_kink(), n) / exact - 1) < 0.01
+
 
 class TestSobolevNorm:
     def test_constant(self):
@@ -293,6 +305,13 @@ class TestRateCheck:
         e = sobolev_norm(f, "H1")
         rows = h1_rate_check(f, SobolevBudget(E=e * 1.001, kind="H1"), [4])
         assert rows[0]["error"] <= rows[0]["bound"]
+
+    @pytest.mark.parametrize("make", [abs_kink, peak])
+    def test_errors_are_projection_errors(self, make):
+        # one tail rule: at levels up to 24 both read the same 96 coefficients
+        f = make()
+        rows = h1_rate_check(f, SobolevBudget(E=sobolev_norm(f, "H1") * 1.001, kind="H1"), range(2, 21))
+        assert [r["error"] for r in rows] == [projection_error(f, n) for n in range(2, 21)]
 
     def test_budget_violation(self):
         with pytest.raises(ValueError, match="budget violated"):

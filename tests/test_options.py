@@ -48,11 +48,11 @@ EXPORTS = [
     "cubic_exp", "eit_forward", "error_split_study", "exact_polynomial_moments", "expansion_eval",
     "forward_differences", "forward_from_expansion", "forward_moments", "g_alpha", "h1_rate_check",
     "hausdorff_criterion", "hilbert_matrix", "holder_counterexample", "inverse_factor_Linv",
-    "inverse_hilbert", "l2_distance", "lambert_w", "laplace_consistency", "legendre_eval",
-    "linv_growth_study", "log_ratio", "monomial_witness", "noisy_data", "peak", "picard_partial_sums",
-    "point_value_estimator", "point_value_noise_study", "polynomial", "project", "projection_error",
-    "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm", "spectral_norm", "stability_bound",
-    "stable_family", "verify_TN_identity",
+    "inverse_hilbert", "l2_distance", "lacunary_stability_bound", "lambert_w", "laplace_consistency",
+    "legendre_eval", "linv_growth_study", "log_ratio", "monomial_witness", "noisy_data", "peak",
+    "picard_partial_sums", "point_value_estimator", "point_value_noise_study", "polynomial", "project",
+    "projection_error", "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm", "spectral_norm",
+    "stability_bound", "stable_family", "tn_diagonal", "verify_TN_identity",
 ]
 
 

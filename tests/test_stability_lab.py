@@ -17,7 +17,13 @@ import hausmom.stability_lab as lab
 from hausmom.exact_core import inverse_hilbert, linv_growth_study, spectral_norm, spectral_norm_with_reference
 from hausmom.functions import abs_kink, constant, g_alpha, peak, polynomial
 from hausmom.legendre import project
-from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments, pseudoinverse
+from hausmom.moment_ops import (
+    MomentSequence,
+    _reference_coefficients,
+    exact_polynomial_moments,
+    forward_moments,
+    pseudoinverse,
+)
 from hausmom.stability_lab import (
     NoiseModel,
     amplification_experiment,
@@ -570,13 +576,18 @@ class TestErrorSplit:
         assert [(r["n"], r["delta"]) for r in rows] == [(n, 10.0 ** -k) for n in (2, 5) for k in range(2, 8)]
         assert all(r["ok"] for r in rows)
 
-    def test_refuses_level_above_reference(self):
-        with pytest.raises(ValueError, match="level 200 exceeds the 160-coefficient reference"):
-            error_split_study(peak(), [2, 200])
+    def test_any_level_reads_the_shared_tail(self, monkeypatch):
+        # a level of 161 runs; its tails come from the shared max(4n, 96) cut at the largest level
+        levels = []
+        monkeypatch.setattr(lab, "_reference_coefficients",
+                            lambda f, n: levels.append(n) or _reference_coefficients(f, n))
+        rows = error_split_study(peak(), [161])
+        assert levels == [161]
+        assert len(rows) == 6 and all(math.isfinite(r["total"]) and r["ok"] for r in rows)
 
     @pytest.mark.parametrize("levels", [[], (), [0, 4], [4, -1]])
     def test_refuses_no_levels_or_level_below_one(self, monkeypatch, levels):
-        monkeypatch.setattr(lab, "project", lambda f, m: pytest.fail("built the reference expansion"))
+        monkeypatch.setattr(lab, "_reference_coefficients", lambda f, n: pytest.fail("built the reference expansion"))
         with pytest.raises(ValueError, match="levels must be a nonempty list of n >= 1"):
             error_split_study(peak(), levels)
 
@@ -585,6 +596,16 @@ class TestErrorSplit:
         monkeypatch.setattr(lab, "forward_moments", lambda f, n: levels.append(n) or forward_moments(f, n))
         error_split_study(peak(), [2, 5])
         assert levels == [2, 5]
+
+    def test_draws_are_the_amplification_stream(self, monkeypatch):
+        # both studies read one generator with the same protocol: deltas 1e-2 .. 1e-7, R = 20, seed 42
+        calls = []
+        draws = lab._noisy_reconstructions
+        monkeypatch.setattr(lab, "_noisy_reconstructions",
+                            lambda y, *protocol: calls.append((y.n, *protocol)) or draws(y, *protocol))
+        error_split_study(peak(), [3])
+        amplification_experiment(peak(), 3)
+        assert calls == [(3, lab._DELTAS, 20, 42)] * 2
 
 
 class TestEdgeBranches:
