@@ -6,34 +6,26 @@ range diagnostics, and conditional-stability experiments for the moment
 problem on [0, 1].
 
 ``import hausmom`` loads the exact core, which needs only the standard
-library.  The float layers (``functions``, ``legendre``, ``moment_ops``,
-``range_diagnostics``, ``stability_lab``) load when one of their names
-is first read from the package; the name is then stored here, so later
-reads, and code that rebinds it, see an ordinary module attribute.  The
-layers bind numpy through ``hausmom._lazy``, so importing them, as
-``hausmom.cli`` does, leaves numpy's import to the first numpy
-operation: the ``hilbert``, ``linv``, ``hausdorff`` and ``growth``
-commands never execute it.
+library.  ``_HOME`` lists every public name with its module.  The float
+layers (``functions``, ``legendre``, ``moment_ops``, ``range_diagnostics``,
+``stability_lab``) load when one of their names is first read from the
+package; each name is then stored here, so later reads, and code that
+rebinds it, see an ordinary module attribute.  The layers bind numpy
+through ``hausmom._lazy``, so importing them, as ``hausmom.cli`` does,
+leaves numpy's import to the first numpy operation: the ``hilbert``,
+``linv``, ``hausdorff`` and ``growth`` commands never execute it.
 """
 
 __version__ = "0.1.0"
 
 import importlib
 
-from .exact_core import (
-    FactoredTriangular,
-    RationalMatrix,
-    SpectralNormError,
-    cholesky_factor_L,
-    hilbert_matrix,
-    inverse_factor_Linv,
-    inverse_hilbert,
-    linv_growth_study,
-    spectral_norm,
-)
+from . import exact_core  # loaded with the package; the float layers load at first use
 
-# The module each float-layer name is imported from at its first use.
+# The module each public name is imported from at its first use.
 _HOME = {name: module for module, names in {
+    "exact_core": ("FactoredTriangular", "RationalMatrix", "SpectralNormError", "cholesky_factor_L", "hilbert_matrix",
+                   "inverse_factor_Linv", "inverse_hilbert", "linv_growth_study", "spectral_norm"),
     "functions": ("TestFunction", "abs_kink", "constant", "cubic_exp", "g_alpha", "monomial_witness", "peak",
                   "polynomial"),
     "legendre": ("LegendreExpansion", "QuadratureRule", "expansion_eval", "l2_distance", "legendre_eval",
@@ -50,18 +42,7 @@ _HOME = {name: module for module, names in {
                       "point_value_estimator", "point_value_noise_study", "stability_bound"),
 }.items() for name in names}
 
-__all__ = [
-    "FactoredTriangular",
-    "RationalMatrix",
-    "SpectralNormError",
-    "cholesky_factor_L",
-    "hilbert_matrix",
-    "inverse_factor_Linv",
-    "inverse_hilbert",
-    "linv_growth_study",
-    "spectral_norm",
-    *_HOME,
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

@@ -12,6 +12,7 @@ import argparse
 import ast
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -161,8 +162,9 @@ def _parse_poly(text):
             return [c * dy for c in x], dx * y[0]
         raise refuse()
 
+    source = re.sub(r"(?<=[0-9)])t", "*t", text.replace("^", "**"))
     try:
-        nums, den = poly(ast.parse(_insert_mul(text.replace("^", "**")), mode="eval").body)
+        nums, den = poly(ast.parse(source, mode="eval").body)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
         # ValueError: 1e999 is inf; ast.parse reports too deep nesting as
         # MemoryError, the walk as RecursionError
@@ -172,25 +174,12 @@ def _parse_poly(text):
     return [Fraction(c, den) for c in nums]
 
 
-def _insert_mul(text):
-    out = []
-    prev = ""
-    for ch in text:
-        if ch == "t" and (prev.isdigit() or prev == ")"):
-            out.append("*")
-        out.append(ch)
-        prev = ch
-    return "".join(out)
-
-
-def _data_choice(name, n):
-    if name == "const":
-        return exact_polynomial_moments((1,), n)
-    if name == "t":
-        return exact_polynomial_moments((0, 1), n)
-    if name == "unit":
-        return MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1))
-    raise ValueError(f"unknown data choice {name!r}")
+# hausdorff's --data choices: n exact moments of 1, of t, and of the first unit vector
+_DATA = {
+    "const": lambda n: exact_polynomial_moments((1,), n),
+    "t": lambda n: exact_polynomial_moments((0, 1), n),
+    "unit": lambda n: MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1)),
+}
 
 
 def _cmd_hilbert(args):
@@ -229,7 +218,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_hausdorff(args):
-    y = _data_choice(args.data, args.n_max + 1)
+    y = _DATA[args.data](args.n_max + 1)
     rows = []
     for N in range(1, args.n_max + 1):
         st = hausdorff_criterion(y, N)
@@ -309,57 +298,46 @@ def _build_parser():
                                      description="Hausdorff moment problem toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--config", default=None, help="key=value config file; flags win")
-        p.add_argument("--plotdata", default=None, metavar="DIR",
-                       help="also write two-column .dat series files into DIR")
-
     p = sub.add_parser("hilbert", help="entries of the Hilbert segment")
     p.add_argument("--n", type=int, default=5)
-    common(p)
     p = sub.add_parser("linv", help="entries of the inverse triangular factor")
     p.add_argument("--n", type=int, default=5)
-    common(p)
     p = sub.add_parser("reconstruct", help="recover a polynomial from its moments")
     p.add_argument("--poly", required=True, help="polynomial in t, e.g. '3t^2-1'")
     p.add_argument("--n", type=int, default=8)
-    common(p)
     p = sub.add_parser("hausdorff", help="range criterion levels")
     p.add_argument("--n-max", type=int, default=15)
-    p.add_argument("--data", choices=("const", "t", "unit"), default="const")
-    common(p)
+    p.add_argument("--data", choices=tuple(_DATA), default="const")
     p = sub.add_parser("amplification", help="noise-amplification regression")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--deltas", default="1e-2..1e-7")
     p.add_argument("--R", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
-    common(p)
     p = sub.add_parser("growth", help="inverse-factor growth study")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--precision-bits", type=int, default=256,
                    help="power-iteration precision, at least 64; below 152, norm_sq_rel_err "
                         "reads a false 0 at many levels (35 of 40 at 128)")
-    common(p)
     p = sub.add_parser("pointvalue", help="point-value recovery at t=1")
     p.add_argument("--deltas", default="1e-2..1e-6")
     p.add_argument("--max-level-exp", type=int, default=17)
-    common(p)
     p = sub.add_parser("counterexample", help="Hoelder-rate counterexample witness")
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--C", type=float, default=100.0)
-    common(p)
     p = sub.add_parser("laplace", help="moment vs Laplace-sample agreement")
     p.add_argument("--j-max", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
     p = sub.add_parser("eit", help="linearized layered-disc forward map")
     p.add_argument("--sigma", choices=("const", "r2"), default="r2")
     p.add_argument("--modes", type=int, default=8)
-    common(p)
+    for p in sub.choices.values():  # the options every command shares, after its own
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--config", default=None, help="key=value config file; flags win")
+        p.add_argument("--plotdata", default=None, metavar="DIR",
+                       help="also write two-column .dat series files into DIR")
     return parser
 
 
@@ -394,6 +372,22 @@ def run(argv=None):
         records, series = _COMMANDS[args.command](args)
         if not records:
             raise ValueError(f"{args.command}: this configuration gives an empty table")
+        elapsed = time.monotonic() - start
+        writer = _write_csv if args.format == "csv" else _write_json
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                writer(records, fh)
+            meta = {
+                "command": args.command,
+                "config": {k: v for k, v in vars(args).items() if k != "command"},
+                "version": __version__,
+                "wall_time_s": elapsed,
+            }
+            Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+        else:
+            writer(records, sys.stdout)
+        if args.plotdata and series:
+            emit_plotdata(records, series, args.plotdata)
     except SystemExit as exc:  # argparse: 0 after --help, else a usage error
         return 1 if exc.code else 0
     except (ValueError, OSError) as exc:
@@ -402,22 +396,6 @@ def run(argv=None):
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - start
-    writer = _write_csv if args.format == "csv" else _write_json
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer(records, fh)
-        meta = {
-            "command": args.command,
-            "config": {k: v for k, v in vars(args).items() if k != "command"},
-            "version": __version__,
-            "wall_time_s": elapsed,
-        }
-        Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
-    else:
-        writer(records, sys.stdout)
-    if args.plotdata and series:
-        emit_plotdata(records, series, args.plotdata)
     return 0
 
 

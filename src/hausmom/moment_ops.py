@@ -178,11 +178,9 @@ def sobolev_norm(f, kind="H1"):
         g_sq = TestFunction(lambda t: np.asarray(g(t), dtype=float) ** 2, breakpoints=f.breakpoints)
         return forward_moments(g_sq, 1).values[0]
 
-    if kind == "H1-seminorm":
-        return sqrt(_l2sq(f.derivative))
-    if kind == "H1":
-        return sqrt(_l2sq(f.value) + _l2sq(f.derivative))
-    return sqrt(_l2sq(f.value) + _l2sq(f.derivative) + _l2sq(f.second_derivative))
+    parts = {"H1-seminorm": (f.derivative,), "H1": (f.value, f.derivative),
+             "H2": (f.value, f.derivative, f.second_derivative)}[kind]
+    return sqrt(sum(map(_l2sq, parts)))
 
 
 def h1_rate_check(f, budget, n_list):

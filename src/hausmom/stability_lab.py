@@ -275,20 +275,15 @@ def point_value_noise_study(y_values, true_value, deltas):
         raise ValueError("y_values must not be empty")
     if not np.all(np.isfinite(y)):
         raise ValueError("moments must be finite")
-    levels = [2**q for q in range(len(y).bit_length())]
+    levels = 2 ** np.arange(len(y).bit_length())
     j = np.arange(1, len(y) + 1, dtype=float)
-    partial = np.cumsum(j * y)
-    partial_j2 = np.cumsum(j * j)
+    bias = np.abs(np.cumsum(j * y)[levels - 1] / levels - true_value)
+    root = np.sqrt(np.cumsum(j * j)[levels - 1])
     rows = []
     for delta in deltas:
-        best = None
-        for N in levels:
-            bias = abs(partial[N - 1] / N - true_value)
-            noise = delta * sqrt(partial_j2[N - 1]) / N
-            err = bias + noise
-            if best is None or err < best[1]:
-                best = (N, err)
-        rows.append({"delta": delta, "best_N": best[0], "error": best[1]})
+        err = bias + delta * root / levels
+        best = np.argmin(err)  # the first of equal minima, the smallest N
+        rows.append({"delta": delta, "best_N": int(levels[best]), "error": float(err[best])})
     return rows
 
 

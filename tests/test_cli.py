@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hausmom.cli import _parse_deltas, _parse_poly, emit_plotdata, run
+from hausmom.cli import _COMMANDS, _parse_deltas, _parse_poly, emit_plotdata, run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -154,6 +154,18 @@ class TestOnePlacePerDecision:
                    if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)}
         assert listers == {"__init__", "cli"}
 
+    def test_package_imports_no_name_from_a_layer(self):
+        # only `from . import module`: every public name resolves through _HOME
+        trees = dict(_src_trees())
+        relative = [node for node in ast.walk(trees["__init__"]) if isinstance(node, ast.ImportFrom) and node.level]
+        assert relative and all(node.module is None and {alias.name for alias in node.names} <= trees.keys()
+                                for node in relative)
+
+    def test_all_is_the_home_table(self):
+        import hausmom
+
+        assert hausmom.__all__ == list(hausmom._HOME) and len(hausmom._HOME) == 61
+
     def test_two_default_rng_callers(self):
         def draws(stmt):
             return any(isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng")
@@ -197,9 +209,12 @@ class TestParsing:
         assert _parse_poly("t^1000") == [Fraction(0)] * 1000 + [Fraction(1)]
         assert _parse_poly("(t+1)^1000") == [Fraction(comb(1000, k)) for k in range(1001)]
         assert _parse_poly("(0.5t-1)^37") == [Fraction(comb(37, k) * (-1) ** (37 - k), 2**k) for k in range(38)]
+        # a t right after a digit or ")" is a product
+        assert _parse_poly("(t+1)t") == [Fraction(0), Fraction(1), Fraction(1)]
+        assert _parse_poly("2t^2t") == [Fraction(0)] * 3 + [Fraction(2)]
 
     @pytest.mark.parametrize("text", ["x", "1/t", "t^(1/2)", "t^1000001", "(t^2)^501",
-                                      "__import__('os').getpid()"])
+                                      "__import__('os').getpid()", "t2", "tt", "2(t)", "t(t)"])
     def test_poly_rejected(self, capsys, text):
         assert run(["reconstruct", "--poly", text]) == 1
         assert capsys.readouterr().err.startswith("error: not a polynomial in t")
@@ -310,10 +325,14 @@ class TestCommands:
         assert run(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]]
+                             + [[name, "--help"] for name in _COMMANDS if name != "growth"])
     def test_help_exits_zero(self, capsys, argv):
         assert run(argv) == 0
-        assert capsys.readouterr().out.startswith("usage: hausmom")
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hausmom")
+        if argv[0] != "--help":  # every command lists the shared options
+            assert all(f"  {flag} " in out for flag in ("--out", "--format", "--config", "--plotdata"))
 
     @pytest.mark.parametrize("argv", [
         ["hausdorff", "--n-max", "0"],
@@ -426,6 +445,18 @@ class TestOutput:
             lines = (tmp_path / f"{name}.dat").read_text().strip().split("\n")
             assert len(lines) == 3
             assert len(lines[0].split()) == 2
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["hilbert", "--n", "2", "--out", "{tmp}/missing/h.csv"], ""),
+        # the table is written before the plot data, whose directory is a file here
+        (["growth", "--n-max", "2", "--plotdata", "{tmp}/file"], "i,norm,"),
+    ], ids=["out-in-missing-directory", "plotdata-is-a-file"])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, argv, stdout):
+        (tmp_path / "file").write_text("")
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(stdout)
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_emit_plotdata_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):

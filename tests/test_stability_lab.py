@@ -406,6 +406,24 @@ class TestPointValue:
         # (H_(N+1) - 1)/N falls with N, so the largest level wins
         assert [point_value_noise_study(y[:n], 1.0, [0.0])[0]["best_N"] for n in (1, 5, 2**12)] == [1, 4, 2**12]
 
+    @pytest.mark.parametrize("y", [[0.0] * 8, [1.0 / (j + 1) for j in range(1, 1001)],
+                                   list(np.random.default_rng(7).standard_normal(300))],
+                             ids=["zeros", "t", "normal"])
+    def test_noise_study_is_the_loop_over_levels(self, y):
+        # reference: each dyadic N in turn, the first strict minimum kept; bit for bit
+        j = np.arange(1.0, len(y) + 1)
+        partial, partial_j2 = np.cumsum(j * np.asarray(y)), np.cumsum(j * j)
+        deltas = [0.0, 1e-3, 0.5]
+        expected = []
+        for delta in deltas:
+            best = None
+            for N in (2**q for q in range(len(y).bit_length())):
+                err = abs(partial[N - 1] / N - 0.25) + delta * math.sqrt(partial_j2[N - 1]) / N
+                if best is None or err < best[1]:
+                    best = (N, err)
+            expected.append({"delta": delta, "best_N": best[0], "error": best[1]})
+        assert point_value_noise_study(y, 0.25, deltas) == expected
+
     @pytest.mark.parametrize("deltas", [[-0.1], [1e-3, math.nan], [math.inf]])
     def test_noise_study_refuses_bad_deltas(self, deltas):
         with pytest.raises(ValueError, match="deltas must be finite and >= 0"):
