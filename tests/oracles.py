@@ -234,6 +234,15 @@ def loop_choose_m(mu, p):
     return m
 
 
+def string_namespace_bump_derivative(m):
+    """The m-th derivative of exp(-1/(s(1-s))) lambdified with modules="numpy",
+    the string form that runs ``from numpy import *``; defined on (0, 1) only."""
+    import sympy as sp
+
+    s = sp.symbols("s")
+    return sp.lambdify(s, sp.diff(sp.exp(-1 / (s * (1 - s))), s, m), modules="numpy")
+
+
 def check_derivative(f, rng=None, npoints=20, h=1e-6, rtol=1e-4):
     """Finite-difference consistency check of f.derivative at interior points."""
     if f.derivative is None:

@@ -250,6 +250,17 @@ class TestParsing:
                    "assert stability_bound(1e-6, 1, 1).N_star > 0\n"
                    f"assert not {_NUMPY_RAN}\n" + _loaded_none_of("scipy"))
 
+    def test_bump_loads_no_unused_numpy_submodule(self):
+        # lambdify's string form "numpy" runs `from numpy import *`, which loads these two and
+        # about 50 more; the module object form copies the namespace and imports nothing
+        _run_fresh("import sys, hausmom\nassert hausmom.bump_family(1, 1).m == 1\n"
+                   "assert not {'numpy.f2py', 'numpy.testing'} & set(sys.modules)\n")
+        # with no numpy run yet, lambdify reading the lazy numpy's namespace runs its import
+        _run_fresh("import math, sys\nfrom hausmom.stability_lab import _mother_bump_derivative\n"
+                   f"assert not {_NUMPY_RAN}\n"
+                   "g = _mother_bump_derivative(2)(0.5)\n"
+                   "assert math.isclose(g, -32 * math.exp(-4), rel_tol=1e-14), g\n")
+
     def test_layers_bind_an_already_imported_numpy(self):
         _run_fresh("import sys, types, numpy\nimport hausmom.legendre\n"
                    "assert hausmom.legendre.np is sys.modules['numpy'] is numpy\n"

@@ -16,7 +16,7 @@ import hausmom.stability_lab as lab
 
 from hausmom.exact_core import inverse_hilbert, linv_growth_study, spectral_norm, spectral_norm_with_reference
 from hausmom.functions import abs_kink, constant, g_alpha, peak, polynomial
-from hausmom.legendre import project
+from hausmom.legendre import QuadratureRule, project
 from hausmom.moment_ops import (
     MomentSequence,
     _reference_coefficients,
@@ -48,6 +48,7 @@ from oracles import (
     kernel_norm_sq,
     loop_choose_m,
     point_value_bound,
+    string_namespace_bump_derivative,
     worst_case_total,
 )
 from strategies import EXACT
@@ -453,15 +454,25 @@ class TestPointValue:
 
 
 class TestCounterexample:
-    def test_bump_moments_vanish(self):
-        fam = bump_family(1, 3)
-        assert np.all(np.abs(fam.moments[:3]) < 1e-10)
-        assert abs(fam.moments[3]) > 1e-8
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_bump_moments_vanish(self, m):
+        # by parts the first m moments are exactly 0; measured at most 5.6e-17,
+        # and moment m+1 at least 7.7e11 times the largest of them
+        fam = bump_family(1, m)
+        low = np.abs(fam.moments[:m])
+        assert np.all(low < 1e-15)
+        assert abs(fam.moments[m]) > 1e9 * low.max()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_derivative_matches_string_namespace(self, m):
+        # lambdify against numpy's module object prints the same source and
+        # binds the same ufuncs as the star-importing string form
+        nodes = QuadratureRule.gauss(400).nodes
+        got = lab._mother_bump_derivative(m)(nodes)
+        assert got.tobytes() == string_namespace_bump_derivative(m)(nodes).tobytes()
 
     def test_scaling_of_l2_norm(self):
         # ||x_r||_L2 = r^(p+1/2) ||g||_L2, checked by quadrature at r=1/4
-        from hausmom.legendre import QuadratureRule
-
         fam = bump_family(1, 3)
         r = 0.25
         rule = QuadratureRule.composite(400, (0.0, r))
@@ -508,12 +519,12 @@ class TestCounterexample:
             return lambda t: np.sin(np.pi * np.asarray(t, dtype=float))
 
         monkeypatch.setattr(lab, "_mother_bump_derivative", stub)
-        assert bump_family(1, 12).m == 12
-        assert orders == [12, 13]
-        for k, m in ((1, 13), (2, 12), (1, 19)):
-            with pytest.raises(RuntimeError, match=f"order m \\+ k = {k + m} exceeds"):
+        assert bump_family(1, 7).m == 7  # the counterexample-mu-0.25 golden's orders
+        assert orders == [7, 8]
+        for k, m in ((1, 8), (2, 7), (1, 12), (1, 19)):
+            with pytest.raises(RuntimeError, match=f"order m \\+ k = {k + m} exceeds 8, the largest"):
                 bump_family(k, m)
-        assert orders == [12, 13]
+        assert orders == [7, 8]
 
 
 class TestCrossChecks:
