@@ -22,11 +22,6 @@ from .moment_ops import MomentSequence, _reference_coefficients, forward_moments
 
 # The noise levels of the amplification regression: the decades 1e-2 .. 1e-7.
 _DELTAS = tuple(10.0 ** -k for k in range(2, 8))
-# bump_family refuses derivative orders m + k above this.  Its moments come
-# from a 400-node float rule on the lambdified m-th derivative; against the
-# by-parts values (-1)^m (j-1)!/(j-1-m)! mu_(j-1-m), moments m+1..m+5 are within
-# 1.1e-10 relative at m = 7, but 1.5e-8 off at m = 8 and 11 % off at m = 12.
-_MAX_BUMP_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,14 @@ def stability_bound(delta, E, C_hat):
     integer level floor(N*), not at ceil(N*), for delta from 1e-3 to 1e-33
     (floor(N*) from 2 to 40): there the exact worst-case reconstruction
     error of ``abs_kink`` (E = 1, C_hat = 1) stays below it.
+
+    At C_hat = 1 the model exp(3.5 N) bounds lambda_max(H_N^-1) from above
+    only up to N = 280.  ln lambda_max / N rises towards 4 ln(1+sqrt 2) =
+    3.5255; it is 3.4736 at N = 130 (``linv_growth_study(130)``), where
+    the asymptotic (1+sqrt 2)^(4N) / (2^(15/4) pi^(3/2) sqrt N) (1 + c/N)
+    gives c = 0.555.  That fitted form crosses exp(3.5 N) at N = 279.7,
+    which is N* at delta = 4.6e-216 for E = C_hat = 1; below about that
+    delta, ``term_noise`` is no longer an upper bound.
     """
     if not all(0 < v < math.inf for v in (delta, E, C_hat)):
         raise ValueError("delta, E and C_hat must be finite and positive")
@@ -292,17 +295,14 @@ def point_value_noise_study(y_values, true_value, deltas):
 def _mother_bump_derivative(m):
     """Vectorized m-th derivative of exp(-1/(s(1-s))) on (0,1), zero outside.
 
-    lambdify gets numpy's module object, not the string "numpy": the string
-    form runs ``from numpy import *``, which loads about 50 numpy submodules
-    the bump never calls, about 15 MB and 0.15 s per process.  The object form
-    copies the module's namespace, prints the same source and binds the same
-    ufuncs; reading the lazy ``np``'s namespace runs numpy's import.
+    The values come from entry m of the ``_bump_derivatives`` table,
+    sympy's own lambdified expressions frozen as source, so no sympy runs.
+    The table is imported here, not at module level, so that ``import
+    hausmom.cli`` does not compile it; its first use runs numpy's import.
     """
-    import sympy as sp  # the only user; importing it at module level costs every import about 0.4 s
+    from ._bump_derivatives import DERIVATIVES
 
-    s = sp.symbols("s")
-    expr = sp.diff(sp.exp(-1 / (s * (1 - s))), s, m)
-    core = sp.lambdify(s, expr, modules=[np])
+    core = DERIVATIVES[m]
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -321,14 +321,17 @@ def bump_family(k, m):
     The profile is the m-th derivative of the mother bump, normalized to
     unit H^k norm; its first m moments vanish by integration by parts and
     the stored ``moments`` are the first 60 of the normalized profile, all
-    integrals by 400-node Gauss-Legendre.  A derivative order m + k above
-    _MAX_BUMP_ORDER, past which those moments lose accuracy, raises
-    RuntimeError before any symbolic work.
+    integrals by 400-node Gauss-Legendre.  The derivatives come from a
+    table of orders 1..8, the orders whose moments stay accurate (see
+    ``_bump_derivatives``); a derivative order m + k beyond it raises
+    RuntimeError before any bump is evaluated.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    if m + k > _MAX_BUMP_ORDER:
-        raise RuntimeError(f"bump derivative order m + k = {m + k} exceeds {_MAX_BUMP_ORDER}, "
+    from ._bump_derivatives import DERIVATIVES
+
+    if m + k > len(DERIVATIVES):
+        raise RuntimeError(f"bump derivative order m + k = {m + k} exceeds {len(DERIVATIVES)}, "
                            "the largest whose moments are accurate to 1e-8")
     rule = QuadratureRule.gauss(400)
     derivs = [_mother_bump_derivative(m + order) for order in range(k + 1)]

@@ -129,17 +129,18 @@ def _import_sites(package):
 
 
 class TestDependencyOwners:
-    """Each optional dependency is imported by the few functions that need it, never at module level."""
+    """Each optional dependency is imported by the few functions that need it, never at module level;
+    sympy, which only the test oracles use, by none."""
 
     @pytest.mark.parametrize("package, owners", [
         ("scipy", {("moment_ops", "forward_moments"), ("stability_lab", "laplace_consistency")}),
-        ("sympy", {("stability_lab", "_mother_bump_derivative")}),
+        ("sympy", set()),
         ("numpy", {("legendre", "_leggauss")}),
     ])
     def test_one_owner(self, package, owners):
         assert _import_sites(package) == owners
 
-    @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath", "numpy"])
+    @pytest.mark.parametrize("package", ["scipy", "mpmath", "numpy"])
     def test_never_at_module_level(self, package):
         sites = _import_sites(package)
         assert sites and all(function is not None for _, function in sites)
@@ -221,7 +222,16 @@ class TestParsing:
 
     # importing hausmom.cli imports hausmom first, so one interpreter checks both
     def test_import_leaves_sympy_out(self):
-        _run_fresh("import hausmom.cli\n" + _loaded_none_of("scipy", "sympy"))
+        # nor does it compile the frozen bump-derivative table, about 5 ms from source
+        _run_fresh("import hausmom.cli\n" + _loaded_none_of("scipy", "sympy")
+                   + "assert 'hausmom._bump_derivatives' not in sys.modules\n")
+
+    def test_counterexample_leaves_sympy_and_mpmath_out(self):
+        # the bump derivatives are a frozen table of numpy expressions, and lambert_w is not called
+        golden = (BENCH / "golden" / "cli" / "counterexample-mu-0.25.out").read_text()
+        out = _run_fresh("from hausmom.cli import run\nassert run(['counterexample', '--mu', '0.25']) == 0\n"
+                         + _loaded_none_of("sympy", "mpmath"))
+        assert out == golden
 
     def test_import_leaves_mpmath_out(self):
         _run_fresh("import hausmom.cli\n" + _loaded_none_of("mpmath"))
@@ -251,11 +261,11 @@ class TestParsing:
                    f"assert not {_NUMPY_RAN}\n" + _loaded_none_of("scipy"))
 
     def test_bump_loads_no_unused_numpy_submodule(self):
-        # lambdify's string form "numpy" runs `from numpy import *`, which loads these two and
-        # about 50 more; the module object form copies the namespace and imports nothing
+        # the frozen bump table binds numpy's exp only; `from numpy import *` would load these two
+        # and about 50 more numpy submodules the bump never calls
         _run_fresh("import sys, hausmom\nassert hausmom.bump_family(1, 1).m == 1\n"
                    "assert not {'numpy.f2py', 'numpy.testing'} & set(sys.modules)\n")
-        # with no numpy run yet, lambdify reading the lazy numpy's namespace runs its import
+        # with no numpy run yet, the table binding the lazy numpy's exp runs its import
         _run_fresh("import math, sys\nfrom hausmom.stability_lab import _mother_bump_derivative\n"
                    f"assert not {_NUMPY_RAN}\n"
                    "g = _mother_bump_derivative(2)(0.5)\n"
@@ -382,7 +392,7 @@ class TestCommands:
         # up from 1 took seconds at mu = 1e-7 and did not end at mu = 1e-12
         import hausmom.stability_lab as lab
 
-        monkeypatch.setattr(lab, "_mother_bump_derivative", lambda order: pytest.fail("sympy work started"))
+        monkeypatch.setattr(lab, "_mother_bump_derivative", lambda order: pytest.fail("a bump derivative was built"))
         for mu, message in (("0.1", "order m + k = 20 exceeds"),
                             ("1e-12", "order m + k = 2000000000000 exceeds"),
                             ("5e-324", "needs a bump order m beyond any limit")):
