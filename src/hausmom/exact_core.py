@@ -406,30 +406,25 @@ def _times(rows, v):
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def _all_ones_iteration(m, precision):
+def _signed_iteration(m, precision):
     """``_power_iteration`` on ``m`` from the all-ones vector at tolerance
-    1e-20: the value, the iterate v it stopped at and w = ``m.num`` v.  The
-    start's product is the row sums of ``m.num`` shifted to the start's
-    scale, so the first step computes no product."""
+    1e-20, restarted once when its iterate v has components of both signs
+    in D = diag(signs of row 1 of ``m.num``, 0 counted as +): from D 1,
+    which is positive in the flipped basis, so not orthogonal to the Perron
+    vector of a D m D > 0.  The larger Rayleigh quotient is kept with its
+    own iterate v and product w = ``m.num`` v.  The all-ones start's
+    product is the row sums of ``m.num`` shifted to the start's scale, so
+    its first step computes no product."""
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     shift = precision + _GUARD_BITS
-    return _power_iteration(partial(_times, m.num), [1 << shift] * m.rows, precision, 1e-20, m.den,
-                            w=[sum(row) << shift for row in m.num])
-
-
-def _signed_iteration(m, precision):
-    """``_all_ones_iteration``, restarted once when its iterate v has
-    components of both signs in D = diag(signs of row 1 of ``m.num``, 0
-    counted as +): from D 1, which is positive in the flipped basis, so
-    not orthogonal to the Perron vector of a D m D > 0.  The larger
-    Rayleigh quotient is kept with its own iterate and product."""
-    found = _all_ones_iteration(m, precision)
+    times = partial(_times, m.num)
+    found = _power_iteration(times, [1 << shift] * m.rows, precision, 1e-20, m.den,
+                             w=[sum(row) << shift for row in m.num])
     signs = [-1 if x < 0 else 1 for x in m.num[0]]
     dv = list(map(mul, signs, found[1]))
     if min(dv) < 0 < max(dv):
-        shift = precision + _GUARD_BITS
-        again = _power_iteration(partial(_times, m.num), [s << shift for s in signs], precision, 1e-20, m.den)
+        again = _power_iteration(times, [s << shift for s in signs], precision, 1e-20, m.den)
         found = max(found, again, key=lambda r: r[0])
     return found
 

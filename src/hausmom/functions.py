@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Callable, Optional
 
 from ._lazy import numpy as np
@@ -20,6 +21,12 @@ class TestFunction:
     singular_at_one: bool = False
     # exact rational coefficients (c_0, c_1, ...) when f is a polynomial
     poly_coeffs: Optional[tuple] = None
+
+    def __post_init__(self):
+        # project integrates piecewise between 0, 1 and the breakpoints, so
+        # one outside [0, 1] (or NaN) would silently widen or poison the rule
+        if not all(isinstance(b, Real) and 0 <= b <= 1 for b in self.breakpoints):
+            raise ValueError("breakpoints must be finite numbers in [0, 1]")
 
     def __call__(self, t):
         return self.value(t)

@@ -33,12 +33,10 @@ class LegendreExpansion:
 def _leggauss(npts):
     """numpy's leggauss(npts), made read-only; only QuadratureRule.composite reads it.
 
-    leggauss is imported here, at call time, so that importing this module
-    does not execute numpy.
+    leggauss is read from the lazy ``np`` here, at call time, so that
+    importing this module does not execute numpy.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(npts)
+    x, w = np.polynomial.legendre.leggauss(npts)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -119,21 +117,8 @@ def basis_matrix(m, t):
 
 
 def _rule_key(f, m):
-    """The inputs default_rule reads from f, with m: a hashable key."""
+    """The inputs _projector reads from f, with m: a hashable key."""
     return m, tuple(getattr(f, "breakpoints", ()) or ()), bool(getattr(f, "singular_at_one", False))
-
-
-def _rule(m, breakpoints, singular_at_one):
-    npts = m + 8
-    if singular_at_one:
-        return QuadratureRule.endpoint_graded(npts)
-    return QuadratureRule.composite(npts, sorted({0.0, 1.0, *breakpoints}))
-
-
-def default_rule(f, m):
-    """Quadrature rule with m + 8 nodes per piece, matched to f: honours
-    breakpoints and the t=1 grading."""
-    return _rule(*_rule_key(f, m))
 
 
 # The 8 cached entries hold at most about 70 MB (8.8 MB each for the
@@ -143,9 +128,13 @@ _CACHED_M_MAX = 160
 
 
 def _projector(m, breakpoints, singular_at_one):
-    """The rule default_rule gives for the key and basis_matrix(m, rule.nodes),
-    made read-only: m + 2 doubles per node."""
-    rule = _rule(m, breakpoints, singular_at_one)
+    """The rule for the key, m + 8 nodes on each piece between f's breakpoints
+    or graded toward a singular t = 1, and basis_matrix(m, rule.nodes), made
+    read-only: m + 2 doubles per node."""
+    if singular_at_one:
+        rule = QuadratureRule.endpoint_graded(m + 8)
+    else:
+        rule = QuadratureRule.composite(m + 8, sorted({0.0, 1.0, *breakpoints}))
     basis = basis_matrix(m, rule.nodes)
     for a in (rule.nodes, rule.weights, basis):
         a.flags.writeable = False
@@ -159,7 +148,7 @@ def project(f, m):
     """First m Legendre coefficients of f by quadrature.
 
     Exact (to roundoff) for polynomial f of degree < m with
-    :func:`default_rule`.  For m up to 160 the rule and its basis matrix
+    ``_projector``'s rule.  For m up to 160 the rule and its basis matrix
     come from a process-wide cache of 8 read-only entries, least recently
     used dropping out, keyed on m, f's breakpoints and its t=1 flag, so a
     repeated projection evaluates only f.  The largest entry, the

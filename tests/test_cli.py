@@ -129,18 +129,22 @@ def _import_sites(package):
 
 
 class TestDependencyOwners:
-    """Each optional dependency is imported by the few functions that need it, never at module level;
-    sympy, which only the test oracles use, by none."""
+    """Each dependency's import statements, pinned: scipy and mpmath are imported by the few
+    functions that need them, never at module level; numpy by none, since every layer reaches it
+    through ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
 
     @pytest.mark.parametrize("package, owners", [
         ("scipy", {("moment_ops", "forward_moments"), ("stability_lab", "laplace_consistency")}),
         ("sympy", set()),
-        ("numpy", {("legendre", "_leggauss")}),
+        ("numpy", set()),
+        ("mpmath", {("exact_core", "_power_iteration"), ("exact_core", "linv_growth_study"),
+                    ("moment_ops", "forward_from_expansion"), ("range_diagnostics", "stable_family"),
+                    ("stability_lab", "lambert_w")}),
     ])
     def test_one_owner(self, package, owners):
         assert _import_sites(package) == owners
 
-    @pytest.mark.parametrize("package", ["scipy", "mpmath", "numpy"])
+    @pytest.mark.parametrize("package", ["scipy", "mpmath"])
     def test_never_at_module_level(self, package):
         sites = _import_sites(package)
         assert sites and all(function is not None for _, function in sites)

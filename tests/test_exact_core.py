@@ -265,7 +265,7 @@ class TestSpectralNorm:
 
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
-        lam, v, _ = exact_core._all_ones_iteration(h, 256)
+        lam, v, _ = exact_core._signed_iteration(h, 256)
         assert lam == spectral_norm(h)
         hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
         q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
@@ -278,12 +278,12 @@ class TestSpectralNorm:
                              ids=["hilbert_6", *(f"inverse_hilbert_{n}" for n in range(1, 13)), "orthogonal_start"])
     def test_product_of_iterate_and_all_ones_value(self, m, restarts):
         # the returned product is H v to the int, and taking the start's
-        # product from H's row sums leaves the value unchanged to the bit;
-        # spectral_norm returns that value unless its restart from D 1 fires
-        lam, v, w = exact_core._all_ones_iteration(m, 256)
+        # product from H's row sums leaves the all-ones value unchanged to
+        # the bit; the value is that one unless the restart from D 1 fires
+        lam, v, w = exact_core._signed_iteration(m, 256)
         assert w == [sum(map(mul, row, v)) for row in m.num]
-        assert lam == all_ones_spectral_norm(m, 256)
-        assert (spectral_norm(m) == lam) is not restarts
+        assert spectral_norm(m) == lam
+        assert (lam == all_ones_spectral_norm(m, 256)) is not restarts
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]
@@ -314,9 +314,9 @@ class TestSpectralNorm:
         p2 = [[3000, -3000, 0], [-3000, 3000, 0], [0, 0, 0]]
         p3 = [[999, 999, -1998], [999, 999, -1998], [-1998, -1998, 3996]]
         m = RationalMatrix([[a + b + c for a, b, c in zip(*rows)] for rows in zip(j, p2, p3)], 6)
-        assert exact_core._all_ones_iteration(m, 256)[0] == 1
+        assert all_ones_spectral_norm(m, 256) == 1
         with pytest.raises(SpectralNormError, match="did not converge") as exc:
-            spectral_norm(m)
+            exact_core._signed_iteration(m, 256)
         assert 999 < exc.value.last_estimate < 1000
 
 
