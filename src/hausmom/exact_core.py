@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from math import comb, exp, fsum, gcd, isqrt, lcm, log, sqrt
 from operator import index, mul
 
@@ -68,12 +69,12 @@ class RationalMatrix:
     """Dense exact matrix: int rows ``num`` over one positive ``den``.
 
     Kept in lowest terms, so ``==`` compares ``(den, num)``: the sign of a
-    negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Rows of
-    other exact numbers are put over the lcm of their denominators, and
-    numpy integers become Python ints.  A matrix with no rows or no
-    columns is refused, since its shape could not be kept.  ``entries``
-    and ``m[i, j]`` are exact views: ``int`` where ``den`` divides the
-    entry, ``Fraction`` otherwise.
+    negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Entries
+    that are not all ``int`` are read by ``_common_den``, the package's one
+    rule for exact input, and put over the lcm of their denominators.  A
+    matrix with no rows or no columns is refused, since its shape could
+    not be kept.  ``entries`` and ``m[i, j]`` are exact views: ``int``
+    where ``den`` divides the entry, ``Fraction`` otherwise.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
@@ -85,13 +86,12 @@ class RationalMatrix:
         den = index(den)  # numpy integers, here or in num, would wrap in products
         if den == 0:
             raise ValueError("den must be nonzero")
+        if not {int}.issuperset(map(type, chain.from_iterable(num))):  # any other number: _common_den's rule
+            flat, d = _common_den(chain.from_iterable(num))
+            flat = iter(flat)
+            num, den = [list(islice(flat, len(row))) for row in num], den * d
         if den < 0:
             num, den = [[-x for x in row] for row in num], -den
-        if not {int}.issuperset(map(type, chain.from_iterable(num))):  # bool and numpy ints convert
-            num = [[Fraction(index(x) if isinstance(x, numbers.Integral) else x) for x in row] for row in num]
-            d = lcm(*(x.denominator for row in num for x in row))
-            num = [[x.numerator * (d // x.denominator) for x in row] for row in num]
-            den *= d
         g = gcd(den, *(x for row in num for x in row)) if den != 1 else 1
         self.num = [[x // g for x in row] for row in num] if g != 1 else num
         self.den = den // g
@@ -203,17 +203,17 @@ class FactoredTriangular:
 def _common_den(values):
     """Exact values as ``(ints, den)``: value i is ``ints[i] / den``, den > 0.
 
-    int (numpy integers included), Fraction and float values enter
-    exactly, a float as its dyadic rational; any other real (numpy
-    float32, an mpf) via float.  NaN and infinities are refused.
+    The package's one rule for exact input: ints (bool, numpy's), any Rational, floats (numpy's float64 and
+    float32, each its dyadic rational) and Decimal (as written) enter exactly; any other real (an mpf) and
+    text go through float().  NaN, infinities and unreadable text are refused with ``ValueError``.
     ``den`` is the lcm of the denominators, not reduced against the ints.
     """
     try:
-        ratios = [(v if isinstance(v, (int, Fraction, float))
-                   else index(v) if isinstance(v, numbers.Integral) else float(v)).as_integer_ratio()
-                  for v in values]
+        ratios = [(v if isinstance(v, (int, Fraction, float, Decimal))
+                   else index(v) if isinstance(v, numbers.Integral) else Fraction(v) if isinstance(v, numbers.Rational)
+                   else float(v)).as_integer_ratio() for v in values]
     except (ValueError, OverflowError):
-        raise ValueError("values must be finite") from None
+        raise ValueError("values must be finite real numbers") from None
     den = lcm(*(q for _, q in ratios))
     return [p * (den // q) for p, q in ratios], den
 

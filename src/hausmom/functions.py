@@ -8,6 +8,7 @@ from numbers import Real
 from typing import Callable, Optional
 
 from ._lazy import numpy as np
+from .exact_core import _common_den
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ def constant(c=1.0):
 
 
 def polynomial(coeffs, label=None):
-    """Polynomial sum c_k t^k; coeffs exact (int/Fraction) or float."""
-    exact = tuple(Fraction(c) for c in coeffs)
+    """Polynomial sum c_k t^k; ``poly_coeffs`` are the c_k read by ``_common_den``, the one rule for exact input."""
+    a, den = _common_den(coeffs)
     fc = np.array([float(c) for c in coeffs])
     d1 = np.array([k * float(c) for k, c in enumerate(coeffs)][1:] or [0.0])
     d2 = np.array([k * (k - 1) * float(c) for k, c in enumerate(coeffs)][2:] or [0.0])
@@ -56,12 +57,14 @@ def polynomial(coeffs, label=None):
         derivative=lambda t: _horner(d1, t),
         second_derivative=lambda t: _horner(d2, t),
         label=label or "poly" + str(tuple(float(c) for c in coeffs)),
-        poly_coeffs=exact,
+        poly_coeffs=tuple(Fraction(x, den) for x in a),
     )
 
 
 def monomial_witness(i):
-    """x_i(t) = sqrt(i) t^i, the non-compactness witness family."""
+    """x_i(t) = sqrt(i) t^i, i >= 1, the non-compactness witness family."""
+    if i < 1:
+        raise ValueError("i must be >= 1")
     s = float(np.sqrt(i))
     return TestFunction(
         value=lambda t: s * np.asarray(t, dtype=float) ** i,

@@ -107,23 +107,19 @@ def exact_polynomial_moments(coeffs, n):
 def forward_from_expansion(e, n):
     """First n moments of the expansion via the exact factored Ln.
 
-    y = Ln lambda = Ltilde diag(sqrt(2k-1)) lambda; the rational products
-    are exact, the irrational column weights enter once per term at 40
+    y = Ln lambda = Ltilde diag(sqrt(2k-1)) lambda, lambda read by ``_common_den`` (NaN and infinities
+    refused); the rational products are exact, the irrational column weights enter once per term at 40
     digits, and the sum is rounded to a double at the end.
     """
     import mpmath as mp
     lfac = cholesky_factor_L(n)
     part = lfac.rational_part
-    lam = [float(c).as_integer_ratio() for c in e.coefficients[:min(e.m, n)]]
-    out = []
+    a, den = _common_den(e.coefficients[:min(e.m, n)])
     with mp.workdps(40):
         roots = [mp.sqrt(w) for w in lfac.diag_weights]
-        for row in part.num:
-            out.append(float(mp.fsum(
-                mp.mpf(x * a) / mp.mpf(part.den * b) * r
-                for x, (a, b), r in zip(row, lam, roots) if x and a
-            )))
-    return MomentSequence.from_values(out)
+        return MomentSequence.from_values([float(mp.fsum(mp.mpf(x * c) / mp.mpf(part.den * den) * r
+                                                          for x, c, r in zip(row, a, roots) if x and c))
+                                           for row in part.num])
 
 
 def adjoint_apply(y, t):
@@ -135,9 +131,9 @@ def adjoint_apply(y, t):
 def pseudoinverse(y):
     """Minimum-norm solution of the truncated problem: lambda = Ln^{-1} y.
 
-    y is put over one common denominator (see ``_common_den``: int,
-    Fraction and float values exactly, other reals via float, non-finite
-    values refused), so the inner products (M y)_i are exact ints over it;
+    y is put over one common denominator by ``_common_den``, the one rule
+    for exact input (float and Decimal values exactly, other reals via float,
+    non-finite values refused), so the inner products (M y)_i are exact ints over it;
     rounding happens once when each coefficient is emitted (int true
     division rounds correctly, so the unreduced denominator gives the
     same double).

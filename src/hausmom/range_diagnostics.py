@@ -134,6 +134,8 @@ def build_DN(N):
 
 def tn_diagonal(N):
     """Exact diagonal of T_N: t_k = C(N-1,k-1)/C(N-1+k,k-1)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     return [Fraction(comb(N - 1, k - 1), comb(N - 1 + k, k - 1)) for k in range(1, N + 1)]
 
 

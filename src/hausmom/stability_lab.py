@@ -384,8 +384,10 @@ def log_ratio(family, mu, r):
     """ln of ||x_r|| / ||A x_r||^mu for x_r(t) = r^p g(t/r), in log space.
 
     The moment sum is factored through its leading power of r so that no
-    underflow occurs however small r gets.
+    underflow occurs however small r gets; r outside (0, 1] is refused.
     """
+    if not 0 < r <= 1:
+        raise ValueError("r must lie in (0, 1]")
     p = family.p
     m = family.m
     g2 = family.moments[m:] ** 2  # moments m+1, m+2, ... of g

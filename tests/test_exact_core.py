@@ -54,6 +54,8 @@ class TestRationalMatrix:
         m = RationalMatrix([[2, -4]], -6)
         assert (m.num, m.den) == ([[-1, 2]], 3)
         assert RationalMatrix([[1]], -2) == RationalMatrix([[-1]], 2)
+        # entries that are not all int are read first, then the sign moves
+        assert RationalMatrix([[0.5, Fraction(-1, 3)]], -1).entries == [[Fraction(-1, 2), Fraction(1, 3)]]
 
     def test_zero_den(self):
         with pytest.raises(ValueError, match="den must be nonzero"):
@@ -323,12 +325,13 @@ class TestSpectralNorm:
 class TestEdgeBranches:
     @pytest.mark.parametrize("call, expected", [
         (lambda: RationalMatrix([[1, 2], [3]]), "ragged rows"),
+        (lambda: RationalMatrix([[0.5, 2], [Fraction(1, 3)]]), "ragged rows"),
         (lambda: RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]]), "dimension mismatch"),
         (lambda: spectral_norm(RationalMatrix([[0, 0], [0, 0]])), 0),
         (lambda: spectral_norm(RationalMatrix([[1, 2]])), "matrix must be square"),
         (lambda: cholesky_factor_L(0), "n must be >= 1"),
         (lambda: inverse_factor_Linv(0), "n must be >= 1"),
-    ], ids=["ragged", "matmul-mismatch", "zero-spectral-norm", "non-square-spectral-norm",
+    ], ids=["ragged", "ragged-non-int", "matmul-mismatch", "zero-spectral-norm", "non-square-spectral-norm",
             "cholesky-n0", "linv-n0"])
     def test_refusals_and_zero_norm(self, call, expected):
         if isinstance(expected, str):

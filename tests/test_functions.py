@@ -31,6 +31,13 @@ def test_polynomial_exact_coefficients():
     assert f(0.5) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("i", [0, -1])
+def test_monomial_witness_refuses_i_below_one(i):
+    # i = -1 gave a function that is NaN everywhere, with numpy's sqrt warning; i = 0 the zero function
+    with pytest.raises(ValueError, match="i must be >= 1"):
+        monomial_witness(i)
+
+
 def test_kink_breakpoint_recorded():
     assert abs_kink().breakpoints == (0.5,)
 

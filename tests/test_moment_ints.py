@@ -2,14 +2,17 @@
 against every oracle in tests/oracles.py that computes them another way."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hausmom import exact_core, range_diagnostics
 from hausmom.exact_core import RationalMatrix
+from hausmom.functions import polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse, reconstruction_norm_sq_exact
 from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, picard_partial_sums
 from oracles import float_picard_partial, fraction_inner_products, hilbert_polynomial_moments, loop_criterion
@@ -172,3 +175,36 @@ class TestPolynomialMoments:
     def test_refuses_non_finite_coefficient(self):
         with pytest.raises(ValueError, match="values must be finite"):
             exact_polynomial_moments((1, math.nan), 3)
+
+
+class TestOneInputRule:
+    """Every exact reader takes an outside number by ``_common_den``'s one rule:
+    the same exact value everywhere, or the same exception everywhere."""
+
+    @pytest.mark.parametrize("v, want", [
+        (np.float32(0.5), Fraction(1, 2)),
+        (Decimal("0.1"), Fraction(1, 10)),
+        (mp.mpf("0.1"), Fraction(0.1)),  # any other real is rounded to a double
+        ("1/3", ValueError),  # text is read by float(); RationalMatrix took it as 1/3
+        (math.inf, ValueError),
+        (math.nan, ValueError),
+        (np.int64(2**60 + 1), 2**60 + 1),  # no double holds it
+        ("0.5", Fraction(1, 2)),
+    ], ids=["float32", "Decimal", "mpf", "str-ratio", "inf", "nan", "int64", "str-float"])
+    def test_same_value_or_refusal_everywhere(self, v, want):
+        readers = {
+            "matrix": lambda: RationalMatrix([[v]]).entries[0][0],
+            "polynomial": lambda: polynomial((v,)).poly_coeffs[0],
+            "moments": lambda: exact_polynomial_moments((v,), 1).values,
+            "moments of poly_coeffs": lambda: exact_polynomial_moments(polynomial((v,)).poly_coeffs, 1).values,
+            "norm": lambda: reconstruction_norm_sq_exact(MomentSequence((v,))),  # (M y)_1 = y_1, squared
+        }
+        if isinstance(want, type):
+            for read in readers.values():
+                with pytest.raises(want):
+                    read()
+            return
+        got = {name: read() for name, read in readers.items()}
+        assert got == {"matrix": want, "polynomial": want, "moments": (want,), "moments of poly_coeffs": (want,),
+                       "norm": want * want}
+        assert type(got["polynomial"]) is Fraction and type(got["norm"]) is Fraction

@@ -370,8 +370,12 @@ class TestEdgeBranches:
         (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), [0.5, -0.5]), "t must lie in [0, 1]"),
         (lambda: adjoint_apply(MomentSequence.from_values([1.0, 0.5]), [0.2, math.nan]), "t must lie in [0, 1]"),
         (lambda: sobolev_norm(abs_kink(), "H2"), "second derivative required for H2 norm"),
+        # NaN raised "cannot convert NaN to integer ratio", an infinity an OverflowError
+        (lambda: forward_from_expansion(LegendreExpansion([1.0, math.nan]), 3), "values must be finite real numbers"),
+        (lambda: forward_from_expansion(LegendreExpansion([1.0, math.inf]), 3), "values must be finite real numbers"),
+        (lambda: forward_from_expansion(LegendreExpansion([-math.inf]), 3), "values must be finite real numbers"),
     ], ids=["forward-moments-n0", "adjoint-above-one", "adjoint-below-zero", "adjoint-nan",
-            "h2-without-second-derivative"])
+            "h2-without-second-derivative", "expansion-nan", "expansion-inf", "expansion-minus-inf"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

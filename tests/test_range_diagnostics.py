@@ -302,8 +302,10 @@ class TestEdgeBranches:
         (lambda: build_RN(0), "N must be >= 1"),
         (lambda: build_DN(0), "N must be >= 1"),
         (lambda: picard_partial_sums(TestEdgeBranches.Y3, [1, 4]), "largest level exceeds the available moments"),
+        (lambda: tn_diagonal(0), "N must be >= 1"),  # N < 1 returned [], as if T_N had an empty diagonal
+        (lambda: tn_diagonal(-1), "N must be >= 1"),
     ], ids=["differences-m-below-0", "differences-n-below-0", "criterion-too-few-moments",
-            "RN-0", "DN-0", "picard-beyond-data"])
+            "RN-0", "DN-0", "picard-beyond-data", "TN-0", "TN-negative"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

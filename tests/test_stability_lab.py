@@ -501,6 +501,9 @@ class TestCounterexample:
             lrs = [log_ratio(fam, mu, 2.0**-q) for q in range(2, 9)]
             assert all(b > a for a, b in zip(lrs, lrs[1:]))
 
+    def test_log_ratio_accepts_r_one(self):
+        assert math.isfinite(log_ratio(bump_family(1, 3), 0.5, 1.0))
+
     def test_unreachable_target_reports_best(self):
         with pytest.raises(RuntimeError) as exc:
             holder_counterexample(0.5, 1, 1e300)
@@ -650,8 +653,15 @@ class TestEdgeBranches:
         (lambda: bump_family(1, 0), "k and m must be >= 1"),
         (lambda: holder_counterexample(0.0, 1, 2.0), "mu must lie in (0, 1)"),
         (lambda: holder_counterexample(1.0, 1, 2.0), "mu must lie in (0, 1)"),
+        # r = -0.1 failed with a math domain error; r = 1.5 returned -8.17, though
+        # x_r is then supported on [0, 1.5], where the moment formula does not hold
+        (lambda: log_ratio(bump_family(1, 3), 0.5, -0.1), "r must lie in (0, 1]"),
+        (lambda: log_ratio(bump_family(1, 3), 0.5, 0.0), "r must lie in (0, 1]"),
+        (lambda: log_ratio(bump_family(1, 3), 0.5, 1.5), "r must lie in (0, 1]"),
+        (lambda: log_ratio(bump_family(1, 3), 0.5, math.nan), "r must lie in (0, 1]"),
     ], ids=["amplification-short-data", "growth-n0", "point-value-N0", "point-value-past-data",
-            "bump-k0", "bump-m0", "holder-mu0", "holder-mu1"])
+            "bump-k0", "bump-m0", "holder-mu0", "holder-mu1", "log-ratio-r-negative", "log-ratio-r0",
+            "log-ratio-r-above-one", "log-ratio-r-nan"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
