@@ -18,7 +18,7 @@ from operator import mul
 
 from ._lazy import numpy as np
 from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_factor_L
-from .functions import TestFunction, _horner
+from .functions import TestFunction, _at, _horner
 from .legendre import LegendreExpansion, _unit_points, project
 
 _NORM_KINDS = ("H1", "H1-seminorm", "H2")  # the norms a SobolevBudget can bound
@@ -58,11 +58,17 @@ class SobolevBudget:
 
 def forward_moments(f, n):
     """First n moments as floats: exact for polynomials, without loading
-    scipy; else by scipy quad to absolute and relative tolerance 1e-12,
-    with f evaluated once per distinct node of the call, as the n integrals
-    share most of their Gauss-Kronrod nodes.  Each moment's integrand
-    binds its power k and multiplies the cached float(f(t)) by t ** k,
-    the same IEEE product the float64 value gave."""
+    scipy; else by scipy quad to absolute and relative tolerance 1e-12.
+
+    QUADPACK calls each integrand at one Python float t at a time, and
+    the built-ins of ``functions`` evaluate a float in floats.  The n
+    integrals share most of their Gauss-Kronrod nodes, so f is evaluated
+    once per distinct node of the call, its float(f(t)) kept in a dict
+    for the call.  Moment k + 1's integrand binds the dict's get and
+    the power k as a float, and returns float(f(t)) * t ** k: t ** k.0
+    is the same libm pow call as t ** k, without converting k, and the
+    product is the one a quad evaluating f afresh at each node forms.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
@@ -72,10 +78,11 @@ def forward_moments(f, n):
     tol = 1e-12
     pts = sorted(set(f.breakpoints)) or None
     f_at = {}  # node -> float(f(node)), for this call only
+    get = f_at.get
 
     def integrand(k):
         def t_k_f(t):
-            v = f_at.get(t)
+            v = get(t)
             if v is None:
                 v = f_at[t] = float(f(t))
             return v * t ** k
@@ -83,7 +90,7 @@ def forward_moments(f, n):
 
     vals = []
     for j in range(1, n + 1):
-        v, err = quad(integrand(j - 1), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=pts)
+        v, err = quad(integrand(float(j - 1)), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=pts)
         if not (isfinite(v) and err <= 10 * max(tol, abs(v) * tol) + 1e-15):
             raise RuntimeError(f"quadrature for moment {j} did not converge (v={v!r}, err={err:.2e})")
         vals.append(v)
@@ -171,8 +178,11 @@ def sobolev_norm(f, kind="H1"):
         raise ValueError(f"{f.label}: second derivative required for H2 norm")
 
     def _l2sq(g):  # moment 1 of g^2, on f's breakpoints
-        g_sq = TestFunction(lambda t: np.asarray(g(t), dtype=float) ** 2, breakpoints=f.breakpoints)
-        return forward_moments(g_sq, 1).values[0]
+        def g_sq(t):
+            v = _at(g(t))
+            return v * v
+
+        return forward_moments(TestFunction(g_sq, breakpoints=f.breakpoints), 1).values[0]
 
     parts = {"H1-seminorm": (f.derivative,), "H1": (f.value, f.derivative),
              "H2": (f.value, f.derivative, f.second_derivative)}[kind]

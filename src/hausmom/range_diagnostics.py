@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, fsum, isfinite
 from operator import index, mul
@@ -45,11 +46,12 @@ class StableFamilyMember:
 
 def _window(y, stop, start=0):
     """Moments start..stop-1 of y, read once: ``(ints, den)`` over one
-    common denominator when every moment of y is rational (an int, numpy
-    integer or Fraction), else ``(floats, None)``, refused unless all
-    finite."""
+    common denominator when every moment of y is exact (an int, numpy
+    integer, Fraction or Decimal, each read as written by ``_common_den``,
+    which refuses a NaN or infinite Decimal), else ``(floats, None)``,
+    refused unless all finite."""
     values = y.values[start:stop]
-    if all(isinstance(v, numbers.Rational) for v in y.values):
+    if all(isinstance(v, (numbers.Rational, Decimal)) for v in y.values):
         return _common_den(values)
     floats = [float(v) for v in values]
     if not all(map(isfinite, floats)):

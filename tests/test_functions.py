@@ -76,3 +76,42 @@ def test_peak_shape():
     # the bump is centred near t = 0.2/2.05
     t = np.linspace(0, 1, 2001)
     assert abs(t[np.argmax(f(t))] - 0.2 / 2.05) < 1e-2
+
+
+BUILT_INS = {"constant": constant(2.0), "polynomial": polynomial((1, -2, Fraction(1, 3), 3)),
+             "monomial_witness-1": monomial_witness(1), "monomial_witness-2": monomial_witness(2),
+             "monomial_witness-5": monomial_witness(5), "abs_kink": abs_kink(), "cubic_exp": cubic_exp(),
+             "peak": peak(), "g_alpha": g_alpha(-0.25)}
+
+
+def _quadpack_nodes(f):
+    """Every node forward_moments(f, 40) evaluates f at, collected by wrapping f."""
+    from hausmom.moment_ops import forward_moments
+
+    nodes = []
+    forward_moments(functions.TestFunction(lambda t: nodes.append(t) or f(t), breakpoints=f.breakpoints), 40)
+    return nodes
+
+
+@pytest.mark.parametrize("name", BUILT_INS)
+def test_float_path_is_bit_identical_to_array_path(name):
+    # a Python float is evaluated in floats, any other t as a float array: the same doubles
+    f = BUILT_INS[name]
+    rng = np.random.default_rng(7)
+    points = rng.random(10_000).tolist() + _quadpack_nodes(f)
+    for g in (f.value, f.derivative, f.second_derivative):
+        if g is None:
+            continue
+        got = [float(g(t)).hex() for t in points]
+        assert got == [float(g(np.asarray(t))).hex() for t in points]
+        assert got == [v.hex() for v in np.asarray(g(np.array(points)), dtype=float).tolist()]
+
+
+@pytest.mark.parametrize("name", ["constant", "polynomial", "abs_kink", "peak"])
+def test_float_in_float_out(name, monkeypatch):
+    # no 0-d array on the quadrature's path: these values take no numpy call at all on a float
+    f = BUILT_INS[name]
+    monkeypatch.setattr(functions, "np", None)
+    assert type(f(0.3)) is float
+    if name in ("constant", "polynomial", "peak"):
+        assert type(f.derivative(0.3)) is float

@@ -153,6 +153,24 @@ class TestCriterion:
         with pytest.raises(ValueError, match="moments must be finite"):
             forward_differences(y, 0, len(values) - 1)
 
+    def test_decimal_moments_take_the_exact_arm(self):
+        # Decimals are read as written, as every exact reader reads them: lambda was
+        # (-0.19999999999999998, 0.3) and the Picard partial sum 0.76 on the float arm
+        y = MomentSequence((Decimal("0.1"), Decimal("0.3")))
+        stats = hausdorff_criterion(y, 1)
+        assert stats.lam == (Fraction(-1, 5), Fraction(3, 10)) and all(type(v) is Fraction for v in stats.lam)
+        assert forward_differences(y, 0, 1) == Fraction(-1, 5)
+        assert picard_partial_sums(y, [2]) == [{"N": 2, "partial": Fraction(19, 25)}]
+        assert stats.picard_partial == Fraction(19, 25) == reconstruction_norm_sq_exact(y)
+
+    @pytest.mark.parametrize("bad", ["NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_non_finite_decimal_refused(self, bad):
+        y = MomentSequence((Decimal("0.1"), Decimal(bad), Decimal("0.3")))
+        for call in (lambda: hausdorff_criterion(y, 2), lambda: picard_partial_sums(y, [3]),
+                     lambda: forward_differences(y, 0, 2)):
+            with pytest.raises(ValueError, match="values must be finite"):
+                call()
+
 
 class TestPolynomialMoments:
     @settings(max_examples=150, deadline=None)

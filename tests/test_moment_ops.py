@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hausmom.functions import (
     peak,
     polynomial,
 )
-from hausmom.legendre import LegendreExpansion, project
+from hausmom.legendre import LegendreExpansion, l2_distance, project
 from hausmom.moment_ops import (
     MomentSequence,
     SobolevBudget,
@@ -34,6 +35,8 @@ from hausmom.moment_ops import (
     reconstruction_norm_sq_exact,
     sobolev_norm,
 )
+from hausmom.range_diagnostics import hausdorff_criterion
+from hausmom.stability_lab import NoiseModel, noisy_data
 from oracles import (
     abs_kink_tail_sq,
     fraction_inner_products,
@@ -237,6 +240,34 @@ class TestMomentDataGolden:
         oks = child.MomentData(child.DEFAULT_SEED).reference()
         assert len(oks) == 36
         assert all(oks)
+
+
+def _golden_cells(*kinds):
+    """The golden moment_data operations of the given kinds, as (spec, result) pairs."""
+    ops = json.loads((BENCH / "golden" / "moment_data.json").read_text())["ops"]
+    return [pytest.param(op["spec"], op["result"], id="-".join(map(str, op["spec"][:3])))
+            for op in ops if op["spec"][0] in kinds]
+
+
+class TestMomentDataGoldenCells:
+    """Each quadrature and noisy cell of the moment_data golden, replayed without the benchmark's
+    code: a last-bit drift in one function value or moment fails here, named by its cell."""
+
+    @pytest.mark.parametrize("spec, want", _golden_cells("quad", "noisy"))
+    def test_replays_exactly(self, spec, want):
+        kind, n, name = spec[:3]
+        f = getattr(functions, name)()
+        y = forward_moments(f, n)
+        if kind == "noisy":
+            y = noisy_data(y, NoiseModel(spec[3], seed=spec[4]))
+        stats = hausdorff_criterion(y, n - 1)
+        lam = pseudoinverse(y)
+        got = [float(stats.criterion_value), float(stats.picard_partial), l2_distance(lam, project(f, n)),
+               float((lam.coefficients ** 2).sum())]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_covers_every_quadrature_cell(self):
+        assert len(_golden_cells("quad", "noisy")) == 24
 
 
 class TestProjectionError:
