@@ -28,14 +28,13 @@ _HOME = {name: module for module, names in {
                    "inverse_factor_Linv", "inverse_hilbert", "linv_growth_study", "spectral_norm"),
     "functions": ("TestFunction", "abs_kink", "constant", "cubic_exp", "g_alpha", "monomial_witness", "peak",
                   "polynomial"),
-    "legendre": ("LegendreExpansion", "QuadratureRule", "expansion_eval", "l2_distance", "legendre_eval",
-                 "project"),
-    "moment_ops": ("MomentSequence", "SobolevBudget", "adjoint_apply", "exact_polynomial_moments",
-                   "forward_from_expansion", "forward_moments", "h1_rate_check", "projection_error",
-                   "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm"),
+    "legendre": ("LegendreExpansion", "QuadratureRule", "expansion_eval", "l2_distance", "project"),
+    "moment_ops": ("MomentSequence", "SobolevBudget", "exact_polynomial_moments", "forward_moments",
+                   "h1_rate_check", "projection_error", "pseudoinverse", "reconstruction_norm_sq_exact",
+                   "sobolev_norm"),
     "range_diagnostics": ("HausdorffStats", "StableFamilyMember", "build_DN", "build_RN", "forward_differences",
-                          "hausdorff_criterion", "lacunary_stability_bound", "picard_partial_sums", "stable_family",
-                          "tn_diagonal", "verify_TN_identity"),
+                          "hausdorff_criterion", "lacunary_stability_bound", "stable_family", "tn_diagonal",
+                          "verify_TN_identity"),
     "stability_lab": ("AmplificationEstimate", "BumpFamily", "NoiseModel", "StabilityBound",
                       "amplification_experiment", "bump_family", "eit_forward", "error_split_study",
                       "holder_counterexample", "lambert_w", "laplace_consistency", "log_ratio", "noisy_data",

@@ -335,7 +335,8 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
     *an* eigenvalue (not certainly the largest) and, as a Rayleigh
     quotient, off by about tol^2.  Returns l / ``d`` as an mpf at
     ``precision`` bits (>= 64), the iterate v that l is the Rayleigh
-    quotient of, and its product w = ``matvec(v)``.
+    quotient of, and its product w = ``matvec(v)``.  A step with v.w < 0
+    shows that the map is not PSD and raises ValueError there.
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
@@ -354,6 +355,8 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
             w = matvec(v)
         vv = sum(map(mul, v, v))
         vw = sum(map(mul, v, w))
+        if vw < 0:
+            raise ValueError("matrix is not positive semidefinite")
         ww = sum(map(mul, w, w))
         if ww == 0:
             return mp.mpf(0), v, w
@@ -383,7 +386,8 @@ def spectral_norm(m, precision=256):
     Where D m D > 0, as for H_n and H_n^-1, the value therefore comes from
     an iterate with no mixed signs in D, so from the Perron direction.
     That is not a bracket: the value is not certified to be the largest
-    eigenvalue.
+    eigenvalue.  A negative Rayleigh quotient on the way refuses the
+    matrix with ValueError, as not positive semidefinite.
     """
     return _signed_iteration(m, precision)[0]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import sqrt
+from operator import index
 
 from ._lazy import numpy as np
 
@@ -85,23 +86,6 @@ class QuadratureRule:
         return rule
 
 
-def _unit_points(t):
-    """t as a float array, refused unless every entry lies in [0, 1] (NaN does not)."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0) & (t_arr <= 1)):
-        raise ValueError("t must lie in [0, 1]")
-    return t_arr
-
-
-def legendre_eval(k, t):
-    """L_k(t) for scalar or array t, the last row of :func:`basis_matrix`."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t_arr = _unit_points(t)
-    out = basis_matrix(k + 1, t_arr.ravel())[k].reshape(t_arr.shape)
-    return out if out.shape else float(out)
-
-
 def basis_matrix(m, t):
     """Rows L_0(t) .. L_{m-1}(t); one recurrence pass for all degrees."""
     t = np.asarray(t, dtype=float)
@@ -152,8 +136,12 @@ def project(f, m):
     come from a process-wide cache of 8 read-only entries, least recently
     used dropping out, keyed on m, f's breakpoints and its t=1 flag, so a
     repeated projection evaluates only f.  The largest entry, the
-    41-piece graded rule at m = 160, holds an 8.8 MB basis.
+    41-piece graded rule at m = 160, holds an 8.8 MB basis.  m is read
+    by ``operator.index`` and refused below 0 before the cache is read.
     """
+    m = index(m)
+    if m < 0:
+        raise ValueError("m must be >= 0")
     key = _rule_key(f, m)
     quad, basis = (_cached_projector if m <= _CACHED_M_MAX else _projector)(*key)
     fv = np.asarray(f(quad.nodes), dtype=float)
@@ -163,8 +151,11 @@ def project(f, m):
 
 
 def expansion_eval(e, t):
-    """Evaluate sum_i lambda_i L_{i-1}(t)."""
-    t_arr = np.atleast_1d(_unit_points(t))
+    """Evaluate sum_i lambda_i L_{i-1}(t); t is refused unless every entry
+    lies in [0, 1] (NaN does not)."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((t_arr >= 0) & (t_arr <= 1)):
+        raise ValueError("t must lie in [0, 1]")
     vals = e.coefficients @ basis_matrix(e.m, t_arr)
     return vals if np.ndim(t) else float(vals[0])
 

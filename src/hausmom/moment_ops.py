@@ -1,4 +1,4 @@
-"""The forward moment map, its truncation, adjoint and pseudoinverse.
+"""The forward moment map, its truncation and pseudoinverse.
 
 The truncated pseudoinverse is applied through the exact inverse factor,
 whose part M has int rows: the data are put over one common denominator
@@ -17,9 +17,9 @@ from math import inf, isfinite, lcm, sqrt
 from operator import mul
 
 from ._lazy import numpy as np
-from .exact_core import _common_den, _inner_products, _picard_sum, cholesky_factor_L
-from .functions import TestFunction, _at, _horner
-from .legendre import LegendreExpansion, _unit_points, project
+from .exact_core import _common_den, _inner_products, _picard_sum
+from .functions import TestFunction, _at
+from .legendre import LegendreExpansion, project
 
 _NORM_KINDS = ("H1", "H1-seminorm", "H2")  # the norms a SobolevBudget can bound
 
@@ -109,30 +109,6 @@ def exact_polynomial_moments(coeffs, n):
     d = lcm(*range(1, n + len(a)))
     h = [d // i for i in range(1, n + len(a))]  # d // (k + j) is h[k + j - 1]
     return MomentSequence.from_values(Fraction(sum(map(mul, a, h[j:])), d * den) for j in range(n))
-
-
-def forward_from_expansion(e, n):
-    """First n moments of the expansion via the exact factored Ln.
-
-    y = Ln lambda = Ltilde diag(sqrt(2k-1)) lambda, lambda read by ``_common_den`` (NaN and infinities
-    refused); the rational products are exact, the irrational column weights enter once per term at 40
-    digits, and the sum is rounded to a double at the end.
-    """
-    import mpmath as mp
-    lfac = cholesky_factor_L(n)
-    part = lfac.rational_part
-    a, den = _common_den(e.coefficients[:min(e.m, n)])
-    with mp.workdps(40):
-        roots = [mp.sqrt(w) for w in lfac.diag_weights]
-        return MomentSequence.from_values([float(mp.fsum(mp.mpf(x * c) / mp.mpf(part.den * den) * r
-                                                          for x, c, r in zip(row, a, roots) if x and c))
-                                           for row in part.num])
-
-
-def adjoint_apply(y, t):
-    """[A* y](t) = sum_j y_j t^(j-1), by Horner."""
-    out = _horner(y.to_array(), _unit_points(t))
-    return out if out.shape else float(out)
 
 
 def pseudoinverse(y):

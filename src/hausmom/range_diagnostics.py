@@ -64,19 +64,34 @@ def _diagonal(values):
 
 
 def _stencil(n):
-    """(-1)^l C(n, l), l = 0..n: the n-th forward difference, and row N-1-n of R_N."""
+    """(-1)^l C(n, l), l = 0..n: the n-th forward difference of float data, and row N-1-n of R_N."""
     return [(-1) ** l * comb(n, l) for l in range(n + 1)]
 
 
+def _last_differences(a):
+    """mu_{len(a)-1-k,k} of the window a, k = 0..len(a)-1, in a's units: the
+    last entry of row k of a's int difference table, row k + 1 holding the
+    differences u - v of neighbours in row k."""
+    mu = []
+    while a:
+        mu.append(a[-1])
+        a = [u - v for u, v in zip(a, a[1:])]
+    return mu
+
+
 def forward_differences(y, m, n):
-    """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1}; exact for rational data."""
+    """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1}; exact for rational data.
+
+    Rational data give entry n of the difference table of moments
+    m+1..m+n+1 over their common denominator, O(n^2) int subtractions.
+    """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     if m + n + 1 > y.n:
         raise ValueError(f"mu_({m},{n}) needs {m + n + 1} moments, have {y.n}")
     a, den = _window(y, m + n + 1, m)
     if den is not None:
-        return Fraction(sum(map(mul, _stencil(n), a)), den)
+        return Fraction(_last_differences(a)[n], den)
     # the alternating sum loses ~n bits naively; fsum keeps one rounding
     return fsum(map(mul, _stencil(n), a))
 
@@ -98,11 +113,7 @@ def hausdorff_criterion(y, N):
         raise ValueError(f"level {N} needs {N + 1} moments, have {y.n}")
     window, den = _window(y, N + 1)
     if den is not None:
-        a, mu = window, []  # mu_{N-k,k}, k = 0..N: the last entry of row k of the table, a
-        while a:
-            mu.append(a[-1])
-            a = [u - v for u, v in zip(a, a[1:])]
-        xs = [comb(N, m) * x for m, x in enumerate(reversed(mu))]
+        xs = [comb(N, m) * x for m, x in enumerate(reversed(_last_differences(window)))]
         lam = tuple(Fraction(x, den) for x in xs)
         crit = Fraction((N + 1) * sum(x * x for x in xs), den * den)
     else:
@@ -156,18 +167,6 @@ def verify_TN_identity(N):
     target = _diagonal([t / (weight * (2 * k + 1)) for k, t in enumerate(tn_diagonal(N))])
     residual = w.transpose() @ w - target
     return residual.is_zero(), residual
-
-
-def picard_partial_sums(y, N_list):
-    """Rows (N, ||P_N Linv y||^2); monotone non-decreasing in N."""
-    if not N_list:
-        raise ValueError("N_list must not be empty")
-    if min(N_list) < 1:
-        raise ValueError("levels must be >= 1")
-    if max(N_list) > y.n:
-        raise ValueError("largest level exceeds the available moments")
-    a, den = _window(y, max(N_list))
-    return [{"N": N, "partial": _picard_sum(a[:N], den)} for N in N_list]
 
 
 def stable_family(alpha, J):

@@ -17,11 +17,14 @@ from hausmom.exact_core import (
     FactoredTriangular,
     RationalMatrix,
     _GUARD_BITS,
+    _common_den,
     _power_iteration,
+    cholesky_factor_L,
     hilbert_matrix,
     inverse_factor_Linv,
     spectral_norm,
 )
+from hausmom.moment_ops import MomentSequence
 from hausmom.range_diagnostics import build_DN, build_RN
 
 
@@ -151,6 +154,33 @@ def loop_criterion(values, N):
     if all(isinstance(v, numbers.Rational) for v in values):
         return lam, (N + 1) * sum(v * v for v in lam)
     return lam, (N + 1) * fsum(v * v for v in lam)
+
+
+def forward_from_expansion(e, n):
+    """The first n moments of the Legendre expansion e through the exact
+    factored L_n, a route to A e that shares no code with ``forward_moments``.
+
+    y = L_n lambda = Ltilde diag(sqrt(2k-1)) lambda, lambda read by
+    ``_common_den``; the rational products are exact, the irrational column
+    weights enter once per term at 40 digits, and each sum is rounded to a
+    double at the end.
+    """
+    lfac = cholesky_factor_L(n)
+    part = lfac.rational_part
+    a, den = _common_den(e.coefficients[:min(e.m, n)])
+    with mp.workdps(40):
+        roots = [mp.sqrt(w) for w in lfac.diag_weights]
+        return MomentSequence.from_values([float(mp.fsum(mp.mpf(x * c) / mp.mpf(part.den * den) * r
+                                                          for x, c, r in zip(row, a, roots) if x and c))
+                                           for row in part.num])
+
+
+def adjoint_apply(y, t):
+    """[A* y](t) = sum_j y_j t^(j-1) at one point t, by Horner on the floats of y."""
+    out = 0.0
+    for v in reversed(y.values):
+        out = out * t + float(v)
+    return out
 
 
 def closed_form_RN(N):

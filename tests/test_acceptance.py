@@ -107,8 +107,7 @@ def test_criterion_6_hausdorff_criterion():
     for N in range(1, 21):
         assert hm.hausdorff_criterion(y, N).criterion_value == 1
     unit = hm.MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * 20)
-    rows = hm.picard_partial_sums(unit, list(range(1, 21)))
-    assert all(r["partial"] == r["N"] ** 2 for r in rows)
+    assert all(hm.hausdorff_criterion(unit, N).picard_partial == (N + 1) ** 2 for N in range(20))
 
 
 def test_criterion_7_stable_family():

@@ -308,6 +308,21 @@ class TestSpectralNorm:
         assert spectral_norm(m) == 2
         assert spectral_norm_with_reference(m, 256) == (2, 2)
 
+    @pytest.mark.parametrize("m", [
+        RationalMatrix([[-1]]),
+        RationalMatrix([[-x for x in row] for row in hilbert_matrix(10).num], hilbert_matrix(10).den),
+        RationalMatrix([[(1 if i == 0 else -2) if i == j else 0 for j in range(40)] for i in range(40)]),
+    ], ids=["minus-one", "minus-hilbert-10", "indefinite-diagonal-40"])
+    def test_negative_rayleigh_quotient_refuses(self, m, monkeypatch):
+        # [[-1]] returned a "norm" of -1.0, and -H_40 or diag(1, -2, ..., -2) at n = 40 ran 1000
+        # steps to "did not converge"; each start's quotient here is negative, so no product is taken
+        products = []
+        times = exact_core._times
+        monkeypatch.setattr(exact_core, "_times", lambda rows, v: products.append(1) or times(rows, v))
+        with pytest.raises(ValueError, match="matrix is not positive semidefinite"):
+            spectral_norm(m)
+        assert products == []
+
     def test_restart_that_does_not_converge_raises(self):
         # eigenvalue 1 on the all-ones vector, 1000 and 999 on (1,-1,0) and
         # (1,1,-2): row 1 gives D = diag(1, -1, -1), and from D 1 the

@@ -12,38 +12,39 @@ from hausmom.legendre import (
     basis_matrix,
     expansion_eval,
     l2_distance,
-    legendre_eval,
     project,
 )
 from hausmom.moment_ops import projection_error
 from oracles import fresh_composite, fresh_gauss
 
 
+def _unit(k):
+    """The expansion whose only coefficient is 1 on L_k."""
+    return LegendreExpansion([0.0] * k + [1.0])
+
+
 class TestLegendreEval:
+    # L_k(t) is row k of basis_matrix; expansion_eval of the unit vector on L_k is the public route
     def test_degree_zero(self):
-        for t in (0.0, 0.3, 1.0):
-            assert legendre_eval(0, t) == 1.0
+        assert np.array_equal(basis_matrix(1, [0.0, 0.3, 1.0]), [[1.0, 1.0, 1.0]])
 
     def test_degree_one_midpoint(self):
-        assert legendre_eval(1, 0.5) == 0.0
+        assert basis_matrix(2, [0.5])[1, 0] == 0.0 == expansion_eval(_unit(1), 0.5)
 
     def test_degree_one_endpoint(self):
-        assert legendre_eval(1, 1.0) == pytest.approx(math.sqrt(3))
+        assert basis_matrix(2, [1.0])[1, 0] == pytest.approx(math.sqrt(3))
 
     def test_domain_check(self):
-        with pytest.raises(ValueError):
-            legendre_eval(3, 1.5)
-        with pytest.raises(ValueError):
-            legendre_eval(-1, 0.5)
+        with pytest.raises(ValueError, match=re.escape("t must lie in [0, 1]")):
+            expansion_eval(_unit(3), 1.5)
 
     def test_amplitude_bound(self):
         # |P_k| <= 1 on the interval, so |L_k| <= sqrt(2k+1)
         t = np.linspace(0.0, 1.0, 1001)
-        for ts in (t, t.reshape(7, 143)):
-            for k in (5, 50, 200):
-                v = legendre_eval(k, ts)
-                assert v.shape == ts.shape
-                assert np.max(np.abs(v)) <= math.sqrt(2 * k + 1) + 1e-9
+        rows = basis_matrix(201, t)
+        for k in (5, 50, 200):
+            assert np.max(np.abs(rows[k])) <= math.sqrt(2 * k + 1) + 1e-9
+            assert np.array_equal(expansion_eval(_unit(k), t), _unit(k).coefficients @ rows[:k + 1])
 
 
 class TestQuadrature:
@@ -139,6 +140,20 @@ class TestProject:
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 1, 50)
         assert np.allclose(expansion_eval(e, t), f(t), rtol=1e-10, atol=1e-12)
+
+    def test_refuses_negative_m_before_the_cache(self):
+        # numpy raised "negative dimensions are not allowed"
+        misses = legendre._cached_projector.cache_info().misses
+        with pytest.raises(ValueError, match=re.escape("m must be >= 0")):
+            project(peak(), -1)
+        assert legendre._cached_projector.cache_info().misses == misses
+
+    def test_refuses_non_integer_m(self):
+        # numpy raised "deg must be an integer, received 10.5" from leggauss(m + 8)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            project(peak(), 2.5)
+        assert project(peak(), np.int64(3)).m == 3
+        assert project(peak(), 0).m == 0
 
     def test_graded_projection_error_finite_and_non_increasing(self):
         errs = [projection_error(g_alpha(-0.25), n) for n in range(30, 51)]
@@ -242,8 +257,8 @@ class TestEdgeBranches:
         (lambda: expansion_eval(LegendreExpansion([1.0]), -0.1), "t must lie in [0, 1]"),
         # NaN passes both t < 0 and t > 1 as False; the check asks 0 <= t <= 1
         (lambda: expansion_eval(LegendreExpansion([1.0, 2.0]), math.nan), "t must lie in [0, 1]"),
-        (lambda: legendre_eval(2, math.nan), "t must lie in [0, 1]"),
-        (lambda: legendre_eval(2, [0.5, math.nan]), "t must lie in [0, 1]"),
+        (lambda: expansion_eval(_unit(2), math.nan), "t must lie in [0, 1]"),
+        (lambda: expansion_eval(_unit(2), [0.5, math.nan]), "t must lie in [0, 1]"),
     ], ids=["project-scalar-f", "expansion-eval-above-one", "expansion-eval-below-zero",
             "expansion-eval-nan", "legendre-eval-nan", "legendre-eval-nan-in-array"])
     def test_broadcast_and_refusals(self, call, expected):

@@ -14,7 +14,7 @@ from hausmom import exact_core, range_diagnostics
 from hausmom.exact_core import RationalMatrix
 from hausmom.functions import polynomial
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, pseudoinverse, reconstruction_norm_sq_exact
-from hausmom.range_diagnostics import forward_differences, hausdorff_criterion, picard_partial_sums
+from hausmom.range_diagnostics import forward_differences, hausdorff_criterion
 from oracles import float_picard_partial, fraction_inner_products, hilbert_polynomial_moments, loop_criterion
 from oracles import loop_polynomial_moments, matrix_criterion, matrix_inner_products, same
 from strategies import DATA, EXACT_DATA, FLOAT_COEFFS, FLOAT_DATA
@@ -118,8 +118,6 @@ class TestCriterion:
         assert _hex(stats.lam) == _hex(lam)
         assert _hex([stats.criterion_value]) == _hex([(N + 1) * math.fsum(v * v for v in lam)])
         assert _hex([stats.picard_partial]) == _hex([float_picard_partial(values[:N + 1])])
-        rows = picard_partial_sums(y, [N + 1])
-        assert _hex([rows[0]["partial"]]) == _hex([stats.picard_partial])
 
     def test_exactness_decided_once(self, monkeypatch):
         # one window read per call, whether the data are exact or float
@@ -128,11 +126,23 @@ class TestCriterion:
         monkeypatch.setattr(range_diagnostics, "_window", lambda *args: calls.append(1) or window(*args))
         for values in ([Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]):
             y = MomentSequence.from_values(values)
-            for call in (lambda: hausdorff_criterion(y, 19), lambda: forward_differences(y, 3, 12),
-                         lambda: picard_partial_sums(y, [1, 10, 20])):
+            for call in (lambda: hausdorff_criterion(y, 19), lambda: forward_differences(y, 3, 12)):
                 call()
                 assert len(calls) == 1
                 calls.clear()
+
+    def test_one_exact_difference_kernel(self, monkeypatch):
+        # exact data reach mu_{m,n} through one int difference table in both functions; floats never
+        calls = []
+        table = range_diagnostics._last_differences
+        monkeypatch.setattr(range_diagnostics, "_last_differences", lambda a: calls.append(len(a)) or table(a))
+        exact, floats = [Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]
+        for values, expect in ((exact, [20, 13]), (floats, [])):
+            y = MomentSequence.from_values(values)
+            hausdorff_criterion(y, 19)
+            forward_differences(y, 3, 12)
+            assert calls == expect
+            calls.clear()
 
     @pytest.mark.parametrize("values", [[1, Fraction(1, 2), 3], [1.0, 0.5, 0.25]])
     def test_refuses_negative_level_before_any_work(self, values, monkeypatch):
@@ -149,8 +159,6 @@ class TestCriterion:
         with pytest.raises(ValueError, match="moments must be finite"):
             hausdorff_criterion(y, len(values) - 1)
         with pytest.raises(ValueError, match="moments must be finite"):
-            picard_partial_sums(y, [len(values)])
-        with pytest.raises(ValueError, match="moments must be finite"):
             forward_differences(y, 0, len(values) - 1)
 
     def test_decimal_moments_take_the_exact_arm(self):
@@ -160,14 +168,12 @@ class TestCriterion:
         stats = hausdorff_criterion(y, 1)
         assert stats.lam == (Fraction(-1, 5), Fraction(3, 10)) and all(type(v) is Fraction for v in stats.lam)
         assert forward_differences(y, 0, 1) == Fraction(-1, 5)
-        assert picard_partial_sums(y, [2]) == [{"N": 2, "partial": Fraction(19, 25)}]
         assert stats.picard_partial == Fraction(19, 25) == reconstruction_norm_sq_exact(y)
 
     @pytest.mark.parametrize("bad", ["NaN", "sNaN", "Infinity", "-Infinity"])
     def test_non_finite_decimal_refused(self, bad):
         y = MomentSequence((Decimal("0.1"), Decimal(bad), Decimal("0.3")))
-        for call in (lambda: hausdorff_criterion(y, 2), lambda: picard_partial_sums(y, [3]),
-                     lambda: forward_differences(y, 0, 2)):
+        for call in (lambda: hausdorff_criterion(y, 2), lambda: forward_differences(y, 0, 2)):
             with pytest.raises(ValueError, match="values must be finite"):
                 call()
 

@@ -43,16 +43,15 @@ EXPECTED = {
 EXPORTS = [
     "AmplificationEstimate", "BumpFamily", "FactoredTriangular", "HausdorffStats", "LegendreExpansion",
     "MomentSequence", "NoiseModel", "QuadratureRule", "RationalMatrix", "SobolevBudget", "SpectralNormError",
-    "StabilityBound", "StableFamilyMember", "TestFunction", "abs_kink", "adjoint_apply",
-    "amplification_experiment", "build_DN", "build_RN", "bump_family", "cholesky_factor_L", "constant",
-    "cubic_exp", "eit_forward", "error_split_study", "exact_polynomial_moments", "expansion_eval",
-    "forward_differences", "forward_from_expansion", "forward_moments", "g_alpha", "h1_rate_check",
-    "hausdorff_criterion", "hilbert_matrix", "holder_counterexample", "inverse_factor_Linv",
-    "inverse_hilbert", "l2_distance", "lacunary_stability_bound", "lambert_w", "laplace_consistency",
-    "legendre_eval", "linv_growth_study", "log_ratio", "monomial_witness", "noisy_data", "peak",
-    "picard_partial_sums", "point_value_estimator", "point_value_noise_study", "polynomial", "project",
-    "projection_error", "pseudoinverse", "reconstruction_norm_sq_exact", "sobolev_norm", "spectral_norm",
-    "stability_bound", "stable_family", "tn_diagonal", "verify_TN_identity",
+    "StabilityBound", "StableFamilyMember", "TestFunction", "abs_kink", "amplification_experiment",
+    "build_DN", "build_RN", "bump_family", "cholesky_factor_L", "constant", "cubic_exp", "eit_forward",
+    "error_split_study", "exact_polynomial_moments", "expansion_eval", "forward_differences",
+    "forward_moments", "g_alpha", "h1_rate_check", "hausdorff_criterion", "hilbert_matrix",
+    "holder_counterexample", "inverse_factor_Linv", "inverse_hilbert", "l2_distance",
+    "lacunary_stability_bound", "lambert_w", "laplace_consistency", "linv_growth_study", "log_ratio",
+    "monomial_witness", "noisy_data", "peak", "point_value_estimator", "point_value_noise_study",
+    "polynomial", "project", "projection_error", "pseudoinverse", "reconstruction_norm_sq_exact",
+    "sobolev_norm", "spectral_norm", "stability_bound", "stable_family", "tn_diagonal", "verify_TN_identity",
 ]
 
 

@@ -15,7 +15,6 @@ from hausmom.range_diagnostics import (
     forward_differences,
     hausdorff_criterion,
     lacunary_stability_bound,
-    picard_partial_sums,
     stable_family,
     tn_diagonal,
     verify_TN_identity,
@@ -152,37 +151,36 @@ class TestStructuredMatrices:
             assert residual.is_zero()
 
 
+def _picard(y, n):
+    """||P_n Linv y||^2, the Picard partial sum over the first n moments, as
+    the level n - 1 criterion reports it."""
+    return hausdorff_criterion(y, n - 1).picard_partial
+
+
 class TestPicard:
     def test_moments_of_one(self):
         y = exact_polynomial_moments((1,), 12)
-        rows = picard_partial_sums(y, [1, 4, 8, 12])
-        assert all(r["partial"] == 1 for r in rows)
+        assert all(_picard(y, n) == 1 for n in (1, 4, 8, 12))
 
     def test_moments_of_t_parseval(self):
         y = exact_polynomial_moments((0, 1), 10)
-        rows = picard_partial_sums(y, [2, 6, 10])
-        assert all(r["partial"] == Fraction(1, 3) for r in rows)
+        assert all(_picard(y, n) == Fraction(1, 3) for n in (2, 6, 10))
 
     def test_unit_sequence_square_law(self):
         y = _unit_sequence(16)
-        rows = picard_partial_sums(y, list(range(1, 16)))
-        assert all(r["partial"] == r["N"] ** 2 for r in rows)
+        assert all(_picard(y, n) == n**2 for n in range(1, 16))
 
     @pytest.mark.parametrize("levels", [[-1], [0, 2]])
     def test_refuses_level_below_one(self, levels):
-        # N = -1 summed over the first n - 1 moments
-        with pytest.raises(ValueError, match="levels must be >= 1"):
-            picard_partial_sums(_unit_sequence(4), levels)
-
-    def test_refuses_no_levels(self):
-        with pytest.raises(ValueError, match="N_list must not be empty"):
-            picard_partial_sums(_unit_sequence(4), [])
+        # Picard level n is criterion level n - 1, refused below 0
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            _picard(_unit_sequence(4), min(levels))
 
     @pytest.mark.xfail(strict=True, reason="the float Picard branch rounds M's entries and products; "
                        "moving float data onto the exact path re-pins the moment_data golden")
     def test_float_data_matches_exact_sum(self):
         y = forward_moments(abs_kink(), 24)
-        partial = picard_partial_sums(y, [24])[0]["partial"]
+        partial = _picard(y, 24)
         assert partial == pytest.approx(float(reconstruction_norm_sq_exact(y)), rel=1e-9)
 
     def test_statistic_equivalence(self):
@@ -301,11 +299,10 @@ class TestEdgeBranches:
         (lambda: hausdorff_criterion(TestEdgeBranches.Y3, 3), "level 3 needs 4 moments, have 3"),
         (lambda: build_RN(0), "N must be >= 1"),
         (lambda: build_DN(0), "N must be >= 1"),
-        (lambda: picard_partial_sums(TestEdgeBranches.Y3, [1, 4]), "largest level exceeds the available moments"),
         (lambda: tn_diagonal(0), "N must be >= 1"),  # N < 1 returned [], as if T_N had an empty diagonal
         (lambda: tn_diagonal(-1), "N must be >= 1"),
     ], ids=["differences-m-below-0", "differences-n-below-0", "criterion-too-few-moments",
-            "RN-0", "DN-0", "picard-beyond-data", "TN-0", "TN-negative"])
+            "RN-0", "DN-0", "TN-0", "TN-negative"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

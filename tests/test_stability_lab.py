@@ -659,9 +659,15 @@ class TestEdgeBranches:
         (lambda: log_ratio(bump_family(1, 3), 0.5, 0.0), "r must lie in (0, 1]"),
         (lambda: log_ratio(bump_family(1, 3), 0.5, 1.5), "r must lie in (0, 1]"),
         (lambda: log_ratio(bump_family(1, 3), 0.5, math.nan), "r must lie in (0, 1]"),
+        # mu = 1.5 returned 16.21 and mu = -0.5 returned -11.19, ratios of no Hoelder estimate
+        (lambda: log_ratio(bump_family(1, 3), 1.5, 0.25), "mu must lie in (0, 1)"),
+        (lambda: log_ratio(bump_family(1, 3), -0.5, 0.25), "mu must lie in (0, 1)"),
+        (lambda: log_ratio(bump_family(1, 3), 1.0, 0.25), "mu must lie in (0, 1)"),
+        (lambda: log_ratio(bump_family(1, 3), math.nan, 0.25), "mu must lie in (0, 1)"),
     ], ids=["amplification-short-data", "growth-n0", "point-value-N0", "point-value-past-data",
             "bump-k0", "bump-m0", "holder-mu0", "holder-mu1", "log-ratio-r-negative", "log-ratio-r0",
-            "log-ratio-r-above-one", "log-ratio-r-nan"])
+            "log-ratio-r-above-one", "log-ratio-r-nan", "log-ratio-mu-above-one", "log-ratio-mu-negative",
+            "log-ratio-mu1", "log-ratio-mu-nan"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
