@@ -151,13 +151,15 @@ def project(f, m):
 
 
 def expansion_eval(e, t):
-    """Evaluate sum_i lambda_i L_{i-1}(t); t is refused unless every entry
-    lies in [0, 1] (NaN does not)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((t_arr >= 0) & (t_arr <= 1)):
+    """Evaluate sum_i lambda_i L_{i-1}(t): a float for a scalar t, else an
+    array of t's shape; t is refused unless every entry lies in [0, 1]
+    (NaN does not)."""
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
+    if not np.all((flat >= 0) & (flat <= 1)):
         raise ValueError("t must lie in [0, 1]")
-    vals = e.coefficients @ basis_matrix(e.m, t_arr)
-    return vals if np.ndim(t) else float(vals[0])
+    vals = e.coefficients @ basis_matrix(e.m, flat)
+    return vals.reshape(t_arr.shape) if t_arr.ndim else float(vals[0])
 
 
 def l2_distance(e1, e2):

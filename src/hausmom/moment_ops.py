@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import inf, isfinite, lcm, sqrt
 from operator import mul
 
-from ._lazy import numpy as np
+from ._lazy import numpy as np, quadpack
 from .exact_core import _common_den, _inner_products, _picard_sum
 from .functions import TestFunction, _at
 from .legendre import LegendreExpansion, project
@@ -56,9 +56,32 @@ class SobolevBudget:
             raise ValueError(f"unknown budget kind {self.kind!r}")
 
 
+def _break_points(points, a, b):
+    """The break points QUADPACK's QAGPE reads for (a, b): those strictly
+    inside, sorted and once each, then 0.0, 0.0, as a float64 array; None
+    when none lies inside."""
+    inside = sorted({float(p) for p in points if a < p < b})
+    return np.array(inside + [0.0, 0.0]) if inside else None
+
+
+def _quad(func, a, b, tol, limit, points=None):
+    """(v, err, ier): QUADPACK's integral of func over [a, b] to absolute and
+    relative tolerance tol, in at most limit subintervals; ier is 0 on success.
+
+    This is ``scipy.integrate.quad``'s own dispatch for a finite interval,
+    without its warning: QAGPE on a ``_break_points`` array, else QAGSE.
+    """
+    if points is None:
+        return quadpack()._qagse(func, a, b, (), 0, tol, tol, limit)
+    return quadpack()._qagpe(func, a, b, points, (), 0, tol, tol, limit)
+
+
 def forward_moments(f, n):
     """First n moments as floats: exact for polynomials, without loading
-    scipy; else by scipy quad to absolute and relative tolerance 1e-12.
+    scipy; else by QUADPACK (``_quad``) to absolute and relative tolerance
+    1e-12, on f's breakpoints.  A moment whose integral is not finite,
+    whose error estimate exceeds ten times the tolerance, or for which
+    QUADPACK reports a nonzero ier is refused.
 
     QUADPACK calls each integrand at one Python float t at a time, and
     the built-ins of ``functions`` evaluate a float in floats.  The n
@@ -74,9 +97,8 @@ def forward_moments(f, n):
     if f.poly_coeffs is not None:
         exact = exact_polynomial_moments(f.poly_coeffs, n)
         return MomentSequence.from_values([float(v) for v in exact.values])
-    from scipy.integrate import quad
     tol = 1e-12
-    pts = sorted(set(f.breakpoints)) or None
+    pts = _break_points(f.breakpoints, 0.0, 1.0)
     f_at = {}  # node -> float(f(node)), for this call only
     get = f_at.get
 
@@ -90,9 +112,9 @@ def forward_moments(f, n):
 
     vals = []
     for j in range(1, n + 1):
-        v, err = quad(integrand(float(j - 1)), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=pts)
-        if not (isfinite(v) and err <= 10 * max(tol, abs(v) * tol) + 1e-15):
-            raise RuntimeError(f"quadrature for moment {j} did not converge (v={v!r}, err={err:.2e})")
+        v, err, ier = _quad(integrand(float(j - 1)), 0.0, 1.0, tol, 200, pts)
+        if ier or not (isfinite(v) and err <= 10 * max(tol, abs(v) * tol) + 1e-15):
+            raise RuntimeError(f"quadrature for moment {j} did not converge (v={v!r}, err={err:.2e}, ier={ier})")
         vals.append(v)
     return MomentSequence.from_values(vals)
 

@@ -18,7 +18,7 @@ from ._lazy import numpy as np
 from .exact_core import inverse_factor_Linv
 from .functions import TestFunction
 from .legendre import QuadratureRule, l2_distance
-from .moment_ops import MomentSequence, _reference_coefficients, forward_moments, pseudoinverse
+from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_moments, pseudoinverse
 
 # The noise levels of the amplification regression: the decades 1e-2 .. 1e-7.
 _DELTAS = tuple(10.0 ** -k for k in range(2, 8))
@@ -439,7 +439,9 @@ def laplace_consistency(f, j_list, tol=1e-8):
     of exp(-j tau) f(exp(-tau)) over (0, inf), truncated at T_j with the
     exp(-j T)/j tail bound kept below tol/10.  An empty level list, a
     level below 1, or an f that is not finite on its 2001-point grid of
-    [0, 1] is refused before any quadrature runs.
+    [0, 1] is refused before any quadrature runs.  Each integral is one
+    QUADPACK call (``_quad``); one that is not finite, or for which
+    QUADPACK reports a nonzero ier, is refused.
     """
     if not j_list:
         raise ValueError("j_list must not be empty")
@@ -450,14 +452,14 @@ def laplace_consistency(f, j_list, tol=1e-8):
     mf = float(np.max(np.abs(np.asarray(f(np.linspace(0.0, 1.0, 2001)))))) or 1.0
     if not math.isfinite(mf):
         raise ValueError("f must be finite on [0, 1]")
-    from scipy.integrate import quad
     y = forward_moments(f, max(j_list))
     rows = []
     for j in j_list:
         T = max(1.0, log(10.0 * mf / (j * tol)) / j)
         tail = mf * exp(-j * T) / j
-        val, _ = quad(lambda tau: exp(-j * tau) * float(f(exp(-tau))), 0.0, T,
-                      epsabs=tol / 10, epsrel=tol / 10, limit=400)
+        val, err, ier = _quad(lambda tau: exp(-j * tau) * float(f(exp(-tau))), 0.0, T, tol / 10, 400)
+        if ier or not math.isfinite(val):
+            raise RuntimeError(f"Laplace integral for j={j} did not converge (v={val!r}, err={err:.2e}, ier={ier})")
         diff = abs(val - float(y.values[j - 1]))
         rows.append({
             "j": j, "moment": float(y.values[j - 1]), "laplace": val,

@@ -131,11 +131,12 @@ def _import_sites(package):
 
 class TestDependencyOwners:
     """Each dependency's import statements, pinned: scipy and mpmath are imported by the few
-    functions that need them, never at module level; numpy by none, since every layer reaches it
-    through ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
+    functions that need them, never at module level; scipy by ``hausmom._lazy.quadpack`` alone,
+    the loader of QUADPACK's extension; numpy by none, since every layer reaches it through
+    ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
 
     @pytest.mark.parametrize("package, owners", [
-        ("scipy", {("moment_ops", "forward_moments"), ("stability_lab", "laplace_consistency")}),
+        ("scipy", {("_lazy", "quadpack")}),
         ("sympy", set()),
         ("numpy", set()),
         ("mpmath", {("exact_core", "_power_iteration"), ("exact_core", "linv_growth_study"),
@@ -314,6 +315,30 @@ class TestParsing:
                    "forward_moments(polynomial((1, 2)), 4)\n"
                    "assert 'scipy' not in sys.modules\ny = forward_moments(peak(), 4)\n"
                    "assert 'scipy' in sys.modules and len(y.values) == 4 and all(map(math.isfinite, y.values))\n")
+
+    def test_quadrature_commands_leave_scipy_integrate_out(self):
+        # QUADPACK's extension is loaded alone: scipy.integrate's __init__, with scipy.special,
+        # scipy.optimize and scipy.sparse.linalg behind it, never runs
+        for argv in (["amplification"], ["laplace"], ["eit"]):
+            _run_fresh(f"import sys\nfrom hausmom.cli import run\nassert run({argv!r}) == 0\n"
+                       "assert 'scipy.integrate._quadpack' in sys.modules\n"
+                       "assert not {'scipy.integrate', 'scipy.special', 'scipy.optimize'} & set(sys.modules)\n")
+
+    def test_quadpack_loader_in_either_import_order(self):
+        # loader first: a later scipy.integrate reuses its module, and quad gives the same bits
+        moments = ("from hausmom import forward_moments, peak\n"
+                   "y = [v.hex() for v in forward_moments(peak(), 12).values]\n")
+        _run_fresh("import sys\n" + moments + "import scipy.integrate\n"
+                   "from hausmom._lazy import quadpack\n"
+                   "assert sys.modules['scipy.integrate._quadpack_py']._quadpack is quadpack()\n"
+                   "f = peak()\n"
+                   "q = [scipy.integrate.quad(lambda t: float(f(t)) * t ** k, 0.0, 1.0, epsabs=1e-12,\n"
+                   "                          epsrel=1e-12, limit=200)[0].hex() for k in range(12)]\n"
+                   "assert q == y, (q, y)\n")
+        # scipy.integrate first: the loader returns the module that import loaded
+        _run_fresh("import sys, scipy.integrate\nfrom hausmom._lazy import quadpack\n"
+                   "module = sys.modules['scipy.integrate._quadpack']\n"
+                   "assert quadpack() is module is scipy.integrate._quadpack\n" + moments)
 
 
 class TestCommands:

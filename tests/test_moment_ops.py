@@ -119,13 +119,11 @@ class TestForwardMoments:
         assert [v.hex() for v in forward_moments(counted, 40).values] == want
         assert nodes and len(nodes) == len(set(nodes))
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_non_convergence_is_refused(self):
         f = functions.TestFunction(value=lambda t: np.sin(1 / (np.asarray(t) + 1e-9)))
         with pytest.raises(RuntimeError, match="quadrature for moment 1 did not converge"):
             forward_moments(f, 3)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("value", [
         lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0),
         lambda t: np.full_like(np.asarray(t, dtype=float), np.inf),
@@ -134,6 +132,15 @@ class TestForwardMoments:
         # err > bound is False for a NaN err, and for v and err both inf, so the bound alone passes these
         with pytest.raises(RuntimeError, match="quadrature for moment 1 did not converge"):
             forward_moments(functions.TestFunction(value=value), 3)
+
+    def test_quadpack_flag_is_refused(self, monkeypatch):
+        # ier = 2 (roundoff) with an error estimate inside the bound: the flag alone refuses
+        import hausmom.moment_ops as mo
+
+        monkeypatch.setattr(mo, "_quad", lambda func, a, b, tol, limit, points=None: (0.5, 1e-16, 2))
+        with pytest.raises(RuntimeError, match=re.escape("quadrature for moment 1 did not converge "
+                                                         "(v=0.5, err=1.00e-16, ier=2)")):
+            forward_moments(peak(), 3)
 
 
 class TestForwardFromExpansion:
@@ -302,7 +309,6 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match="unknown norm kind"):
             sobolev_norm(polynomial((0, 1)), kind)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("kind", ["H1", "H1-seminorm"])
     def test_non_convergence_is_refused(self, kind):
         # each squared norm is a forward_moments integral, which refuses a NaN

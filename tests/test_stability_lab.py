@@ -568,19 +568,26 @@ class TestCrossChecks:
         with pytest.raises(ValueError, match=r"f must be finite on \[0, 1\]"):
             laplace_consistency(f, [1, 2])
 
+    def test_laplace_refuses_quadpack_flag(self, monkeypatch):
+        # ier = 2 (roundoff) with an error estimate far inside tol: the flag alone refuses;
+        # a polynomial's moments are exact, so only the Laplace integral runs QUADPACK
+        monkeypatch.setattr(lab, "_quad", lambda func, a, b, tol, limit, points=None: (0.5, 1e-16, 2))
+        with pytest.raises(RuntimeError, match=re.escape("Laplace integral for j=1 did not converge "
+                                                         "(v=0.5, err=1.00e-16, ier=2)")):
+            laplace_consistency(polynomial((0, 1)), [1, 2])
+
     def test_eit_constant(self):
         vals = eit_forward(constant(1.0), [1, 2, 3, 4])
         assert np.allclose(vals, [(n + 1) / (2 * n) for n in (1, 2, 3, 4)])
 
     @pytest.mark.parametrize("modes", [[], [1, 2, 0], [-1]])
     def test_eit_refuses_bad_modes_before_quadrature(self, monkeypatch, modes):
-        import scipy.integrate
+        import hausmom.moment_ops as mo
 
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: pytest.fail("quadrature ran"))
+        monkeypatch.setattr(mo, "_quad", lambda *a, **k: pytest.fail("quadrature ran"))
         with pytest.raises(ValueError, match="mode numbers must be a nonempty list of n >= 1"):
             eit_forward(constant(1.0), modes)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_eit_refuses_non_convergence(self):
         # the moments come from forward_moments, which refuses a NaN integral
         with pytest.raises(RuntimeError, match="did not converge"):
