@@ -13,7 +13,8 @@ package; each name is then stored here, so later reads, and code that
 rebinds it, see an ordinary module attribute.  The layers bind numpy
 through ``hausmom._lazy``, so importing them, as ``hausmom.cli`` does,
 leaves numpy's import to the first numpy operation: the ``hilbert``,
-``linv``, ``hausdorff`` and ``growth`` commands never execute it.
+``linv``, ``hausdorff``, ``growth`` and ``pointvalue`` commands never
+execute it.
 """
 
 __version__ = "0.1.0"

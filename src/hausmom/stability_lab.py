@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count, islice
 from math import exp, fsum, isqrt, ldexp, log, sqrt
+from operator import add, mul
 
 from ._lazy import numpy as np
 from .exact_core import inverse_factor_Linv
@@ -254,6 +257,18 @@ def point_value_estimator(y, N):
     return fsum((j + 1) * v for j, v in enumerate(vals)) / N
 
 
+def _dyadic_running_sums(terms, n):
+    """The sums of the first 1, 2, 4, ... <= n terms, added one by one in
+    floats from the left, as np.cumsum adds them: segment by segment, each
+    onto the last sum.  Not builtin sum(), which compensates float sums
+    from Python 3.12 on."""
+    terms = iter(terms)
+    sums = [next(terms)]
+    for q in range(n.bit_length() - 1):
+        sums.append(reduce(add, islice(terms, 1 << q), sums[-1]))
+    return sums
+
+
 def point_value_noise_study(y_values, true_value, deltas):
     """Worst-case point-value errors over dyadic averaging lengths.
 
@@ -266,29 +281,30 @@ def point_value_noise_study(y_values, true_value, deltas):
     and true_value = x(1), each row's error is at most the bound of
     ``point_value_estimator`` at its best_N, whose noise term is this one:
     ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
-    The data part is ``np.cumsum``'s running float sum, not the estimator's
-    ``fsum``: for x = t with 2^17 moments the two differ at 13 of the 18
-    levels, by up to 7.7e-15 relative.  Non-finite moments or true_value
-    are refused.
+    The data part is the running float sums in np.cumsum's order, not the
+    estimator's ``fsum``: for x = t with 2^17 moments the two differ at 13
+    of the 18 levels, by up to 7.7e-15 relative.  Non-finite moments or
+    true_value are refused.
     """
     if not all(0 <= d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and >= 0")
     if not math.isfinite(true_value):
         raise ValueError("true_value must be finite")
-    y = np.asarray(y_values, dtype=float)
-    if not y.size:
+    y = list(map(float, y_values))
+    if not y:
         raise ValueError("y_values must not be empty")
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise ValueError("moments must be finite")
-    levels = 2 ** np.arange(len(y).bit_length())
-    j = np.arange(1, len(y) + 1, dtype=float)
-    bias = np.abs(np.cumsum(j * y)[levels - 1] / levels - true_value)
-    root = np.sqrt(np.cumsum(j * j)[levels - 1])
+    levels = [1 << q for q in range(len(y).bit_length())]
+    sums = _dyadic_running_sums(map(mul, count(1.0), y), len(y))
+    bias = [abs(s / N - true_value) for s, N in zip(sums, levels)]
+    root = [sqrt(s) for s in _dyadic_running_sums(map(mul, count(1.0), count(1.0)), len(y))]
     rows = []
     for delta in deltas:
-        err = bias + delta * root / levels
-        best = np.argmin(err)  # the first of equal minima, the smallest N
-        rows.append({"delta": delta, "best_N": int(levels[best]), "error": float(err[best])})
+        err = [b + delta * r / N for b, r, N in zip(bias, root, levels)]
+        # np.argmin's choice: the first NaN, else the first of equal minima, the smallest N
+        best = min(range(len(err)), key=lambda i: (err[i] == err[i], err[i]))
+        rows.append({"delta": delta, "best_N": levels[best], "error": float(err[best])})
     return rows
 
 

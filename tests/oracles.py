@@ -141,6 +141,11 @@ def same(a, b):
     return type(a) is type(b) and a == b and (not isinstance(a, float) or a.hex() == b.hex())
 
 
+def comb_stencil(n):
+    """(-1)^l C(n, l), l = 0..n, entry by entry from math.comb."""
+    return [(-1) ** l * comb(n, l) for l in range(n + 1)]
+
+
 def loop_forward_difference(values, m, n):
     """mu_{m,n} = sum_l (-1)^l C(n,l) y_{m+l+1} term by term: Fractions for rational data, else one fsum."""
     if all(isinstance(v, numbers.Rational) for v in values):

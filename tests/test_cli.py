@@ -265,7 +265,7 @@ class TestParsing:
                    f"assert not {_NUMPY_RAN}\n")
 
     def test_exact_commands_leave_numpy_unexecuted(self):
-        calls = [["hilbert"], ["linv"], ["hausdorff"], ["growth", "--n-max", "4"]]
+        calls = [["hilbert"], ["linv"], ["hausdorff"], ["growth", "--n-max", "4"], ["pointvalue"]]
         _run_fresh(f"import sys\nfrom hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    f"assert not {_NUMPY_RAN}\nassert run(['reconstruct', '--poly', '3t^2-1']) == 0\n"
                    f"assert {_NUMPY_RAN}\n")

@@ -233,15 +233,14 @@ class TestExpansionEval:
         assert expansion_eval(e, 0.2) == 0.0
 
     def test_grid_entries_are_scalar_calls(self):
-        # a 2-D t gives values of its shape: bit for bit those of its raveled entries, and each
-        # within a few ulps of a scalar call (BLAS may sum a one-column product in another order)
+        # a 2-D t gives values of its shape: bit for bit those of its raveled entries and of
+        # scalar calls, since each point's terms are added in one fixed order
         e = LegendreExpansion([0.3, -1.1, 0.7, 2.5, -0.4])
         t = np.array([[0.0, 0.125, 0.3], [0.5, 0.77, 1.0]])
         vals = expansion_eval(e, t)
         assert vals.shape == (2, 3)
         assert [v.hex() for v in vals.ravel()] == [v.hex() for v in expansion_eval(e, t.ravel())]
-        for i, j in np.ndindex(t.shape):
-            assert math.isclose(vals[i, j], expansion_eval(e, float(t[i, j])), rel_tol=1e-14, abs_tol=1e-14)
+        assert [v.hex() for v in vals.ravel()] == [expansion_eval(e, float(x)).hex() for x in t.ravel()]
         assert type(expansion_eval(e, np.float64(0.3))) is float == type(expansion_eval(e, np.array(0.3)))
         with pytest.raises(ValueError, match=re.escape("t must lie in [0, 1]")):
             expansion_eval(e, t + 0.5)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hausmom.functions import abs_kink
+from hausmom import range_diagnostics
+from hausmom.functions import abs_kink, peak
 from hausmom.moment_ops import MomentSequence, exact_polynomial_moments, forward_moments, reconstruction_norm_sq_exact
 from hausmom.range_diagnostics import (
     build_DN,
@@ -19,9 +20,12 @@ from hausmom.range_diagnostics import (
     tn_diagonal,
     verify_TN_identity,
 )
+from hausmom.stability_lab import NoiseModel, noisy_data
 from oracles import (
     closed_form_RN,
+    comb_stencil,
     hilbert_polynomial_moments,
+    loop_criterion,
     loop_forward_difference,
     loop_polynomial_moments,
     same,
@@ -58,6 +62,35 @@ class TestLoopOracles:
     def test_RN_matches_closed_form(self):
         for N in range(1, 31):
             assert build_RN(N).entries == closed_form_RN(N)
+
+
+class TestStencilTable:
+    def test_rows_grow_out_of_order(self, monkeypatch):
+        # from a fresh one-row table: a held row survives the table's growth unchanged
+        monkeypatch.setattr(range_diagnostics, "_STENCILS", ((1,),))
+        held = range_diagnostics._stencil(50)
+        assert range_diagnostics._stencil(10) == tuple(comb_stencil(10))
+        range_diagnostics._stencil(120)
+        assert range_diagnostics._stencil(50) is held == tuple(comb_stencil(50))
+        for n in range(201):
+            row = range_diagnostics._stencil(n)
+            assert type(row) is tuple and list(row) == comb_stencil(n)
+        assert len(range_diagnostics._STENCILS) == 201
+
+    @pytest.mark.parametrize("kind", ["quadrature", "noisy"])
+    def test_float_arms_match_comb_formula(self, kind):
+        # hex for hex against the per-entry loops over math.comb, every level N <= 60
+        y = forward_moments(peak(), 61)
+        if kind == "noisy":
+            y = noisy_data(y, NoiseModel(1e-8, seed=5))
+        values = list(y.values)
+        for N in range(61):
+            stats = hausdorff_criterion(y, N)
+            lam, crit = loop_criterion(values, N)
+            assert [v.hex() for v in stats.lam] == [v.hex() for v in lam]
+            assert stats.criterion_value.hex() == crit.hex()
+            for m in range(N + 1):
+                assert forward_differences(y, m, N - m).hex() == loop_forward_difference(values, m, N - m).hex()
 
 
 class TestForwardDifferences:

@@ -409,13 +409,16 @@ class TestPointValue:
         assert [point_value_noise_study(y[:n], 1.0, [0.0])[0]["best_N"] for n in (1, 5, 2**12)] == [1, 4, 2**12]
 
     @pytest.mark.parametrize("y", [[0.0] * 8, [1.0 / (j + 1) for j in range(1, 1001)],
-                                   list(np.random.default_rng(7).standard_normal(300))],
-                             ids=["zeros", "t", "normal"])
+                                   list(np.random.default_rng(7).standard_normal(300)),
+                                   [0.25 / (j + 1) for j in range(1, 2**19 + 1)]],
+                             ids=["zeros", "t", "normal", "t/4-2^19"])
     def test_noise_study_is_the_loop_over_levels(self, y):
-        # reference: each dyadic N in turn, the first strict minimum kept; bit for bit
+        # reference: each dyadic N in turn, the first strict minimum kept; bit for bit.  For x = t/4
+        # with 2^19 moments, delta = 1e-8 picks N = 2^19, where the sum of j^2 has passed 2^53 and
+        # its float running sum has rounded
         j = np.arange(1.0, len(y) + 1)
         partial, partial_j2 = np.cumsum(j * np.asarray(y)), np.cumsum(j * j)
-        deltas = [0.0, 1e-3, 0.5]
+        deltas = [0.0, 1e-8, 1e-3, 0.5]
         expected = []
         for delta in deltas:
             best = None
@@ -425,6 +428,13 @@ class TestPointValue:
                     best = (N, err)
             expected.append({"delta": delta, "best_N": best[0], "error": best[1]})
         assert point_value_noise_study(y, 0.25, deltas) == expected
+
+    def test_noise_study_picks_a_nan_error_first(self):
+        # finite moments whose weighted running sum overflows to inf - inf: as np.argmin does,
+        # the first NaN error is the minimum
+        y = [1e308, -1e308, 1e308, 0.0]
+        [row] = point_value_noise_study(y, 0.0, [1e-3])
+        assert row["best_N"] == 4 and math.isnan(row["error"])
 
     @pytest.mark.parametrize("deltas", [[-0.1], [1e-3, math.nan], [math.inf]])
     def test_noise_study_refuses_bad_deltas(self, deltas):
