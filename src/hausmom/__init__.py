@@ -14,7 +14,10 @@ rebinds it, see an ordinary module attribute.  The layers bind numpy
 through ``hausmom._lazy``, so importing them, as ``hausmom.cli`` does,
 leaves numpy's import to the first numpy operation: the ``hilbert``,
 ``linv``, ``hausdorff``, ``growth`` and ``pointvalue`` commands never
-execute it.
+execute it.  The records are plain ``__slots__`` classes, so
+``import hausmom.cli`` generates no methods and loads no ``inspect``, and
+``json`` and ``ast`` load only for ``--format json``/``--out`` and
+``reconstruct``.
 """
 
 __version__ = "0.1.0"

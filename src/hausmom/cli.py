@@ -6,11 +6,7 @@ stdout by default; ``--out`` redirects them to a file and adds a metadata
 sidecar recording the configuration, library version and wall time.
 """
 
-from __future__ import annotations
-
 import argparse
-import ast
-import json
 import math
 import re
 import sys
@@ -58,6 +54,7 @@ def _json_safe(v):
 
 
 def _write_json(records, stream):
+    import json  # loaded by --format json only
     stream.write(json.dumps([{k: _json_safe(v) for k, v in r.items()} for r in records],
                             indent=2))
     stream.write("\n")
@@ -110,6 +107,8 @@ def _parse_poly(text):
     Intermediate polynomials are integer numerators over one common
     denominator, so products are integer convolutions.
     """
+    import ast  # loaded by reconstruct only
+
     def refuse():
         return ValueError(f"not a polynomial in t: {text!r}")
 
@@ -383,6 +382,7 @@ def run(argv=None):
                 "version": __version__,
                 "wall_time_s": elapsed,
             }
+            import json
             Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
         else:
             writer(records, sys.stdout)

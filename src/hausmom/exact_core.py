@@ -38,10 +38,7 @@ only the standard library and, at call time, mpmath, so the package can
 run it without loading numpy.
 """
 
-from __future__ import annotations
-
 import numbers
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -155,8 +152,38 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class FactoredTriangular:
+class _Record:
+    """Base of the package's immutable records.  A record names its fields,
+    in order, in ``__slots__`` and sets each once in its ``__init__`` by
+    ``object.__setattr__``; ``==`` and ``hash`` read the tuple of fields,
+    ``==`` only against the same class, and copies and unpickled records
+    are rebuilt through ``__init__``."""
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class FactoredTriangular(_Record):
     """Lower-triangular matrix split as rational part times sqrt-weights.
 
     With ``scale_rows`` false it represents ``rational_part @ diag(sqrt(w))``
@@ -166,8 +193,11 @@ class FactoredTriangular:
     back exactly.
     """
 
-    rational_part: RationalMatrix
-    scale_rows: bool
+    __slots__ = ("rational_part", "scale_rows")
+
+    def __init__(self, rational_part, scale_rows):
+        object.__setattr__(self, "rational_part", rational_part)
+        object.__setattr__(self, "scale_rows", scale_rows)
 
     @property
     def n(self):

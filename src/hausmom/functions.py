@@ -15,34 +15,33 @@ in [0, 1]), and Python's ** and / raise OverflowError and
 ZeroDivisionError where numpy returns inf.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Optional
 
 from ._lazy import numpy as np
-from .exact_core import _common_den
+from .exact_core import _Record, _common_den
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    value: Callable
-    derivative: Optional[Callable] = None
-    second_derivative: Optional[Callable] = None
-    label: str = ""
-    breakpoints: tuple = ()
-    # set for the (1-t)^alpha family; steers quadrature toward a graded rule
-    singular_at_one: bool = False
-    # exact rational coefficients (c_0, c_1, ...) when f is a polynomial
-    poly_coeffs: Optional[tuple] = None
+class TestFunction(_Record):
+    __slots__ = ("value", "derivative", "second_derivative", "label", "breakpoints", "singular_at_one", "poly_coeffs")
 
-    def __post_init__(self):
+    def __init__(self, value, derivative=None, second_derivative=None, label="", breakpoints=(),
+                 singular_at_one=False, poly_coeffs=None):
         # project integrates piecewise between 0, 1 and the breakpoints, so
-        # one outside [0, 1] (or NaN) would silently widen or poison the rule
-        if not all(isinstance(b, Real) and 0 <= b <= 1 for b in self.breakpoints):
+        # one outside [0, 1] (or NaN) would silently widen or poison the rule;
+        # a tuple, checked once, is what every rule then reads
+        breakpoints = tuple(breakpoints)
+        if not all(isinstance(b, Real) and 0 <= b <= 1 for b in breakpoints):
             raise ValueError("breakpoints must be finite numbers in [0, 1]")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "derivative", derivative)
+        object.__setattr__(self, "second_derivative", second_derivative)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        # set for the (1-t)^alpha family; steers quadrature toward a graded rule
+        object.__setattr__(self, "singular_at_one", singular_at_one)
+        # exact rational coefficients (c_0, c_1, ...) when f is a polynomial
+        object.__setattr__(self, "poly_coeffs", poly_coeffs)
 
     def __call__(self, t):
         return self.value(t)

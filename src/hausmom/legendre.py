@@ -6,24 +6,21 @@ coefficient of L_{i-1}, matching the row/column indexing of the
 triangular moment factor.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import sqrt
 from operator import index
 
 from ._lazy import numpy as np
+from .exact_core import _Record
 
 
-@dataclass(frozen=True)
-class LegendreExpansion:
+class LegendreExpansion(_Record):
     """Coefficients (lambda_1 .. lambda_m) of L_0 .. L_{m-1}."""
 
-    coefficients: np.ndarray
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
+    def __init__(self, coefficients):
+        object.__setattr__(self, "coefficients", np.asarray(coefficients, dtype=float))
 
     @property
     def m(self):
@@ -42,10 +39,15 @@ def _leggauss(npts):
     return x, w
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+class QuadratureRule(_Record):
+    __slots__ = ("nodes", "weights")
+
+    def __init__(self, nodes, weights):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}()"  # the node and weight arrays are left out
 
     @classmethod
     def gauss(cls, npts):

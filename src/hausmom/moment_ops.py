@@ -9,26 +9,25 @@ reconstruction usable where a floating Cholesky of the Hilbert segment
 fails (around n = 13).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, lcm, sqrt
 from operator import mul
 
 from ._lazy import numpy as np, quadpack
-from .exact_core import _common_den, _inner_products, _picard_sum
+from .exact_core import _Record, _common_den, _inner_products, _picard_sum
 from .functions import TestFunction, _at
 from .legendre import LegendreExpansion, project
 
 _NORM_KINDS = ("H1", "H1-seminorm", "H2")  # the norms a SobolevBudget can bound
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_Record):
     """First n moments y_j = integral of t^(j-1) x(t); zeros beyond n."""
 
-    values: tuple
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "values", tuple(values))
 
     @property
     def n(self):
@@ -36,24 +35,24 @@ class MomentSequence:
 
     @classmethod
     def from_values(cls, values):
-        return cls(tuple(values))
+        return cls(values)
 
     def to_array(self):
         return np.array([float(v) for v in self.values])
 
 
-@dataclass(frozen=True)
-class SobolevBudget:
+class SobolevBudget(_Record):
     """A priori smoothness bound: E bounds the norm selected by kind."""
 
-    E: float
-    kind: str = "H1"  # H1 | H1-seminorm | H2
+    __slots__ = ("E", "kind")
 
-    def __post_init__(self):
-        if not 0 < self.E < inf:
+    def __init__(self, E, kind="H1"):  # kind: H1 | H1-seminorm | H2
+        if not 0 < E < inf:
             raise ValueError("E must be finite and positive")
-        if self.kind not in _NORM_KINDS:
-            raise ValueError(f"unknown budget kind {self.kind!r}")
+        if kind not in _NORM_KINDS:
+            raise ValueError(f"unknown budget kind {kind!r}")
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "kind", kind)
 
 
 def _break_points(points, a, b):

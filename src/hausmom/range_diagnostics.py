@@ -11,37 +11,38 @@ positive, slowly decaying Taylor coefficients c (not its moments), whose
 Hardy norm stays bounded as long as alpha stays away from -1/2.
 """
 
-from __future__ import annotations
-
 import numbers
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, fsum, isfinite
 from operator import index, mul, sub
 
 from ._lazy import numpy as np
-from .exact_core import RationalMatrix, _common_den, _picard_sum, cholesky_factor_L
+from .exact_core import RationalMatrix, _Record, _common_den, _picard_sum, cholesky_factor_L
 
 
-@dataclass(frozen=True)
-class HausdorffStats:
+class HausdorffStats(_Record):
     """One level of the forward-difference range criterion."""
 
-    N: int
-    lam: tuple  # lambda_{N,m}, m = 0..N
-    criterion_value: object  # (N+1) sum of lambda^2; Fraction in exact mode
-    picard_partial: object  # ||P_{N+1} Linv y||^2 over the same data window
+    __slots__ = ("N", "lam", "criterion_value", "picard_partial")
+
+    def __init__(self, N, lam, criterion_value, picard_partial):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "lam", lam)  # lambda_{N,m}, m = 0..N
+        object.__setattr__(self, "criterion_value", criterion_value)  # (N+1) sum of lambda^2; Fraction in exact mode
+        object.__setattr__(self, "picard_partial", picard_partial)  # ||P_{N+1} Linv y||^2 over the same data window
 
 
-@dataclass(frozen=True)
-class StableFamilyMember:
+class StableFamilyMember(_Record):
     """g_alpha(t) = (1-t)^alpha with the Taylor coefficients c, A* c = g_alpha, and norms."""
 
-    alpha: float
-    coeffs: np.ndarray
-    l2_function_norm_sq: float
-    hardy_norm_sq: float
+    __slots__ = ("alpha", "coeffs", "l2_function_norm_sq", "hardy_norm_sq")
+
+    def __init__(self, alpha, coeffs, l2_function_norm_sq, hardy_norm_sq):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "l2_function_norm_sq", l2_function_norm_sq)
+        object.__setattr__(self, "hardy_norm_sq", hardy_norm_sq)
 
 
 def _window(y, stop, start=0):

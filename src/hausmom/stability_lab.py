@@ -8,17 +8,14 @@ cross-checks of the forward map.  The growth table of the inverse factor,
 ``linv_growth_study``, needs only exact kernels and lives in exact_core.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import count, islice
 from math import exp, fsum, isqrt, ldexp, log, sqrt
 from operator import add, mul
 
 from ._lazy import numpy as np
-from .exact_core import inverse_factor_Linv
+from .exact_core import _Record, inverse_factor_Linv
 from .functions import TestFunction
 from .legendre import QuadratureRule, l2_distance
 from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_moments, pseudoinverse
@@ -27,8 +24,7 @@ from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_
 _DELTAS = tuple(10.0 ** -k for k in range(2, 8))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Record):
     """Gaussian direction e scaled to l2 norm delta.
 
     The perturbation applied, (y + e) - y, is delta only up to the
@@ -36,35 +32,39 @@ class NoiseModel:
     12 moments, up to 1.03e-7 relative at delta = 1e-10.
     """
 
-    delta: float
-    seed: int = 42
+    __slots__ = ("delta", "seed")
 
-    def __post_init__(self):
-        if not 0 <= self.delta < math.inf:
+    def __init__(self, delta, seed=42):
+        if not 0 <= delta < math.inf:
             raise ValueError("delta must be finite and >= 0")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class AmplificationEstimate:
-    n: int
-    f_n: float
-    rate: float  # ln(f_n) / n
-    realizations: int
-    f_exact: float  # sqrt(trace H_n^-1), the target f_n estimates
+class AmplificationEstimate(_Record):
+    __slots__ = ("n", "f_n", "rate", "realizations", "f_exact")
+
+    def __init__(self, n, f_n, rate, realizations, f_exact):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f_n", f_n)
+        object.__setattr__(self, "rate", rate)  # ln(f_n) / n
+        object.__setattr__(self, "realizations", realizations)
+        object.__setattr__(self, "f_exact", f_exact)  # sqrt(trace H_n^-1), the target f_n estimates
 
 
-@dataclass(frozen=True)
-class StabilityBound:
-    N_star: float
-    bound: float
-    term_smoothness: float  # E^2 / (4 N*^2)
-    term_noise: float  # C_hat exp(3.5 N*) delta^2
-    w_arg: float
-    asymptotic_ok: bool  # w_arg >= e; below it the balancing is unreliable
+class StabilityBound(_Record):
+    __slots__ = ("N_star", "bound", "term_smoothness", "term_noise", "w_arg", "asymptotic_ok")
+
+    def __init__(self, N_star, bound, term_smoothness, term_noise, w_arg, asymptotic_ok):
+        object.__setattr__(self, "N_star", N_star)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "term_smoothness", term_smoothness)  # E^2 / (4 N*^2)
+        object.__setattr__(self, "term_noise", term_noise)  # C_hat exp(3.5 N*) delta^2
+        object.__setattr__(self, "w_arg", w_arg)
+        object.__setattr__(self, "asymptotic_ok", asymptotic_ok)  # w_arg >= e; below it the balancing is unreliable
 
 
-@dataclass(frozen=True)
-class BumpFamily:
+class BumpFamily(_Record):
     """m-th derivative of the mother bump, normalized to unit H^k norm.
 
     The first m moments of ``value`` vanish identically (integration by
@@ -72,13 +72,16 @@ class BumpFamily:
     normalized profile.
     """
 
-    k: int
-    p: float
-    m: int
-    value: object  # vectorized callable on [0, 1]
-    moments: np.ndarray
-    l2_norm: float  # L2 norm of the normalized profile (<= 1)
-    hk_norm: float  # H^k norm of the unnormalized profile, kept for reference
+    __slots__ = ("k", "p", "m", "value", "moments", "l2_norm", "hk_norm")
+
+    def __init__(self, k, p, m, value, moments, l2_norm, hk_norm):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "value", value)  # vectorized callable on [0, 1]
+        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "l2_norm", l2_norm)  # L2 norm of the normalized profile (<= 1)
+        object.__setattr__(self, "hk_norm", hk_norm)  # H^k norm of the unnormalized profile, kept for reference
 
 
 def lambert_w(z):

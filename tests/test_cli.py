@@ -252,6 +252,13 @@ class TestParsing:
     def test_import_leaves_mpmath_out(self):
         _run_fresh("import hausmom.cli\n" + _loaded_none_of("mpmath"))
 
+    def test_cli_leaves_dataclasses_inspect_json_and_ast_out(self):
+        # the records are __slots__ classes; json loads for --format json and --out, ast for reconstruct
+        unloaded = _loaded_none_of("dataclasses", "inspect", "json", "ast")
+        calls = [["hilbert"], ["linv"], ["hausdorff"], ["growth", "--n-max", "4"], ["pointvalue"]]
+        _run_fresh("from hausmom.cli import run\n" + unloaded
+                   + "".join(f"assert run({argv!r}) == 0\n" + unloaded for argv in calls))
+
     def test_exact_commands_leave_scipy_out(self):
         calls = [["hilbert"], ["linv"], ["reconstruct", "--poly", "3t^2-1"], ["hausdorff"], ["pointvalue"],
                  ["growth", "--n-max", "4"]]

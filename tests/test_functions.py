@@ -58,6 +58,16 @@ def test_breakpoints_in_unit_interval_accepted():
         assert np.allclose(project(f, 3).coefficients, [1.0, 0.0, 0.0], atol=1e-14)
 
 
+def test_breakpoints_kept_as_a_tuple():
+    # a generator was consumed by the [0, 1] check and stored exhausted, so
+    # the kink at 1/2 dropped out of every rule; a list made f unhashable
+    f = functions.TestFunction(abs_kink().value, breakpoints=(b for b in (0.5,)))
+    assert f.breakpoints == (0.5,)
+    assert project(f, 8).coefficients.tolist() == project(abs_kink(), 8).coefficients.tolist()
+    listed = functions.TestFunction(np.ones_like, breakpoints=[0.5])
+    assert hash(listed) == hash(functions.TestFunction(np.ones_like, breakpoints=(0.5,)))
+
+
 def test_g_alpha_domain():
     with pytest.raises(ValueError):
         g_alpha(-0.6)

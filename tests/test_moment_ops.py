@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import math
@@ -54,6 +53,15 @@ class TestMomentSequence:
     def test_n_is_the_length(self):
         assert MomentSequence.from_values([1, Fraction(1, 2), 0.25]).n == 3
         assert MomentSequence((1, 2)).n == 2
+
+    def test_values_kept_as_a_tuple(self):
+        # a list was stored as given: appending to it changed n, and hash raised TypeError
+        y = MomentSequence([1, 2])
+        assert y.values == (1, 2)
+        with pytest.raises(AttributeError):
+            y.values.append(3)
+        assert y.n == 2
+        assert hash(y) == hash(MomentSequence((1, 2)))
 
     def test_no_separate_n(self):
         with pytest.raises(TypeError):
@@ -115,7 +123,7 @@ class TestForwardMoments:
         # hex, of one integrand taking k by args=(k,) over f's float64 values
         want = [float(v).hex() for v in shared_node_moments(f, 40)]
         nodes = []
-        counted = dataclasses.replace(f, value=lambda t: nodes.append(t) or f(t))
+        counted = functions.TestFunction(value=lambda t: nodes.append(t) or f(t), breakpoints=f.breakpoints)
         assert [v.hex() for v in forward_moments(counted, 40).values] == want
         assert nodes and len(nodes) == len(set(nodes))
 

@@ -1,6 +1,6 @@
 """Inventory of the settable values of the public API.
 
-Every parameter with a default, and every dataclass field with a default,
+Every parameter with a default, and every constructor parameter with a default,
 of each function and class that ``hausmom`` exports (with the public
 methods of those classes) and of ``hausmom.cli.__all__``.  A value added
 or removed changes this table, so a new option shows up in review.
