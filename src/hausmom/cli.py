@@ -177,7 +177,7 @@ def _parse_poly(text):
 _DATA = {
     "const": lambda n: exact_polynomial_moments((1,), n),
     "t": lambda n: exact_polynomial_moments((0, 1), n),
-    "unit": lambda n: MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1)),
+    "unit": lambda n: MomentSequence([Fraction(1)] + [Fraction(0)] * (n - 1)),
 }
 
 

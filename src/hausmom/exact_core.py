@@ -154,15 +154,31 @@ class RationalMatrix:
 
 class _Record:
     """Base of the package's immutable records.  A record names its fields,
-    in order, in ``__slots__`` and sets each once in its ``__init__`` by
-    ``object.__setattr__``; ``==`` and ``hash`` read the tuple of fields,
-    ``==`` only against the same class, and copies and unpickled records
-    are rebuilt through ``__init__``."""
+    in order, in ``__slots__``; its one constructor, ``__init__``, checks
+    its arguments and sets every field by one ``_bind``, through the slots'
+    own setters (so the refusing ``__setattr__`` is skipped).  An array field
+    is a read-only float copy (``legendre._frozen``).  ``==`` (only within
+    one class) and ``hash`` read the fields, an ndarray (told by its type's
+    name, so numpy is not imported here) as shape, dtype and bytes: -0.0 and
+    0.0 differ there, and a NaN equals the same NaN.  Copies and unpickled
+    records are rebuilt through ``__init__``."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _bind(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
     def _astuple(self):
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self):
+        return tuple((v.shape, v.dtype.str, v.tobytes())
+                     if type(v).__name__ == "ndarray" and type(v).__module__ == "numpy" else v
+                     for v in self._astuple())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -171,10 +187,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self._key())
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
@@ -196,8 +212,7 @@ class FactoredTriangular(_Record):
     __slots__ = ("rational_part", "scale_rows")
 
     def __init__(self, rational_part, scale_rows):
-        object.__setattr__(self, "rational_part", rational_part)
-        object.__setattr__(self, "scale_rows", scale_rows)
+        self._bind(rational_part, scale_rows)
 
     @property
     def n(self):

@@ -23,6 +23,10 @@ from .exact_core import _Record, _common_den
 
 
 class TestFunction(_Record):
+    """f on [0, 1], called as f(t).  ``singular_at_one`` is set for the (1-t)^alpha family
+    and steers quadrature toward a graded rule; ``poly_coeffs`` holds the exact rational
+    coefficients (c_0, c_1, ...) when f is a polynomial."""
+
     __slots__ = ("value", "derivative", "second_derivative", "label", "breakpoints", "singular_at_one", "poly_coeffs")
 
     def __init__(self, value, derivative=None, second_derivative=None, label="", breakpoints=(),
@@ -33,15 +37,7 @@ class TestFunction(_Record):
         breakpoints = tuple(breakpoints)
         if not all(isinstance(b, Real) and 0 <= b <= 1 for b in breakpoints):
             raise ValueError("breakpoints must be finite numbers in [0, 1]")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "derivative", derivative)
-        object.__setattr__(self, "second_derivative", second_derivative)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        # set for the (1-t)^alpha family; steers quadrature toward a graded rule
-        object.__setattr__(self, "singular_at_one", singular_at_one)
-        # exact rational coefficients (c_0, c_1, ...) when f is a polynomial
-        object.__setattr__(self, "poly_coeffs", poly_coeffs)
+        self._bind(value, derivative, second_derivative, label, breakpoints, singular_at_one, poly_coeffs)
 
     def __call__(self, t):
         return self.value(t)

@@ -14,13 +14,20 @@ from ._lazy import numpy as np
 from .exact_core import _Record
 
 
+def _frozen(a):
+    """a as a new read-only float array: the one form of a record's array field."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 class LegendreExpansion(_Record):
     """Coefficients (lambda_1 .. lambda_m) of L_0 .. L_{m-1}."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", np.asarray(coefficients, dtype=float))
+        self._bind(_frozen(coefficients))
 
     @property
     def m(self):
@@ -43,8 +50,7 @@ class QuadratureRule(_Record):
     __slots__ = ("nodes", "weights")
 
     def __init__(self, nodes, weights):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        self._bind(_frozen(nodes), _frozen(weights))
 
     def __repr__(self):
         return f"{type(self).__qualname__}()"  # the node and weight arrays are left out
@@ -84,8 +90,7 @@ class QuadratureRule(_Record):
         """
         bps = [0.0] + [1.0 - 2.0 ** -l for l in range(1, 41)] + [1.0]
         rule = cls.composite(npts, bps)
-        rule.nodes[rule.nodes >= 1.0] = np.nextafter(1.0, 0.0)
-        return rule
+        return cls(np.minimum(rule.nodes, np.nextafter(1.0, 0.0)), rule.weights)
 
 
 def basis_matrix(m, t):
@@ -116,14 +121,13 @@ _CACHED_M_MAX = 160
 def _projector(m, breakpoints, singular_at_one):
     """The rule for the key, m + 8 nodes on each piece between f's breakpoints
     or graded toward a singular t = 1, and basis_matrix(m, rule.nodes), made
-    read-only: m + 2 doubles per node."""
+    read-only as the rule's arrays are: m + 2 doubles per node."""
     if singular_at_one:
         rule = QuadratureRule.endpoint_graded(m + 8)
     else:
         rule = QuadratureRule.composite(m + 8, sorted({0.0, 1.0, *breakpoints}))
     basis = basis_matrix(m, rule.nodes)
-    for a in (rule.nodes, rule.weights, basis):
-        a.flags.writeable = False
+    basis.flags.writeable = False
     return rule, basis
 
 

@@ -10,7 +10,7 @@ fails (around n = 13).
 """
 
 from fractions import Fraction
-from math import inf, isfinite, lcm, sqrt
+from math import fsum, inf, isfinite, lcm, sqrt
 from operator import mul
 
 from ._lazy import numpy as np, quadpack
@@ -27,15 +27,11 @@ class MomentSequence(_Record):
     __slots__ = ("values",)
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(values))
+        self._bind(tuple(values))
 
     @property
     def n(self):
         return len(self.values)
-
-    @classmethod
-    def from_values(cls, values):
-        return cls(values)
 
     def to_array(self):
         return np.array([float(v) for v in self.values])
@@ -51,8 +47,7 @@ class SobolevBudget(_Record):
             raise ValueError("E must be finite and positive")
         if kind not in _NORM_KINDS:
             raise ValueError(f"unknown budget kind {kind!r}")
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "kind", kind)
+        self._bind(E, kind)
 
 
 def _break_points(points, a, b):
@@ -95,7 +90,7 @@ def forward_moments(f, n):
         raise ValueError("n must be >= 1")
     if f.poly_coeffs is not None:
         exact = exact_polynomial_moments(f.poly_coeffs, n)
-        return MomentSequence.from_values([float(v) for v in exact.values])
+        return MomentSequence([float(v) for v in exact.values])
     tol = 1e-12
     pts = _break_points(f.breakpoints, 0.0, 1.0)
     f_at = {}  # node -> float(f(node)), for this call only
@@ -115,7 +110,7 @@ def forward_moments(f, n):
         if ier or not (isfinite(v) and err <= 10 * max(tol, abs(v) * tol) + 1e-15):
             raise RuntimeError(f"quadrature for moment {j} did not converge (v={v!r}, err={err:.2e}, ier={ier})")
         vals.append(v)
-    return MomentSequence.from_values(vals)
+    return MomentSequence(vals)
 
 
 def exact_polynomial_moments(coeffs, n):
@@ -129,7 +124,7 @@ def exact_polynomial_moments(coeffs, n):
     a, den = _common_den(tuple(coeffs) or (0,))  # no coefficients: the zero polynomial
     d = lcm(*range(1, n + len(a)))
     h = [d // i for i in range(1, n + len(a))]  # d // (k + j) is h[k + j - 1]
-    return MomentSequence.from_values(Fraction(sum(map(mul, a, h[j:])), d * den) for j in range(n))
+    return MomentSequence(Fraction(sum(map(mul, a, h[j:])), d * den) for j in range(n))
 
 
 def pseudoinverse(y):
@@ -183,7 +178,7 @@ def sobolev_norm(f, kind="H1"):
 
     parts = {"H1-seminorm": (f.derivative,), "H1": (f.value, f.derivative),
              "H2": (f.value, f.derivative, f.second_derivative)}[kind]
-    return sqrt(sum(map(_l2sq, parts)))
+    return sqrt(fsum(map(_l2sq, parts)))
 
 
 def h1_rate_check(f, budget, n_list):

@@ -19,18 +19,18 @@ from operator import index, mul, sub
 
 from ._lazy import numpy as np
 from .exact_core import RationalMatrix, _Record, _common_den, _picard_sum, cholesky_factor_L
+from .legendre import _frozen
 
 
 class HausdorffStats(_Record):
-    """One level of the forward-difference range criterion."""
+    """One level of the forward-difference range criterion: ``lam`` holds lambda_{N,m},
+    m = 0..N; ``criterion_value`` is (N+1) sum of lambda^2, a Fraction in exact mode; and
+    ``picard_partial`` is ||P_{N+1} Linv y||^2 over the same data window."""
 
     __slots__ = ("N", "lam", "criterion_value", "picard_partial")
 
     def __init__(self, N, lam, criterion_value, picard_partial):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "lam", lam)  # lambda_{N,m}, m = 0..N
-        object.__setattr__(self, "criterion_value", criterion_value)  # (N+1) sum of lambda^2; Fraction in exact mode
-        object.__setattr__(self, "picard_partial", picard_partial)  # ||P_{N+1} Linv y||^2 over the same data window
+        self._bind(N, lam, criterion_value, picard_partial)
 
 
 class StableFamilyMember(_Record):
@@ -39,10 +39,7 @@ class StableFamilyMember(_Record):
     __slots__ = ("alpha", "coeffs", "l2_function_norm_sq", "hardy_norm_sq")
 
     def __init__(self, alpha, coeffs, l2_function_norm_sq, hardy_norm_sq):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "l2_function_norm_sq", l2_function_norm_sq)
-        object.__setattr__(self, "hardy_norm_sq", hardy_norm_sq)
+        self._bind(alpha, _frozen(coeffs), l2_function_norm_sq, hardy_norm_sq)
 
 
 def _window(y, stop, start=0):

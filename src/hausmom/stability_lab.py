@@ -17,7 +17,7 @@ from operator import add, mul
 from ._lazy import numpy as np
 from .exact_core import _Record, inverse_factor_Linv
 from .functions import TestFunction
-from .legendre import QuadratureRule, l2_distance
+from .legendre import QuadratureRule, _frozen, l2_distance
 from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_moments, pseudoinverse
 
 # The noise levels of the amplification regression: the decades 1e-2 .. 1e-7.
@@ -37,31 +37,26 @@ class NoiseModel(_Record):
     def __init__(self, delta, seed=42):
         if not 0 <= delta < math.inf:
             raise ValueError("delta must be finite and >= 0")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "seed", seed)
+        self._bind(delta, seed)
 
 
 class AmplificationEstimate(_Record):
+    """``rate`` is ln(f_n) / n; ``f_exact`` is sqrt(trace H_n^-1), the target f_n estimates."""
+
     __slots__ = ("n", "f_n", "rate", "realizations", "f_exact")
 
     def __init__(self, n, f_n, rate, realizations, f_exact):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f_n", f_n)
-        object.__setattr__(self, "rate", rate)  # ln(f_n) / n
-        object.__setattr__(self, "realizations", realizations)
-        object.__setattr__(self, "f_exact", f_exact)  # sqrt(trace H_n^-1), the target f_n estimates
+        self._bind(n, f_n, rate, realizations, f_exact)
 
 
 class StabilityBound(_Record):
+    """``term_smoothness`` is E^2 / (4 N*^2), ``term_noise`` C_hat exp(3.5 N*) delta^2, and
+    ``asymptotic_ok`` w_arg >= e, below which the balancing is unreliable."""
+
     __slots__ = ("N_star", "bound", "term_smoothness", "term_noise", "w_arg", "asymptotic_ok")
 
     def __init__(self, N_star, bound, term_smoothness, term_noise, w_arg, asymptotic_ok):
-        object.__setattr__(self, "N_star", N_star)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "term_smoothness", term_smoothness)  # E^2 / (4 N*^2)
-        object.__setattr__(self, "term_noise", term_noise)  # C_hat exp(3.5 N*) delta^2
-        object.__setattr__(self, "w_arg", w_arg)
-        object.__setattr__(self, "asymptotic_ok", asymptotic_ok)  # w_arg >= e; below it the balancing is unreliable
+        self._bind(N_star, bound, term_smoothness, term_noise, w_arg, asymptotic_ok)
 
 
 class BumpFamily(_Record):
@@ -69,19 +64,15 @@ class BumpFamily(_Record):
 
     The first m moments of ``value`` vanish identically (integration by
     parts kills them); ``moments[j-1]`` holds the j-th moment of the
-    normalized profile.
+    normalized profile.  ``value`` is a vectorized callable on [0, 1], ``l2_norm`` the
+    L2 norm of the normalized profile (<= 1), and ``hk_norm`` the H^k norm of the
+    unnormalized profile, kept for reference.
     """
 
     __slots__ = ("k", "p", "m", "value", "moments", "l2_norm", "hk_norm")
 
     def __init__(self, k, p, m, value, moments, l2_norm, hk_norm):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "value", value)  # vectorized callable on [0, 1]
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "l2_norm", l2_norm)  # L2 norm of the normalized profile (<= 1)
-        object.__setattr__(self, "hk_norm", hk_norm)  # H^k norm of the unnormalized profile, kept for reference
+        self._bind(k, p, m, value, _frozen(moments), l2_norm, hk_norm)
 
 
 def lambert_w(z):
@@ -135,7 +126,7 @@ def _perturbed(y, delta, rng):
     """y + e, e a Gaussian direction drawn from rng with l2 norm delta (see NoiseModel)."""
     e = rng.standard_normal(y.n)
     e *= delta / np.linalg.norm(e)
-    return MomentSequence.from_values(y.to_array() + e)
+    return MomentSequence(y.to_array() + e)
 
 
 def noisy_data(y, model):
@@ -155,7 +146,7 @@ def _as_moments(data, n):
     if isinstance(data, MomentSequence):
         if data.n < n:
             raise ValueError(f"need {n} moments, data has {data.n}")
-        return MomentSequence.from_values(data.values[:n])
+        return MomentSequence(data.values[:n])
     return forward_moments(data, n)
 
 

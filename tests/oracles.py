@@ -175,7 +175,7 @@ def forward_from_expansion(e, n):
     a, den = _common_den(e.coefficients[:min(e.m, n)])
     with mp.workdps(40):
         roots = [mp.sqrt(w) for w in lfac.diag_weights]
-        return MomentSequence.from_values([float(mp.fsum(mp.mpf(x * c) / mp.mpf(part.den * den) * r
+        return MomentSequence([float(mp.fsum(mp.mpf(x * c) / mp.mpf(part.den * den) * r
                                                           for x, c, r in zip(row, a, roots) if x and c))
                                            for row in part.num])
 

@@ -70,7 +70,7 @@ def test_criterion_3_reconstruction():
         assert hm.l2_distance(lam, hm.project(f, n)) < 1e-9
     for n in (2, 5, 8):
         v = [Fraction(x) for x in rng.uniform(-1, 1, n)]
-        y = hm.MomentSequence.from_values(v)
+        y = hm.MomentSequence(v)
         hinv = hm.inverse_hilbert(n)
         quad_form = float(sum(hinv[i, j] * v[i] * v[j] for i in range(n) for j in range(n)))
         norm_sq = float(np.sum(hm.pseudoinverse(y).coefficients ** 2))
@@ -106,7 +106,7 @@ def test_criterion_6_hausdorff_criterion():
     y = hm.exact_polynomial_moments((1,), 25)
     for N in range(1, 21):
         assert hm.hausdorff_criterion(y, N).criterion_value == 1
-    unit = hm.MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * 20)
+    unit = hm.MomentSequence([Fraction(1)] + [Fraction(0)] * 20)
     assert all(hm.hausdorff_criterion(unit, N).picard_partial == (N + 1) ** 2 for N in range(20))
 
 
@@ -124,11 +124,11 @@ def test_criterion_7_stable_family():
 def test_criterion_8_point_value():
     """Recovery of x(1) from averaged weighted moments."""
     n_max = 2**17
-    ones = hm.MomentSequence.from_values([1.0 / j for j in range(1, 1001)])
+    ones = hm.MomentSequence([1.0 / j for j in range(1, 1001)])
     for N in (1, 7, 100, 1000):
         assert hm.point_value_estimator(ones, N) == pytest.approx(1.0, abs=1e-12)
     y = [1.0 / (j + 1) for j in range(1, n_max + 1)]
-    seq = hm.MomentSequence.from_values(y[:200])
+    seq = hm.MomentSequence(y[:200])
     assert 0.03 <= abs(hm.point_value_estimator(seq, 100) - 1.0) <= 0.07
     deltas = [10.0**-k for k in range(2, 7)]
     rows = hm.point_value_noise_study(y, 1.0, deltas)

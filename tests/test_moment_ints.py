@@ -26,7 +26,7 @@ def _hex(values):
 
 def _criterion_matches_loops(values, data):
     """hausdorff_criterion at a drawn N against the per-entry loops."""
-    y = MomentSequence.from_values(values)
+    y = MomentSequence(values)
     N = data.draw(st.integers(0, len(values) - 1))
     stats = hausdorff_criterion(y, N)
     lam, crit = loop_criterion(values, N)
@@ -42,7 +42,7 @@ class TestInnerProducts:
         # reconstruction_norm_sq_exact from M y as one RationalMatrix product and as per-entry
         # Fraction sums; TestPseudoinverse in test_moment_ops.py checks pseudoinverse against both
         xs, den = matrix_inner_products(values)
-        norm = reconstruction_norm_sq_exact(MomentSequence.from_values(values))
+        norm = reconstruction_norm_sq_exact(MomentSequence(values))
         assert type(norm) is Fraction
         assert norm == Fraction(sum((2 * i + 1) * x * x for i, x in enumerate(xs)), den * den)
         assert norm == sum((2 * i + 1) * v * v for i, v in enumerate(fraction_inner_products(values)))
@@ -71,7 +71,7 @@ class TestInnerProducts:
         monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
         monkeypatch.setattr(RationalMatrix, "_from_int_rows", classmethod(counting_from_rows))
         monkeypatch.setattr(exact_core, "inverse_factor_Linv", counting_linv)
-        y = MomentSequence.from_values([Fraction(1, 3), 0.25, 7, np.float32(0.5)] * 10)
+        y = MomentSequence([Fraction(1, 3), 0.25, 7, np.float32(0.5)] * 10)
         pseudoinverse(y)
         assert builds == [1]
         builds.clear()
@@ -80,17 +80,17 @@ class TestInnerProducts:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)])
     def test_refuses_non_finite(self, bad):
-        y = MomentSequence.from_values([1.0, bad, Fraction(1, 3)])
+        y = MomentSequence([1.0, bad, Fraction(1, 3)])
         for fn in (pseudoinverse, reconstruction_norm_sq_exact):
             with pytest.raises(ValueError, match="values must be finite"):
                 fn(y)
 
     def test_numpy_integers_enter_exactly(self):
         big = 2**60 + 1  # no double holds it
-        got = reconstruction_norm_sq_exact(MomentSequence.from_values(np.array([big], dtype=np.int64)))
+        got = reconstruction_norm_sq_exact(MomentSequence(np.array([big], dtype=np.int64)))
         assert got == big * big
         # the range statistics take the exact path for numpy integers too
-        y = MomentSequence.from_values(np.array([big, 3], dtype=np.int64))
+        y = MomentSequence(np.array([big, 3], dtype=np.int64))
         stats = hausdorff_criterion(y, 1)
         assert all(type(v) is Fraction for v in stats.lam) and stats.lam == (big - 3, 3)
         assert stats.picard_partial == reconstruction_norm_sq_exact(y)
@@ -107,7 +107,7 @@ class TestCriterion:
         lam, crit = matrix_criterion(values, N)
         assert all(type(v) is Fraction for v in stats.lam) and stats.lam == lam
         assert type(stats.criterion_value) is Fraction and stats.criterion_value == crit
-        assert stats.picard_partial == reconstruction_norm_sq_exact(MomentSequence.from_values(values[:N + 1]))
+        assert stats.picard_partial == reconstruction_norm_sq_exact(MomentSequence(values[:N + 1]))
 
     @settings(max_examples=100, deadline=None)
     @given(FLOAT_DATA, st.data())
@@ -125,7 +125,7 @@ class TestCriterion:
         window = range_diagnostics._window
         monkeypatch.setattr(range_diagnostics, "_window", lambda *args: calls.append(1) or window(*args))
         for values in ([Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]):
-            y = MomentSequence.from_values(values)
+            y = MomentSequence(values)
             for call in (lambda: hausdorff_criterion(y, 19), lambda: forward_differences(y, 3, 12)):
                 call()
                 assert len(calls) == 1
@@ -138,7 +138,7 @@ class TestCriterion:
         monkeypatch.setattr(range_diagnostics, "_last_differences", lambda a: calls.append(len(a)) or table(a))
         exact, floats = [Fraction(1, k) for k in range(1, 21)], [1 / k for k in range(1, 21)]
         for values, expect in ((exact, [20, 13]), (floats, [])):
-            y = MomentSequence.from_values(values)
+            y = MomentSequence(values)
             hausdorff_criterion(y, 19)
             forward_differences(y, 3, 12)
             assert calls == expect
@@ -151,11 +151,11 @@ class TestCriterion:
 
         monkeypatch.setattr(exact_core, "inverse_factor_Linv", no_work)
         with pytest.raises(ValueError, match="N must be >= 0"):
-            hausdorff_criterion(MomentSequence.from_values(values), -1)
+            hausdorff_criterion(MomentSequence(values), -1)
 
     @pytest.mark.parametrize("values", [[math.inf, 1.0], [0.5, math.nan, 0.25], [1, Fraction(1, 2), -math.inf]])
     def test_refuses_non_finite(self, values):
-        y = MomentSequence.from_values(values)
+        y = MomentSequence(values)
         with pytest.raises(ValueError, match="moments must be finite"):
             hausdorff_criterion(y, len(values) - 1)
         with pytest.raises(ValueError, match="moments must be finite"):

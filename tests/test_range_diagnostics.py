@@ -35,7 +35,7 @@ from strategies import EXACT_COEFFS, EXACT_DATA, FLOAT_DATA
 
 
 def _unit_sequence(n):
-    return MomentSequence.from_values([Fraction(1)] + [Fraction(0)] * (n - 1))
+    return MomentSequence([Fraction(1)] + [Fraction(0)] * (n - 1))
 
 
 class TestLoopOracles:
@@ -47,7 +47,7 @@ class TestLoopOracles:
         for values in (exact, floating):
             m = data.draw(st.integers(0, len(values) - 1))
             n = data.draw(st.integers(0, len(values) - 1 - m))
-            got = forward_differences(MomentSequence.from_values(values), m, n)
+            got = forward_differences(MomentSequence(values), m, n)
             assert same(got, loop_forward_difference(values, m, n))
 
     @settings(max_examples=200, deadline=None)
@@ -118,7 +118,7 @@ class TestForwardDifferences:
 
     def test_float_mode_matches_exact(self):
         y_exact = exact_polynomial_moments((1, -2, 3), 12)
-        y_float = MomentSequence.from_values([float(v) for v in y_exact.values])
+        y_float = MomentSequence([float(v) for v in y_exact.values])
         for m, n in ((0, 5), (3, 4), (2, 8)):
             assert forward_differences(y_float, m, n) == pytest.approx(
                 float(forward_differences(y_exact, m, n)), abs=1e-13)

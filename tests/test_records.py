@@ -1,7 +1,8 @@
 """The package's twelve immutable records behave as frozen value records:
 equal by their fields and only within one class, hashed by them, shown
 as ``Name(field=value, ...)``, refusing assignment and deletion, and
-surviving ``pickle`` and ``copy``."""
+surviving ``pickle`` and ``copy``.  An array field is a read-only copy,
+compared and hashed by shape, dtype and bytes."""
 
 import copy
 import inspect
@@ -35,8 +36,11 @@ RECORDS = {
     "BumpFamily": dict(k=1, p=2.0, m=3, value=abs, moments=np.array([0.0, 0.0, 0.0, 1e-3]), l2_norm=0.5,
                        hk_norm=40.0),
 }
-# These hold an array or a RationalMatrix, which cannot be hashed, so neither can the record.
-UNHASHABLE = {"FactoredTriangular", "LegendreExpansion", "QuadratureRule", "StableFamilyMember", "BumpFamily"}
+# The array fields of the records that have them.
+ARRAY_FIELDS = {"LegendreExpansion": ("coefficients",), "QuadratureRule": ("nodes", "weights"),
+                "StableFamilyMember": ("coeffs",), "BumpFamily": ("moments",)}
+# RationalMatrix defines == without a hash, so a record holding one cannot be hashed.
+UNHASHABLE = {"FactoredTriangular"}
 
 
 def _same(x, y):
@@ -53,12 +57,18 @@ def test_record_parity(name):
     assert list(inspect.signature(cls).parameters) == list(fields)
     a, b = cls(**fields), cls(*fields.values())
     for k, v in fields.items():
-        assert getattr(a, k) is v  # stored as given: each test value is already in its stored type
+        if k in ARRAY_FIELDS.get(name, ()):  # a read-only float copy, one per record
+            assert getattr(a, k) is not v and getattr(a, k) is not getattr(b, k)
+            assert getattr(a, k).dtype == float and not getattr(a, k).flags.writeable
+        else:
+            assert getattr(a, k) is v  # stored as given: each test value is already in its stored type
 
-    assert a == b and not a != b
+    assert (a == b) is True and (a != b) is False
     if name in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
+    elif name in ARRAY_FIELDS:
+        assert hash(a) == hash(b)
     else:
         assert hash(a) == hash(b) == hash(tuple(fields.values()))
 
@@ -80,6 +90,30 @@ def test_record_parity(name):
     assert _same_fields(copy.copy(a), a, fields)
     assert _same_fields(copy.deepcopy(a), a, fields)
     assert _same_fields(pickle.loads(pickle.dumps(a)), a, fields)
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_array_fields_are_frozen_copies(name):
+    cls, fields = getattr(hausmom, name), RECORDS[name]
+    given = {k: v.copy() if k in ARRAY_FIELDS[name] else v for k, v in fields.items()}
+    a = cls(**given)
+    for k in ARRAY_FIELDS[name]:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, k)[0] = 9.0
+        given[k][0] = 9.0  # the caller's later write to its own array
+    # neither write reached the record, which equals one built from other, equal arrays
+    twin = cls(**fields)
+    assert (a == twin) is True and hash(a) == hash(twin)
+    assert all(np.array_equal(getattr(a, k), fields[k]) for k in ARRAY_FIELDS[name])
+
+
+def test_arrays_compare_by_shape_dtype_and_bytes():
+    E = hausmom.LegendreExpansion
+    assert E([1.0, np.nan]) == E(np.array([1.0, np.nan]))
+    assert E([-0.0]) != E([0.0])
+    assert E([1.0, 2.0]) != E([1.0, 2.0, 0.0])
+    assert E([[1.0], [2.0]]) != E([1.0, 2.0])
+    assert hash(E([1.0, np.nan])) == hash(E([1.0, np.nan]))
 
 
 def test_unpicklable_fields_still_copy():

@@ -151,7 +151,7 @@ class TestStabilityBound:
                     vals, vecs = mp.eigsy(closed_form_inverse_hilbert(n))
                     top = max(range(n), key=lambda i: vals[i])
                     e = [float(delta * vecs[i, top]) for i in range(n)]
-                lam = pseudoinverse(MomentSequence.from_values([a + Fraction(x) for a, x in zip(y, e)])).coefficients
+                lam = pseudoinverse(MomentSequence([a + Fraction(x) for a, x in zip(y, e)])).coefficients
                 # ||p - f||^2 = ||f||^2 - 2 <p, f> + ||p||^2, p in the span of the first n
                 measured = math.sqrt(norm_sq - 2 * np.dot(lam, c[:n]) + np.dot(lam, lam))
                 assert measured == pytest.approx(total, rel=1e-12)
@@ -353,12 +353,12 @@ class TestGrowthStudy:
 
 class TestPointValue:
     def test_constant_exact(self):
-        y = MomentSequence.from_values([1.0 / j for j in range(1, 501)])
+        y = MomentSequence([1.0 / j for j in range(1, 501)])
         for N in (1, 10, 100, 500):
             assert point_value_estimator(y, N) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_partial_sum(self):
-        y = MomentSequence.from_values([1.0 / (j + 1) for j in range(1, 101)])
+        y = MomentSequence([1.0 / (j + 1) for j in range(1, 101)])
         assert point_value_estimator(y, 1) == 0.5
         # (1/100) sum j/(j+1) = 1 - (H_101 - 1)/100
         h101 = sum(1.0 / j for j in range(1, 102))
@@ -366,7 +366,7 @@ class TestPointValue:
 
     def test_log_over_n_envelope(self):
         y = [1.0 / (j + 1) for j in range(1, 10_001)]
-        seq = MomentSequence.from_values(y)
+        seq = MomentSequence(y)
         for N in (10, 100, 1000, 10_000):
             err = abs(point_value_estimator(seq, N) - 1.0)
             assert err <= (math.log(N) + 1) / N
@@ -458,7 +458,7 @@ class TestPointValue:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_estimator_refuses_non_finite(self, bad):
         # like range_diagnostics, only the moments read are checked
-        y = MomentSequence.from_values([1.0, bad, 1 / 3])
+        y = MomentSequence([1.0, bad, 1 / 3])
         with pytest.raises(ValueError, match="moments must be finite"):
             point_value_estimator(y, 2)
         assert point_value_estimator(y, 1) == 1.0
@@ -659,7 +659,7 @@ class TestErrorSplit:
 
 
 class TestEdgeBranches:
-    Y3 = MomentSequence.from_values([1.0, 0.5, 1 / 3])
+    Y3 = MomentSequence([1.0, 0.5, 1 / 3])
 
     @pytest.mark.parametrize("call, message", [
         (lambda: amplification_experiment(TestEdgeBranches.Y3, 4), "need 4 moments, data has 3"),
