@@ -1,6 +1,6 @@
 """Exact rational kernels for the Hilbert matrix and its triangular factors.
 
-Everything in this module is exact: a matrix is a list of ``int`` rows
+Everything in this module is exact: a matrix is a tuple of ``int`` rows
 over one common denominator (1 for the inverse factor and the inverse
 Hilbert segment, lcm(1..2n-1) for H_n), and the irrational square-root
 factors of the triangular operators are never materialized.  A factored
@@ -62,106 +62,18 @@ class SpectralNormError(RuntimeError):
         self.iterations = iterations
 
 
-class RationalMatrix:
-    """Dense exact matrix: int rows ``num`` over one positive ``den``.
-
-    Kept in lowest terms, so ``==`` compares ``(den, num)``: the sign of a
-    negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Entries
-    that are not all ``int`` are read by ``_common_den``, the package's one
-    rule for exact input, and put over the lcm of their denominators.  A
-    matrix with no rows or no columns is refused, since its shape could
-    not be kept.  ``entries`` and ``m[i, j]`` are exact views: ``int``
-    where ``den`` divides the entry, ``Fraction`` otherwise.
-    """
-
-    __slots__ = ("rows", "cols", "num", "den")
-
-    def __init__(self, entries, den=1):
-        num = list(map(list, entries))
-        if not num or not num[0]:
-            raise ValueError("a matrix needs at least one row and one column")
-        den = index(den)  # numpy integers, here or in num, would wrap in products
-        if den == 0:
-            raise ValueError("den must be nonzero")
-        if not {int}.issuperset(map(type, chain.from_iterable(num))):  # any other number: _common_den's rule
-            flat, d = _common_den(chain.from_iterable(num))
-            flat = iter(flat)
-            num, den = [list(islice(flat, len(row))) for row in num], den * d
-        if den < 0:
-            num, den = [[-x for x in row] for row in num], -den
-        g = gcd(den, *(x for row in num for x in row)) if den != 1 else 1
-        self.num = [[x // g for x in row] for row in num] if g != 1 else num
-        self.den = den // g
-        self.rows = len(num)
-        self.cols = len(num[0])
-        if any(len(row) != self.cols for row in num):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def _from_int_rows(cls, num):
-        """A matrix over den 1 that takes ``num`` as it is: no copy, no type
-        scan, no gcd.  ``num`` must be a fresh nonempty list of equal-length
-        lists of Python ints that no one else writes to."""
-        self = object.__new__(cls)
-        self.num, self.den, self.rows, self.cols = num, 1, len(num), len(num[0])
-        return self
-
-    def _view(self, x):
-        return x // self.den if x % self.den == 0 else Fraction(x, self.den)
-
-    @property
-    def entries(self):
-        return [[self._view(x) for x in row] for row in self.num]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._view(self.num[i][j])
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.den, self.num) == (other.den, other.num)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.num))
-        return RationalMatrix([[sum(map(mul, row, col)) for col in ot] for row in self.num],
-                              self.den * other.den)
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RationalMatrix([[x * other.den - y * self.den for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(self.num, other.num)], self.den * other.den)
-
-    def transpose(self):
-        return RationalMatrix(zip(*self.num), self.den)
-
-    def is_zero(self):
-        return not any(map(any, self.num))
-
-    def is_identity(self):
-        return self.den == 1 and self.num == [[int(i == j) for j in range(self.rows)] for i in range(self.rows)]
-
-    def abs_row_sums(self):
-        """Exact maximum absolute row sum (the matrix infinity-norm)."""
-        return self._view(max(sum(map(abs, row)) for row in self.num))
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
 class _Record:
-    """Base of the package's immutable records.  A record names its fields,
-    in order, in ``__slots__``; its one constructor, ``__init__``, checks
-    its arguments and sets every field by one ``_bind``, through the slots'
-    own setters (so the refusing ``__setattr__`` is skipped).  An array field
-    is a read-only float copy (``legendre._frozen``).  ``==`` (only within
-    one class) and ``hash`` read the fields, an ndarray (told by its type's
-    name, so numpy is not imported here) as shape, dtype and bytes: -0.0 and
-    0.0 differ there, and a NaN equals the same NaN.  Copies and unpickled
-    records are rebuilt through ``__init__``."""
+    """Base of the package's immutable records, ``RationalMatrix`` among
+    them, so every record the package returns hashes.  A record names its
+    fields, in order, in ``__slots__``; its one constructor, ``__init__``,
+    checks its arguments and sets every field by one ``_bind``, through the
+    slots' own setters (so the refusing ``__setattr__`` is skipped).  A
+    sequence field is a tuple, an array field a read-only float copy
+    (``legendre._frozen``).  ``==`` (only within one class) and ``hash``
+    read the fields, an ndarray (told by its type's name, so numpy is not
+    imported here) as shape, dtype and bytes: -0.0 and 0.0 differ there,
+    and a NaN equals the same NaN.  Copies and unpickled records are
+    rebuilt through ``__init__``, so its checks run again."""
 
     __slots__ = ()
 
@@ -197,6 +109,99 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._astuple()
+
+
+class RationalMatrix(_Record):
+    """Dense exact matrix: int rows ``num`` over one positive ``den``, a record.
+
+    ``num`` is a tuple of equal-length int tuples, kept in lowest terms
+    with ``den``, so ``==`` and ``hash`` read ``(num, den)``: the sign of a
+    negative ``den`` moves into ``num``, and ``den`` 0 is refused.  Entries
+    that are not all ``int`` are read by ``_common_den``, the package's one
+    rule for exact input, and put over the lcm of their denominators.  A
+    matrix with no rows or no columns is refused, since its shape could
+    not be kept; ``rows`` and ``cols`` are read from ``num``.  ``entries``
+    (new lists) and ``m[i, j]`` are exact views: ``int`` where ``den``
+    divides the entry, ``Fraction`` otherwise.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, entries, den=1):
+        num = tuple(map(tuple, entries))  # a tuple row is taken as it is
+        if not num or not num[0]:
+            raise ValueError("a matrix needs at least one row and one column")
+        den = index(den)  # numpy integers, here or in num, would wrap in products
+        if den == 0:
+            raise ValueError("den must be nonzero")
+        if not {int}.issuperset(map(type, chain.from_iterable(num))):  # any other number: _common_den's rule
+            flat, d = _common_den(chain.from_iterable(num))
+            flat = iter(flat)
+            num, den = tuple([tuple(islice(flat, len(row))) for row in num]), den * d
+        if den < 0:
+            num, den = tuple([tuple([-x for x in row]) for row in num]), -den
+        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+        num = tuple([tuple([x // g for x in row]) for row in num]) if g != 1 else num
+        if any(len(row) != len(num[0]) for row in num):
+            raise ValueError("ragged rows")
+        self._bind(num, den // g)
+
+    @classmethod
+    def _from_int_rows(cls, num):
+        """A matrix over den 1 that binds ``num`` as it is: no copy, no type
+        scan, no gcd.  ``num`` must be a nonempty tuple of equal-length
+        tuples of Python ints."""
+        self = object.__new__(cls)
+        self._bind(num, 1)
+        return self
+
+    @property
+    def rows(self):
+        return len(self.num)
+
+    @property
+    def cols(self):
+        return len(self.num[0])
+
+    def _view(self, x):
+        return x // self.den if x % self.den == 0 else Fraction(x, self.den)
+
+    @property
+    def entries(self):
+        return [[self._view(x) for x in row] for row in self.num]
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self._view(self.num[i][j])
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        ot = list(zip(*other.num))
+        return RationalMatrix([[sum(map(mul, row, col)) for col in ot] for row in self.num],
+                              self.den * other.den)
+
+    def __sub__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
+        return RationalMatrix([[x * other.den - y * self.den for x, y in zip(r1, r2)]
+                               for r1, r2 in zip(self.num, other.num)], self.den * other.den)
+
+    def transpose(self):
+        return RationalMatrix(zip(*self.num), self.den)
+
+    def is_zero(self):
+        return not any(map(any, self.num))
+
+    def is_identity(self):
+        return self.den == 1 and self.num == tuple(tuple(int(i == j) for j in range(self.rows)) for i in range(self.rows))
+
+    def abs_row_sums(self):
+        """Exact maximum absolute row sum (the matrix infinity-norm)."""
+        return self._view(max(sum(map(abs, row)) for row in self.num))
+
+    def __repr__(self):
+        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 class FactoredTriangular(_Record):
@@ -311,9 +316,8 @@ def inverse_factor_Linv(n):
     Row i of M does not depend on n, so one triangle of int rows, grown to
     the largest n requested so far, serves every size: each row is
     computed once per process, and it holds n(n+1)/2 ints for that
-    largest n.  Each call returns a fresh
-    zero-padded copy of the leading n x n block: new int lists, which the
-    matrix takes over den 1 without a second copy, type scan or gcd pass.
+    largest n.  Each call binds the leading n x n block, each row padded
+    with zeros into a tuple, over den 1 without a type scan or gcd pass.
     """
     global _M_ROWS
     if n < 1:
@@ -323,7 +327,7 @@ def inverse_factor_Linv(n):
         rows += tuple(map(_m_row, range(len(rows) + 1, n + 1)))
         _M_ROWS = rows
     zeros = (0,) * n
-    part = RationalMatrix._from_int_rows([[*row, *zeros[len(row):]] for row in rows[:n]])
+    part = RationalMatrix._from_int_rows(tuple([row + zeros[len(row):] for row in rows[:n]]))
     return FactoredTriangular(part, scale_rows=True)
 
 
@@ -350,13 +354,13 @@ def _picard_sum(a, den):
 def _inverse_hilbert_levels(n):
     """(r, H_i^{-1}) for i = 1..n from one M, r the first i entries of row i:
     H_i^{-1} is H_{i-1}^{-1} padded with a zero row and column plus
-    ((2i-1) r) r^T, O(i^2) exact work, in new int rows never written again."""
+    ((2i-1) r) r^T, O(i^2) exact work, in tuple rows."""
     m = inverse_factor_Linv(n).rational_part.num
-    h = []
+    h = ()
     for i in range(1, n + 1):
         r = m[i - 1][:i]
-        h = [[a + wrj * rk for a, rk in zip(row + [0], r)]
-             for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
+        h = tuple([tuple([a + wrj * rk for a, rk in zip(row + (0,), r)])
+                   for row, wrj in zip(h + ((0,) * (i - 1),), [(2 * i - 1) * rj for rj in r])])
         yield r, RationalMatrix._from_int_rows(h)
 
 

@@ -251,31 +251,22 @@ def point_value_estimator(y, N):
     return fsum((j + 1) * v for j, v in enumerate(vals)) / N
 
 
-def _dyadic_running_sums(terms, n):
-    """The sums of the first 1, 2, 4, ... <= n terms, added one by one in
-    floats from the left, as np.cumsum adds them: segment by segment, each
-    onto the last sum.  Not builtin sum(), which compensates float sums
-    from Python 3.12 on."""
-    terms = iter(terms)
-    sums = [next(terms)]
-    for q in range(n.bit_length() - 1):
-        sums.append(reduce(add, islice(terms, 1 << q), sums[-1]))
-    return sums
-
-
 def point_value_noise_study(y_values, true_value, deltas):
     """Worst-case point-value errors over dyadic averaging lengths.
 
     For each delta the perturbation is the one that saturates the
     Cauchy-Schwarz step of the estimator's noise term, e = -delta j/|j|,
     so the measured error is bias(N) + delta sqrt(sum j^2)/N with no
-    sampling noise.  Returns rows (delta, best_N, error) where the error
-    is minimized over the dyadic N = 2^q <= len(y_values), so the data's
-    length sets the largest level.  For the exact moments of an x in H^1
-    and true_value = x(1), each row's error is at most the bound of
-    ``point_value_estimator`` at its best_N, whose noise term is this one:
+    sampling noise, the sum in closed form, N(N+1)(2N+1)/6.  Returns rows
+    (delta, best_N, error) where the error is minimized over the dyadic
+    N = 2^q <= len(y_values), so the data's length sets the largest level.
+    For the exact moments of an x in H^1 and true_value = x(1), each row's
+    error is at most the bound of ``point_value_estimator`` at its best_N,
+    whose noise term is this one:
     ||x'|| sqrt((2N+1) ln 2) / N + delta sqrt((N+1)(2N+1) / (6N)).
-    The data part is the running float sums in np.cumsum's order, not the
+    The data part is the running float sums in np.cumsum's order (added
+    one by one from the left, segment by segment onto the last sum; not
+    builtin sum(), which compensates from Python 3.12 on), not the
     estimator's ``fsum``: for x = t with 2^17 moments the two differ at 13
     of the 18 levels, by up to 7.7e-15 relative.  Non-finite moments or
     true_value are refused.
@@ -290,9 +281,12 @@ def point_value_noise_study(y_values, true_value, deltas):
     if not all(map(math.isfinite, y)):
         raise ValueError("moments must be finite")
     levels = [1 << q for q in range(len(y).bit_length())]
-    sums = _dyadic_running_sums(map(mul, count(1.0), y), len(y))
+    terms = map(mul, count(1.0), y)
+    sums = [next(terms)]
+    for N in levels[:-1]:  # terms N+1..2N onto the sum of the first N
+        sums.append(reduce(add, islice(terms, N), sums[-1]))
     bias = [abs(s / N - true_value) for s, N in zip(sums, levels)]
-    root = [sqrt(s) for s in _dyadic_running_sums(map(mul, count(1.0), count(1.0)), len(y))]
+    root = [sqrt(N * (N + 1) * (2 * N + 1) // 6) for N in levels]
     rows = []
     for delta in deltas:
         err = [b + delta * r / N for b, r, N in zip(bias, root, levels)]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 from operator import mul
@@ -47,12 +49,12 @@ class TestRationalMatrix:
     def test_lowest_terms(self):
         assert RationalMatrix([[Fraction(2, 4)]]) == RationalMatrix([[1]], 2)
         m = RationalMatrix([[2, 3]], 2)
-        assert (m.num, m.den) == ([[2, 3]], 2)
+        assert (m.num, m.den) == (((2, 3),), 2)
         assert m.entries == [[1, Fraction(3, 2)]] and type(m[0, 0]) is int
 
     def test_negative_den(self):
         m = RationalMatrix([[2, -4]], -6)
-        assert (m.num, m.den) == ([[-1, 2]], 3)
+        assert (m.num, m.den) == (((-1, 2),), 3)
         assert RationalMatrix([[1]], -2) == RationalMatrix([[-1]], 2)
         # entries that are not all int are read first, then the sign moves
         assert RationalMatrix([[0.5, Fraction(-1, 3)]], -1).entries == [[Fraction(-1, 2), Fraction(1, 3)]]
@@ -74,10 +76,30 @@ class TestRationalMatrix:
     def test_numpy_integer_entries_do_not_wrap(self):
         a = RationalMatrix([[np.int64(2**40)]])
         assert type(a.num[0][0]) is int
-        assert (a @ a).num == [[2**80]]
+        assert (a @ a).num == ((2**80,),)
         b = RationalMatrix([[np.int64(3), np.int32(1)]], 6)
         assert all(type(x) is int for x in b.num[0])
         assert (b @ b.transpose()) == RationalMatrix([[5]], 18)
+
+    def test_is_an_immutable_hashable_record(self):
+        # equal matrices hash alike, so a FactoredTriangular holding one hashes too
+        assert hash(hilbert_matrix(3)) == hash(hilbert_matrix(3))
+        assert len({inverse_factor_Linv(3), inverse_factor_Linv(3)}) == 1
+        m = hilbert_matrix(3)
+        for field, value in (("den", 0), ("rows", 5), ("num", ((1,),))):
+            with pytest.raises(AttributeError):
+                setattr(m, field, value)
+        with pytest.raises(TypeError):
+            m.num[0][0] = 7
+        assert m == hilbert_matrix(3) and m[0, 0] == Fraction(1) and (m.rows, m.cols) == (3, 3)
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert twin is not m and twin == m and hash(twin) == hash(m)
+
+    def test_tuple_rows_are_taken_as_they_are(self):
+        rows = ((1, 2), (3, 4))
+        m = RationalMatrix(rows)
+        assert m.num == rows and all(a is b for a, b in zip(m.num, rows))
+        assert RationalMatrix([[1, 2], [3, 4]]) == m
 
     def test_numpy_integer_den_does_not_wrap(self):
         a = RationalMatrix([[1]], np.int64(2**40))
@@ -169,16 +191,21 @@ class TestInverseFactor:
         for n in (7, 40, 3, 41, 1, 130, 40):
             part = inverse_factor_Linv(n).rational_part
             assert part.den == 1
-            assert part.num == inverse_factor_rows(n)
+            assert part.num == tuple(map(tuple, inverse_factor_rows(n)))
 
     def test_writes_into_a_result_leave_the_next_one_correct(self, monkeypatch):
         monkeypatch.setattr(exact_core, "_M_ROWS", ())
         part = inverse_factor_Linv(9).rational_part
-        part.num[4][2] += 1
-        part.num[0][8] = 5
-        part.num[8].append(0)
+        with pytest.raises(TypeError):
+            part.num[4][2] += 1
+        with pytest.raises(TypeError):
+            part.num[0][8] = 5
+        with pytest.raises(AttributeError):
+            part.num[8].append(0)
+        with pytest.raises(AttributeError):
+            part.num = ()
         for n in (9, 4, 12):
-            assert inverse_factor_Linv(n).rational_part.num == inverse_factor_rows(n)
+            assert inverse_factor_Linv(n).rational_part.num == tuple(map(tuple, inverse_factor_rows(n)))
 
     def test_each_row_is_computed_once(self, monkeypatch):
         calls = []
@@ -201,7 +228,7 @@ class TestInverseFactor:
     def test_row_recurrence_matches_the_two_binomial_oracle(self, monkeypatch):
         monkeypatch.setattr(exact_core, "_M_ROWS", ())
         oracle = inverse_factor_rows(130)
-        assert inverse_factor_Linv(130).rational_part.num == oracle
+        assert inverse_factor_Linv(130).rational_part.num == tuple(map(tuple, oracle))
         for i, row in enumerate(oracle, 1):
             assert list(exact_core._m_row(i)) == row[:i]
 

@@ -414,16 +414,15 @@ class TestPointValue:
                              ids=["zeros", "t", "normal", "t/4-2^19"])
     def test_noise_study_is_the_loop_over_levels(self, y):
         # reference: each dyadic N in turn, the first strict minimum kept; bit for bit.  For x = t/4
-        # with 2^19 moments, delta = 1e-8 picks N = 2^19, where the sum of j^2 has passed 2^53 and
-        # its float running sum has rounded
-        j = np.arange(1.0, len(y) + 1)
-        partial, partial_j2 = np.cumsum(j * np.asarray(y)), np.cumsum(j * j)
+        # with 2^19 moments, delta = 1e-8 picks N = 2^19, where the sum of j^2 has passed 2^53, so
+        # a float running sum of it would have rounded; the study takes it in closed form
+        partial = np.cumsum(np.arange(1.0, len(y) + 1) * np.asarray(y))
         deltas = [0.0, 1e-8, 1e-3, 0.5]
         expected = []
         for delta in deltas:
             best = None
             for N in (2**q for q in range(len(y).bit_length())):
-                err = abs(partial[N - 1] / N - 0.25) + delta * math.sqrt(partial_j2[N - 1]) / N
+                err = abs(partial[N - 1] / N - 0.25) + delta * math.sqrt(N * (N + 1) * (2 * N + 1) // 6) / N
                 if best is None or err < best[1]:
                     best = (N, err)
             expected.append({"delta": delta, "best_N": best[0], "error": best[1]})
@@ -435,6 +434,14 @@ class TestPointValue:
         y = [1e308, -1e308, 1e308, 0.0]
         [row] = point_value_noise_study(y, 0.0, [1e-3])
         assert row["best_N"] == 4 and math.isnan(row["error"])
+
+    def test_noise_study_reads_the_sum_of_squares_in_closed_form(self):
+        # one nonzero moment, at j = 2^20: the bias is 0 there and 1 below, so N = 2^20 wins with the
+        # noise term alone; a float running sum of j^2 has rounded there (from 2^19 on)
+        N = 2**20
+        [row] = point_value_noise_study([0.0] * (N - 1) + [1.0], 1.0, [1e-9])
+        assert row["best_N"] == N
+        assert row["error"] == 1e-9 * math.sqrt(N * (N + 1) * (2 * N + 1) // 6) / N
 
     @pytest.mark.parametrize("deltas", [[-0.1], [1e-3, math.nan], [math.inf]])
     def test_noise_study_refuses_bad_deltas(self, deltas):
