@@ -31,11 +31,11 @@ the iterate and product it stopped at, to a tighter tolerance, so at 256
 bits and above the gap between the two is the value's own error.
 
 The paper's growth table, ``linv_growth_study``, is built here from
-those two pieces alone: each level's H_i^{-1} from the rank-one
-recurrence ``_inverse_hilbert_levels`` and its norm and reference from
-``spectral_norm_with_reference``.  Like the rest of the module it needs
-only the standard library and, at call time, mpmath, so the package can
-run it without loading numpy.
+those two pieces alone: each level's H_i^{-1}, int lists from the
+rank-one recurrence ``_inverse_hilbert_levels``, and its norm and
+reference from ``spectral_norm_with_reference`` on those rows.  Like the
+rest of the module it needs only the standard library and, at call time,
+mpmath, so the package can run it without loading numpy.
 """
 
 import numbers
@@ -149,8 +149,8 @@ class RationalMatrix(_Record):
     @classmethod
     def _from_int_rows(cls, num):
         """A matrix over den 1 that binds ``num`` as it is: no copy, no type
-        scan, no gcd.  ``num`` must be a nonempty tuple of equal-length
-        tuples of Python ints."""
+        scan, no gcd, for ``inverse_factor_Linv``'s padded M alone.  ``num``
+        must be a nonempty tuple of equal-length tuples of Python ints."""
         self = object.__new__(cls)
         self._bind(num, 1)
         return self
@@ -195,10 +195,6 @@ class RationalMatrix(_Record):
 
     def is_identity(self):
         return self.den == 1 and self.num == tuple(tuple(int(i == j) for j in range(self.rows)) for i in range(self.rows))
-
-    def abs_row_sums(self):
-        """Exact maximum absolute row sum (the matrix infinity-norm)."""
-        return self._view(max(sum(map(abs, row)) for row in self.num))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -352,23 +348,23 @@ def _picard_sum(a, den):
 
 
 def _inverse_hilbert_levels(n):
-    """(r, H_i^{-1}) for i = 1..n from one M, r the first i entries of row i:
-    H_i^{-1} is H_{i-1}^{-1} padded with a zero row and column plus
-    ((2i-1) r) r^T, O(i^2) exact work, in tuple rows."""
+    """(r, h) for i = 1..n from one M, r the first i entries of row i and h
+    H_i^{-1} as int lists: H_{i-1}^{-1} padded with a zero row and column
+    plus ((2i-1) r) r^T, O(i^2) exact work and no matrix record per level."""
     m = inverse_factor_Linv(n).rational_part.num
-    h = ()
+    h = []
     for i in range(1, n + 1):
         r = m[i - 1][:i]
-        h = tuple([tuple([a + wrj * rk for a, rk in zip(row + (0,), r)])
-                   for row, wrj in zip(h + ((0,) * (i - 1),), [(2 * i - 1) * rj for rj in r])])
-        yield r, RationalMatrix._from_int_rows(h)
+        h = [[a + wrj * rk for a, rk in zip(row + [0], r)]
+             for row, wrj in zip(h + [[0] * (i - 1)], [(2 * i - 1) * rj for rj in r])]
+        yield r, h
 
 
 def inverse_hilbert(n):
     """Exact inverse Hilbert segment, H_n^{-1} = M^T diag(2j-1) M."""
-    for _, hinv in _inverse_hilbert_levels(n):
+    for _, h in _inverse_hilbert_levels(n):
         pass
-    return hinv
+    return RationalMatrix(h)
 
 
 def _power_iteration(matvec, v, precision, tol, d=1, w=None):
@@ -438,46 +434,46 @@ def spectral_norm(m, precision=256):
     eigenvalue.  A negative Rayleigh quotient on the way refuses the
     matrix with ValueError, as not positive semidefinite.
     """
-    return _signed_iteration(m, precision)[0]
+    return _signed_iteration(m.num, m.den, precision)[0]
 
 
-def spectral_norm_with_reference(m, precision):
-    """``spectral_norm(m, precision)`` and a reference value for it.
+def spectral_norm_with_reference(num, den, precision):
+    """``spectral_norm`` of square int rows ``num`` over ``den``, and a reference.
 
     The reference continues the same iteration from the iterate v it
-    stopped at and its product ``m.num`` v, until the Rayleigh quotient
+    stopped at and its product ``num`` v, until the Rayleigh quotient
     also meets relative tolerance 10^-(precision // 8), which leaves an
     error of about 10^-(precision // 4): at 256 bits and above it is far
     more accurate than the value, so their gap is the value's own error.
     """
-    value, v, w = _signed_iteration(m, precision)
+    value, v, w = _signed_iteration(num, den, precision)
     tol = Fraction(10) ** -(precision // 8)
-    return value, _power_iteration(partial(_times, m.num), v, precision, tol, m.den, w)[0]
+    return value, _power_iteration(partial(_times, num), v, precision, tol, den, w)[0]
 
 
 def _times(rows, v):
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def _signed_iteration(m, precision):
-    """``_power_iteration`` on ``m`` from the all-ones vector at tolerance
-    1e-20, restarted once when its iterate v has components of both signs
-    in D = diag(signs of row 1 of ``m.num``, 0 counted as +): from D 1,
-    which is positive in the flipped basis, so not orthogonal to the Perron
-    vector of a D m D > 0.  The larger Rayleigh quotient is kept with its
-    own iterate v and product w = ``m.num`` v.  The all-ones start's
-    product is the row sums of ``m.num`` shifted to the start's scale, so
-    its first step computes no product."""
-    if m.rows != m.cols:
+def _signed_iteration(num, den, precision):
+    """``_power_iteration`` on the square int rows ``num`` over ``den`` from
+    the all-ones vector at tolerance 1e-20, restarted once when its iterate
+    v has components of both signs in D = diag(signs of row 1 of ``num``, 0
+    counted as +): from D 1, which is positive in the flipped basis, so not
+    orthogonal to the Perron vector where D num D > 0.  The larger Rayleigh
+    quotient is kept with its own iterate v and product w = ``num`` v.  The
+    all-ones start's product is the row sums of ``num`` shifted to the
+    start's scale, so its first step computes no product."""
+    if len(num[0]) != len(num):
         raise ValueError("matrix must be square")
     shift = precision + _GUARD_BITS
-    times = partial(_times, m.num)
-    found = _power_iteration(times, [1 << shift] * m.rows, precision, 1e-20, m.den,
-                             w=[sum(row) << shift for row in m.num])
-    signs = [-1 if x < 0 else 1 for x in m.num[0]]
+    times = partial(_times, num)
+    found = _power_iteration(times, [1 << shift] * len(num), precision, 1e-20, den,
+                             w=[sum(row) << shift for row in num])
+    signs = [-1 if x < 0 else 1 for x in num[0]]
     dv = list(map(mul, signs, found[1]))
     if min(dv) < 0 < max(dv):
-        again = _power_iteration(times, [s << shift for s in signs], precision, 1e-20, m.den)
+        again = _power_iteration(times, [s << shift for s in signs], precision, 1e-20, den)
         found = max(found, again, key=lambda r: r[0])
     return found
 
@@ -485,14 +481,13 @@ def _signed_iteration(m, precision):
 def linv_growth_study(n_max, precision=256):
     """Growth table of the inverse factor for i = 1..n_max.
 
-    Per level: the spectral norm of the inverse factor (squared it equals
-    the spectral norm of the inverse Hilbert segment) with the relative
-    error of that square, the row-wise absolute maximum and its column,
-    the last diagonal entry, the reference curve exp(1.763 i), and the
-    exact infinity-norm of the inverse Hilbert segment with its
-    logarithmic rate.  n_max is at most 402: from i = 403 exp(1.763 i) is
-    beyond the double range, and precision is at least 64 bits.  Both are
-    refused before any work.
+    Per level: the spectral norm of the inverse factor (squared, that of
+    the inverse Hilbert segment) with the relative error of that square,
+    the row-wise absolute maximum and its column, the last diagonal entry,
+    the reference curve exp(1.763 i), and the exact infinity-norm of the
+    inverse Hilbert segment with its logarithmic rate.  n_max is at most
+    402 (from i = 403 exp(1.763 i) overflows a double) and precision at
+    least 64 bits, both refused before any work.
 
     Each level makes one ``spectral_norm_with_reference`` call on
     H_i^{-1}: the power iteration from the all-ones vector gives the
@@ -507,8 +502,8 @@ def linv_growth_study(n_max, precision=256):
     check that H_i^{-1} was built right; the tests compare it with an
     independent power iteration on the factored form.
 
-    H_i^{-1} and row i of M come from exact_core's rank-one recurrence,
-    O(i^2) exact work per level, so the exact part is O(n_max^3).
+    H_i^{-1}, as int lists, and row i of M come from exact_core's rank-one
+    recurrence, O(i^2) exact work per level, so the exact part is O(n_max^3).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -519,7 +514,7 @@ def linv_growth_study(n_max, precision=256):
     import mpmath as mp
     rows = []
     for i, (r, hinv) in enumerate(_inverse_hilbert_levels(n_max), 1):
-        lam, ref = spectral_norm_with_reference(hinv, precision)
+        lam, ref = spectral_norm_with_reference(hinv, 1, precision)
         rel = abs(lam - ref) / lam
         norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
@@ -527,7 +522,7 @@ def linv_growth_study(n_max, precision=256):
         scaled = [sqrt(2 * i - 1) * abs(float(x)) for x in r]
         best = max(scaled)
         diag = sqrt(2 * i - 1) * r[-1]
-        inf_norm = hinv.abs_row_sums()
+        inf_norm = max(sum(map(abs, row)) for row in hinv)
         rows.append({
             "i": i,
             "norm": norm,

@@ -190,6 +190,7 @@ def h1_rate_check(f, budget, n_list):
     names is measured and checked against E before the run; an empty level
     list or a level below 1 is refused first.
     """
+    n_list = tuple(n_list)
     if not n_list or min(n_list) < 1:
         raise ValueError("levels must be a nonempty list of n >= 1")
     measured = sobolev_norm(f, budget.kind)

@@ -209,6 +209,7 @@ def error_split_study(f, n_list):
     ``_reference_coefficients`` at the largest level.  An empty level list
     or a level below 1 is refused before the reference is built.
     """
+    n_list = tuple(n_list)
     if not n_list or min(n_list) < 1:
         raise ValueError("levels must be a nonempty list of n >= 1")
     R, seed = 20, 42
@@ -245,8 +246,8 @@ def point_value_estimator(y, N):
     """
     if N < 1 or N > y.n:
         raise ValueError("N must satisfy 1 <= N <= y.n")
-    vals = y.to_array()[:N]
-    if not np.all(np.isfinite(vals)):
+    vals = [float(v) for v in y.values[:N]]
+    if not all(map(math.isfinite, vals)):
         raise ValueError("moments must be finite")
     return fsum((j + 1) * v for j, v in enumerate(vals)) / N
 
@@ -271,6 +272,7 @@ def point_value_noise_study(y_values, true_value, deltas):
     of the 18 levels, by up to 7.7e-15 relative.  Non-finite moments or
     true_value are refused.
     """
+    deltas = tuple(deltas)
     if not all(0 <= d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and >= 0")
     if not math.isfinite(true_value):
@@ -447,6 +449,7 @@ def laplace_consistency(f, j_list, tol=1e-8):
     QUADPACK call (``_quad``); one that is not finite, or for which
     QUADPACK reports a nonzero ier, is refused.
     """
+    j_list = tuple(j_list)
     if not j_list:
         raise ValueError("j_list must not be empty")
     if min(j_list) < 1:
@@ -474,6 +477,7 @@ def laplace_consistency(f, j_list, tol=1e-8):
 
 def eit_forward(sigma, n_list):
     """Linearized layered-disc forward map: ((n+1)/2) moment_n of sigma(sqrt(t)), by ``forward_moments``."""
+    n_list = tuple(n_list)
     if not n_list or min(n_list) < 1:
         raise ValueError("mode numbers must be a nonempty list of n >= 1")
     y = forward_moments(TestFunction(lambda t: sigma(sqrt(t))), max(n_list)).values

@@ -277,6 +277,11 @@ class TestParsing:
                    f"assert not {_NUMPY_RAN}\nassert run(['reconstruct', '--poly', '3t^2-1']) == 0\n"
                    f"assert {_NUMPY_RAN}\n")
 
+    def test_point_value_estimator_leaves_numpy_unexecuted(self):
+        _run_fresh("import sys\nfrom fractions import Fraction\nfrom hausmom import MomentSequence, point_value_estimator\n"
+                   "assert point_value_estimator(MomentSequence([1.0, Fraction(1, 2), 1 / 3]), 3) == 1.0\n"
+                   f"assert not {_NUMPY_RAN}\n")
+
     def test_stability_bound_leaves_scipy_out_and_numpy_unexecuted(self):
         # lambert_w is mpmath's, so the balanced truncation level needs neither scipy nor numpy
         _run_fresh("import sys\nfrom hausmom import stability_bound\n"

@@ -43,7 +43,6 @@ class TestRationalMatrix:
         assert (ma @ mb).entries == [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
         assert (ma - mc).entries == [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, c)]
         assert ma.transpose().entries == [list(col) for col in zip(*a)]
-        assert ma.abs_row_sums() == max(sum(abs(x) for x in row) for row in a)
         assert all(_in_lowest_terms(m) for m in (ma, ma @ mb, ma - mc, ma.transpose()))
 
     def test_lowest_terms(self):
@@ -294,7 +293,7 @@ class TestSpectralNorm:
 
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
-        lam, v, _ = exact_core._signed_iteration(h, 256)
+        lam, v, _ = exact_core._signed_iteration(h.num, h.den, 256)
         assert lam == spectral_norm(h)
         hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
         q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
@@ -309,7 +308,7 @@ class TestSpectralNorm:
         # the returned product is H v to the int, and taking the start's
         # product from H's row sums leaves the all-ones value unchanged to
         # the bit; the value is that one unless the restart from D 1 fires
-        lam, v, w = exact_core._signed_iteration(m, 256)
+        lam, v, w = exact_core._signed_iteration(m.num, m.den, 256)
         assert w == [sum(map(mul, row, v)) for row in m.num]
         assert spectral_norm(m) == lam
         assert (lam == all_ones_spectral_norm(m, 256)) is not restarts
@@ -333,7 +332,7 @@ class TestSpectralNorm:
         # signs in D = diag(1, -1), so the restart from D 1 reaches 2
         m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
         assert spectral_norm(m) == 2
-        assert spectral_norm_with_reference(m, 256) == (2, 2)
+        assert spectral_norm_with_reference(m.num, m.den, 256) == (2, 2)
 
     @pytest.mark.parametrize("m", [
         RationalMatrix([[-1]]),
@@ -360,7 +359,7 @@ class TestSpectralNorm:
         m = RationalMatrix([[a + b + c for a, b, c in zip(*rows)] for rows in zip(j, p2, p3)], 6)
         assert all_ones_spectral_norm(m, 256) == 1
         with pytest.raises(SpectralNormError, match="did not converge") as exc:
-            exact_core._signed_iteration(m, 256)
+            exact_core._signed_iteration(m.num, m.den, 256)
         assert 999 < exc.value.last_estimate < 1000
 
 
@@ -371,10 +370,11 @@ class TestEdgeBranches:
         (lambda: RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]]), "dimension mismatch"),
         (lambda: spectral_norm(RationalMatrix([[0, 0], [0, 0]])), 0),
         (lambda: spectral_norm(RationalMatrix([[1, 2]])), "matrix must be square"),
+        (lambda: spectral_norm_with_reference(((1, 2),), 1, 256), "matrix must be square"),
         (lambda: cholesky_factor_L(0), "n must be >= 1"),
         (lambda: inverse_factor_Linv(0), "n must be >= 1"),
     ], ids=["ragged", "ragged-non-int", "matmul-mismatch", "zero-spectral-norm", "non-square-spectral-norm",
-            "cholesky-n0", "linv-n0"])
+            "non-square-reference", "cholesky-n0", "linv-n0"])
     def test_refusals_and_zero_norm(self, call, expected):
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=re.escape(expected)):

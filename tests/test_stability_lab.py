@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import re
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,14 +17,22 @@ import hausmom.exact_core as exact_core
 import hausmom.stability_lab as lab
 
 from hausmom._bump_derivatives import DERIVATIVES
-from hausmom.exact_core import inverse_hilbert, linv_growth_study, spectral_norm, spectral_norm_with_reference
+from hausmom.exact_core import (
+    RationalMatrix,
+    inverse_hilbert,
+    linv_growth_study,
+    spectral_norm,
+    spectral_norm_with_reference,
+)
 from hausmom.functions import abs_kink, constant, g_alpha, peak, polynomial
 from hausmom.legendre import QuadratureRule, project
 from hausmom.moment_ops import (
     MomentSequence,
+    SobolevBudget,
     _reference_coefficients,
     exact_polynomial_moments,
     forward_moments,
+    h1_rate_check,
     pseudoinverse,
 )
 from hausmom.stability_lab import (
@@ -282,8 +292,20 @@ class TestGrowthStudy:
         # closed-form factor, through the two columns that read it, bit for bit
         for i, row in enumerate(linv_growth_study(40), 1):
             hinv = exact_core.inverse_factor_Linv(i).gram()
-            assert row["ln_inf_over_i"] == math.log(float(hinv.abs_row_sums())) / i
+            assert row["ln_inf_over_i"] == math.log(float(max(sum(map(abs, r)) for r in hinv.num))) / i
             assert row["norm"] == float(mp.sqrt(spectral_norm(hinv)))
+
+    def test_levels_build_no_matrix(self, monkeypatch):
+        # each level's H_i^-1 stays int rows: the one RationalMatrix, by either
+        # constructor, is the padded M that inverse_factor_Linv returns
+        builds = []
+        init, from_rows = RationalMatrix.__init__, RationalMatrix._from_int_rows.__func__
+        monkeypatch.setattr(RationalMatrix, "__init__",
+                            lambda self, *args: builds.append(sys._getframe(1).f_code.co_name) or init(self, *args))
+        monkeypatch.setattr(RationalMatrix, "_from_int_rows", classmethod(
+            lambda cls, num: builds.append(sys._getframe(1).f_code.co_name) or from_rows(cls, num)))
+        linv_growth_study(24, 256)
+        assert builds == ["inverse_factor_Linv"]
 
     @pytest.mark.parametrize("precision,bound", [(256, "1e-60"), (512, "1e-120")])
     def test_factored_norm_matches_eigsy(self, precision, bound):
@@ -292,7 +314,7 @@ class TestGrowthStudy:
         # reference; the value, at tolerance 1e-20, is off by far more
         h = inverse_hilbert(12)
         indep = factored_gram_norm(12, precision)
-        lam, ref = spectral_norm_with_reference(h, precision)
+        lam, ref = spectral_norm_with_reference(h.num, h.den, precision)
         assert lam == spectral_norm(h, precision)
         with mp.workprec(precision):
             top = max(mp.eigsy(mp.matrix(h.entries), eigvals_only=True))
@@ -461,6 +483,18 @@ class TestPointValue:
     def test_noise_study_refuses_non_finite(self, y_values, true_value, message):
         with pytest.raises(ValueError, match=message):
             point_value_noise_study(y_values, true_value, [0.1])
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(1, j + 1) for j in range(1, 41)],
+        [1.0 / (j + 1) for j in range(1, 41)],
+        list(np.random.default_rng(3).standard_normal(40)),
+        [Decimal(1) / Decimal(j + 1) for j in range(1, 41)],
+    ], ids=["exact", "float", "float64", "decimal"])
+    def test_estimator_keeps_the_array_formula_bits(self, values):
+        y = MomentSequence(values)
+        for N in (1, 7, 40):
+            expected = math.fsum((j + 1) * v for j, v in enumerate(y.to_array()[:N])) / N
+            assert point_value_estimator(y, N).hex() == expected.hex()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_estimator_refuses_non_finite(self, bad):
@@ -695,3 +729,15 @@ class TestEdgeBranches:
     def test_refusals(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+
+    @pytest.mark.parametrize("study, levels", [
+        (lambda levels: point_value_noise_study([1.0 / (j + 1) for j in range(1, 65)], 1.0, levels), [1e-2, 1e-3]),
+        (lambda levels: h1_rate_check(polynomial((0, 1)), SobolevBudget(E=1.2, kind="H1"), levels), [2, 4]),
+        (lambda levels: error_split_study(polynomial((0, 1)), levels), [2, 3]),
+        (lambda levels: laplace_consistency(constant(1.0), levels), [1, 2]),
+        (lambda levels: eit_forward(polynomial((0, 0, 1)), levels).tolist(), [1, 3]),
+    ], ids=["point_value_noise_study", "h1_rate_check", "error_split_study", "laplace_consistency", "eit_forward"])
+    def test_level_generator_is_read_once(self, study, levels):
+        # the checks and the work read one copy: a generator of the levels (or noise
+        # levels) gives what their list gives, where it was used up by min, max or all
+        assert study(d for d in levels) == study(levels)
