@@ -16,11 +16,14 @@ floats, summed with ``fsum``: one kernel for exact and float moments.
 Only the power iteration leaves the rational world, in one fixed-point
 kernel, ``_power_iteration``, called by ``spectral_norm`` and
 ``spectral_norm_with_reference``: Python ints carry a configurable
-precision (default 256 bits, at least 64) and the result is an mpmath
-float.  That precision is required because the entries of the inverse
-Hilbert matrix grow roughly like exp(3.5 n) and double precision is
-useless long before n = 65.  mpmath is imported there, at the first
-call, so importing this module (or the package) does not load it.
+precision (default 256 bits, at least 64), and the exact Rayleigh
+quotient is rounded to that many bits by one int kernel, ``_round``,
+into an int pair ``(m, e)``, the value m 2^e.  That precision is
+required because the entries of the inverse Hilbert matrix grow roughly
+like exp(3.5 n) and double precision is useless long before n = 65.
+Only ``spectral_norm`` (and ``SpectralNormError``'s last estimate) turns
+the pair into an mpmath float, in ``_mpf``, which imports mpmath at its
+first call; importing this module (or the package) does not load it.
 
 The value's iteration starts from the all-ones vector, whose product is
 the matrix's row sums, so its first step computes no product.  If its
@@ -33,9 +36,12 @@ bits and above the gap between the two is the value's own error.
 The paper's growth table, ``linv_growth_study``, is built here from
 those two pieces alone: each level's H_i^{-1}, int lists from the
 rank-one recurrence ``_inverse_hilbert_levels``, and its norm and
-reference from ``spectral_norm_with_reference`` on those rows.  Like the
-rest of the module it needs only the standard library and, at call time,
-mpmath, so the package can run it without loading numpy.
+reference from ``spectral_norm_with_reference`` on those rows.  Its
+doubles come from the int pairs by int arithmetic alone (``_sqrt``,
+``_rel_err``, ``_ln``), each bit for bit the double mpmath's 53-bit
+sqrt, quotient and log give.  So the table needs only the standard
+library: it loads neither numpy nor mpmath, and mpmath's working
+precision at the call does not reach it.
 """
 
 import numbers
@@ -367,6 +373,28 @@ def inverse_hilbert(n):
     return RationalMatrix(h)
 
 
+def _round(p, q, bits):
+    """p / q, for ints p >= 0 and q > 0, rounded to ``bits`` significant bits
+    with ties to even, mpmath's round-nearest: ``(m, e)`` with p/q ~ m 2^e
+    and m odd, or (0, 0).  The quotient is taken to at least bits + 2 bits
+    and the remainder decides a tie, so it rounds once, correctly."""
+    if not p:
+        return 0, 0
+    k = bits + 2 - p.bit_length() + q.bit_length()
+    t, rem = divmod(p << k, q) if k >= 0 else divmod(p, q << -k)
+    n = t.bit_length() - bits
+    m, low, half = t >> n, t & ((1 << n) - 1), 1 << (n - 1)
+    if low > half or (low == half and (rem or m & 1)):
+        m += 1
+    z = (m & -m).bit_length() - 1
+    return m >> z, n - k + z
+
+
+def _to_double(m, e):
+    """m 2^e, for ints m and e, as the nearest double: int division rounds correctly."""
+    return float(m << e) if e >= 0 else m / (1 << -e)
+
+
 def _power_iteration(matvec, v, precision, tol, d=1, w=None):
     """Power iteration on a symmetric PSD map, from the start vector ``v``.
 
@@ -378,18 +406,22 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
     ``tol`` and the relative residual ||w - l v|| / (l ||v||) is below
     ``tol``, both decided exactly; then l is within relative ``tol`` of
     *an* eigenvalue (not certainly the largest) and, as a Rayleigh
-    quotient, off by about tol^2.  Returns l / ``d`` as an mpf at
-    ``precision`` bits (>= 64), the iterate v that l is the Rayleigh
-    quotient of, and its product w = ``matvec(v)``.  A step with v.w < 0
-    shows that the map is not PSD and raises ValueError there.
+    quotient, off by about tol^2.  Returns l / ``d`` at ``precision`` bits
+    (>= 64) as an int pair ``(m, e)``, the value m 2^e, then the iterate v
+    that l is the Rayleigh quotient of and its product w = ``matvec(v)``.
+    The value rounds as mpmath's ``mpf(a) / (b d)`` at ``precision`` bits
+    did, for l = a/b in lowest terms: a to ``precision`` bits first, then
+    the quotient, each by ``_round``.  A step with v.w < 0 shows that the
+    map is not PSD and raises ValueError there.
     """
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    import mpmath as mp
 
-    def value(lam):
-        with mp.workprec(precision):
-            return mp.mpf(lam.numerator) / (lam.denominator * d)
+    def value(vw, vv):
+        g = gcd(vw, vv)
+        a, e = _round(vw // g, 1, precision)
+        a, f = _round(a, vv // g * d, precision)
+        return a, e + f
 
     n = len(v)
     shift = precision + _GUARD_BITS
@@ -404,21 +436,30 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
             raise ValueError("matrix is not positive semidefinite")
         ww = sum(map(mul, w, w))
         if ww == 0:
-            return mp.mpf(0), v, w
+            return (0, 0), v, w
         # l = vw/vv; the tests with denominators cleared, using
         # ||w - l v||^2 ||v||^2 = ww vv - vw^2.  A 1x1 quotient is exact.
         if n == 1 or (prev is not None and vw > 0
                       and abs(vw * prev[1] - prev[0] * vv) * qd < qn * vw * prev[1]
                       and (ww * vv - vw * vw) * qd * qd < qn * qn * vw * vw):
-            return value(Fraction(vw, vv)), v, w
+            return value(vw, vv), v, w
         nw = isqrt(ww)
         v, w = [(y << shift) // nw for y in w], None
         prev = vw, vv
     raise SpectralNormError(
         f"power iteration did not converge to tol={float(tol):g} in {_MAX_ITER} iterations",
-        last_estimate=value(Fraction(*prev)),
+        last_estimate=_mpf(value(*prev), precision),
         iterations=_MAX_ITER,
     )
+
+
+def _mpf(value, precision):
+    """The int pair ``(m, e)`` as the mpmath float m 2^e at ``precision``
+    bits, exact since m has no more: the one place the power iterations
+    load mpmath, for ``spectral_norm`` and ``SpectralNormError``."""
+    import mpmath as mp
+    with mp.workprec(precision):
+        return mp.mpf(value)
 
 
 def spectral_norm(m, precision=256):
@@ -432,9 +473,10 @@ def spectral_norm(m, precision=256):
     an iterate with no mixed signs in D, so from the Perron direction.
     That is not a bracket: the value is not certified to be the largest
     eigenvalue.  A negative Rayleigh quotient on the way refuses the
-    matrix with ValueError, as not positive semidefinite.
+    matrix with ValueError, as not positive semidefinite.  The value is an
+    mpmath float at ``precision`` bits.
     """
-    return _signed_iteration(m.num, m.den, precision)[0]
+    return _mpf(_signed_iteration(m.num, m.den, precision)[0], precision)
 
 
 def spectral_norm_with_reference(num, den, precision):
@@ -445,6 +487,8 @@ def spectral_norm_with_reference(num, den, precision):
     also meets relative tolerance 10^-(precision // 8), which leaves an
     error of about 10^-(precision // 4): at 256 bits and above it is far
     more accurate than the value, so their gap is the value's own error.
+    Both come as ``_power_iteration``'s int pairs ``(m, e)``, so this
+    loads no mpmath; ``spectral_norm``'s value is ``_mpf`` of the first.
     """
     value, v, w = _signed_iteration(num, den, precision)
     tol = Fraction(10) ** -(precision // 8)
@@ -474,8 +518,59 @@ def _signed_iteration(num, den, precision):
     dv = list(map(mul, signs, found[1]))
     if min(dv) < 0 < max(dv):
         again = _power_iteration(times, [s << shift for s in signs], precision, 1e-20, den)
-        found = max(found, again, key=lambda r: r[0])
+        found = max(found, again, key=lambda r: r[0][0] * Fraction(2) ** r[0][1])
     return found
+
+
+# ln 2 to 128 bits after the point, for _ln; a literal, so nothing is computed at import
+_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
+
+
+def _ln(a):
+    """ln(m 2^e) for an int pair with m > 0, as the nearest double, which
+    mpmath's 53-bit log also gives.  With m 2^e = f 2^k and f in
+    [1/sqrt 2, sqrt 2), it is k ln 2 + 2 atanh(z), z = (f - 1)/(f + 1) and
+    |z| <= 0.172, the series z + z^3/3 + ... summed in fixed point with 128
+    bits after the point (more where f is near 1, so that ln f keeps 128
+    significant bits), then rounded once."""
+    m, e = a
+    b = m.bit_length()
+    s, k = 1 << b, e + b  # m 2^e = (m / s) 2^k with m / s in [1/2, 1)
+    if 2 * m * m < s * s:  # m / s < 1/sqrt 2: take f = 2 m / s in [1, sqrt 2)
+        s, k = s >> 1, k - 1
+    t = abs(m - s)
+    bits = 128 + s.bit_length() - t.bit_length()
+    z = (t << bits) // (m + s)
+    z2, term, j, total = z * z >> bits, z, 1, 0
+    while term:
+        total += term // j
+        term, j = term * z2 >> bits, j + 2
+    total = 2 * total if m >= s else -2 * total
+    return _to_double(total + k * (_LN2 << (bits - 128)), -bits)
+
+
+def _sqrt(a):
+    """sqrt(m 2^e) for an int pair with m >= 0, as the nearest double,
+    which mpmath's 53-bit sqrt also gives: ``isqrt`` of m scaled to at
+    least 110 bits, one sticky low bit set when it is inexact (round to
+    odd), then rounded once to nearest."""
+    m, e = a
+    s = max(0, 110 - m.bit_length())
+    s += (e - s) & 1  # an even exponent halves exactly
+    m, e = m << s, (e - s) >> 1  # sqrt(m 2^e) = sqrt(m) 2^e now
+    r = isqrt(m)
+    return _to_double((r << 1) | (r * r != m), e - 1)
+
+
+def _rel_err(a, b):
+    """|a - b| / a for int pairs with a > 0, as the double mpmath gives at
+    53 bits: the difference rounded to 53 bits by ``_round``, then one
+    correctly rounded int division by a."""
+    (ma, ea), (mb, eb) = a, b
+    lo = min(ea, eb)
+    m, e = _round(abs((ma << (ea - lo)) - (mb << (eb - lo))), 1, 53)
+    e += lo - ea
+    return (m << e) / ma if e >= 0 else m / (ma << -e)
 
 
 def linv_growth_study(n_max, precision=256):
@@ -502,6 +597,11 @@ def linv_growth_study(n_max, precision=256):
     check that H_i^{-1} was built right; the tests compare it with an
     independent power iteration on the factored form.
 
+    ``norm``, ``norm_sq_rel_err`` and ``ln_spectral_over_i`` come from the
+    int pairs by ``_sqrt``, ``_rel_err`` and ``_ln``, the doubles mpmath's
+    53-bit arithmetic gives, so the table loads no mpmath and mpmath's
+    working precision at the call does not reach it.
+
     H_i^{-1}, as int lists, and row i of M come from exact_core's rank-one
     recurrence, O(i^2) exact work per level, so the exact part is O(n_max^3).
     """
@@ -511,12 +611,9 @@ def linv_growth_study(n_max, precision=256):
         raise ValueError("n_max must be <= 402: exp(1.763 i) overflows a double from i = 403")
     if precision < 64:
         raise ValueError("precision must be >= 64 bits")
-    import mpmath as mp
     rows = []
     for i, (r, hinv) in enumerate(_inverse_hilbert_levels(n_max), 1):
         lam, ref = spectral_norm_with_reference(hinv, 1, precision)
-        rel = abs(lam - ref) / lam
-        norm = float(mp.sqrt(lam))
         # row maxima of |Linv|: the sqrt-weight is constant along a row,
         # so the argmax over j is that of the integer rational part
         scaled = [sqrt(2 * i - 1) * abs(float(x)) for x in r]
@@ -525,13 +622,13 @@ def linv_growth_study(n_max, precision=256):
         inf_norm = max(sum(map(abs, row)) for row in hinv)
         rows.append({
             "i": i,
-            "norm": norm,
-            "norm_sq_rel_err": float(rel),
+            "norm": _sqrt(lam),
+            "norm_sq_rel_err": _rel_err(lam, ref),
             "row_max": best,
             "row_max_col": scaled.index(best) + 1,
             "diag": diag,
             "bound": exp(1.763 * i),
-            "ln_spectral_over_i": float(mp.log(lam)) / i,
+            "ln_spectral_over_i": _ln(lam) / i,
             "ln_inf_over_i": log(inf_norm) / i,
         })
     return rows

@@ -73,10 +73,12 @@ def matrix_inner_products(values):
 def all_ones_spectral_norm(m, precision):
     """``spectral_norm(m, precision)`` by a power iteration from the
     all-ones vector that computes every product H v, the first included.
-    It keeps the library's fixed-point scale 2^(precision + 32), its
-    rounding and its stopping rule (the Rayleigh quotient l moves by less
-    than 1e-20 l and ||H v - l v||^2 < (1e-20 l ||v||)^2, decided on
-    Fractions), so its value should agree to the bit."""
+    It keeps the library's fixed-point scale 2^(precision + 32) and its
+    stopping rule (the Rayleigh quotient l moves by less than 1e-20 l and
+    ||H v - l v||^2 < (1e-20 l ||v||)^2, decided on Fractions), and rounds
+    l = a/b as ``mpf(a) / (b den)`` at ``precision`` bits, which the
+    library's int rounding reproduces, so its value should agree to the
+    bit."""
     shift = precision + 32
     tol = Fraction(1e-20)
     v, prev = [1 << shift] * m.rows, None
@@ -102,7 +104,8 @@ def factored_gram_norm(n, precision):
     vector.  Linv Linv^T has the eigenvalues of H_n^-1 = Linv^T Linv but
     is another matrix, formed another way: it reads M only, never the Gram
     matrix.  Tolerance 10^-(precision // 8) leaves an error of about
-    10^-(precision // 4).
+    10^-(precision // 4).  The value, an int pair from the library's
+    kernel, is returned as an mpmath float at ``precision`` bits.
     """
     num = inverse_factor_Linv(n).rational_part.num
     shift = precision + _GUARD_BITS
@@ -116,7 +119,9 @@ def factored_gram_norm(n, precision):
         w = [sum(map(mul, col, u[j:])) for j, col in enumerate(m_cols)]
         return [(si * sum(map(mul, row, w))) >> shift for si, row in zip(s, m_rows)]
 
-    return _power_iteration(matvec, [1 << shift] * n, precision, Fraction(10) ** -(precision // 8))[0]
+    value = _power_iteration(matvec, [1 << shift] * n, precision, Fraction(10) ** -(precision // 8))[0]
+    with mp.workprec(precision):
+        return mp.mpf(value)
 
 
 def all_ones_growth_rel_errs(n_max, precision):

@@ -71,7 +71,7 @@ class TestPackageImport:
 
     def test_growth_study_leaves_numpy_out(self):
         _run_fresh("import hausmom\nrows = hausmom.linv_growth_study(24)\nassert len(rows) == 24\n"
-                   + _loaded_none_of("numpy", "scipy", "sympy"))
+                   + _loaded_none_of("numpy", "scipy", "sympy", "mpmath"))
 
     def test_exports_are_their_home_module_objects(self):
         # each name resolved lazily in a fresh interpreter, then kept in the package dict
@@ -132,15 +132,16 @@ def _import_sites(package):
 class TestDependencyOwners:
     """Each dependency's import statements, pinned: scipy and mpmath are imported by the few
     functions that need them, never at module level; scipy by ``hausmom._lazy.quadpack`` alone,
-    the loader of QUADPACK's extension; numpy by none, since every layer reaches it through
-    ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
+    the loader of QUADPACK's extension; mpmath by ``exact_core._mpf``, which turns
+    ``spectral_norm``'s int pair (or a failed iteration's last estimate) into an mpf, and by
+    ``stable_family`` and ``lambert_w``, so not by the growth study; numpy by none, since every
+    layer reaches it through ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
 
     @pytest.mark.parametrize("package, owners", [
         ("scipy", {("_lazy", "quadpack")}),
         ("sympy", set()),
         ("numpy", set()),
-        ("mpmath", {("exact_core", "_power_iteration"), ("exact_core", "linv_growth_study"),
-                    ("range_diagnostics", "stable_family"),
+        ("mpmath", {("exact_core", "_mpf"), ("range_diagnostics", "stable_family"),
                     ("stability_lab", "lambert_w")}),
     ])
     def test_one_owner(self, package, owners):
@@ -310,17 +311,21 @@ class TestParsing:
         _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    + _loaded_none_of("mpmath"))
 
-    def test_power_iterations_load_mpmath(self, capsys):
-        assert run(["growth", "--n-max", "4"]) == 0
-        growth = capsys.readouterr().out
-        out = _run_fresh(_loaded_none_of("mpmath") + "from hausmom.cli import run\n"
-                         "assert run(['growth', '--n-max', '4']) == 0\nassert 'mpmath' in sys.modules\n")
-        assert out == growth
+    def test_spectral_norm_loads_mpmath(self):
+        # spectral_norm returns an mpf; the growth table, which rounds its int pairs itself,
+        # runs with mpmath blocked (below)
         out = _run_fresh("from hausmom import hilbert_matrix, spectral_norm\n" + _loaded_none_of("mpmath")
                          + "lam = spectral_norm(hilbert_matrix(3))\nassert 'mpmath' in sys.modules\n"
                          "print(lam.man, lam.exp)\n")
         assert out.split() == ["40768047721025885696093513402814353870527745791907829623165642490415255015271",
                                "-254"]
+
+    def test_growth_runs_with_mpmath_blocked(self):
+        # with mpmath unimportable, as on an install without it, growth prints its golden
+        golden = (BENCH / "golden" / "cli" / "growth.out").read_text()
+        out = _run_fresh("import sys\nsys.modules['mpmath'] = None\nfrom hausmom.cli import run\n"
+                         "assert run(['growth']) == 0\n")
+        assert out == golden
 
     def test_only_quadrature_loads_scipy(self):
         _run_fresh("import math, sys\nfrom hausmom import forward_moments, peak, polynomial\n"

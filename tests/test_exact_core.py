@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 from operator import mul
@@ -9,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath.libmp import from_int, mpf_div
 
 from hausmom import exact_core
 from hausmom.exact_core import (
@@ -27,6 +29,11 @@ from strategies import FRACTION
 
 def _rows(r, c):
     return st.lists(st.lists(FRACTION, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+def _man_exp(x):
+    """An mpmath float as the int pair ``(m, e)`` of the value m 2^e, m odd or (0, 0)."""
+    return x.man, x.exp
 
 
 def _in_lowest_terms(m):
@@ -294,11 +301,11 @@ class TestSpectralNorm:
     def test_value_is_rayleigh_quotient_of_iterate(self):
         h = inverse_hilbert(6)
         lam, v, _ = exact_core._signed_iteration(h.num, h.den, 256)
-        assert lam == spectral_norm(h)
+        assert _man_exp(spectral_norm(h)) == lam
         hv = [sum(a * b for a, b in zip(row, v)) for row in h.num]
         q = Fraction(sum(a * b for a, b in zip(v, hv)), sum(a * a for a in v))
         with mp.workprec(256):
-            assert lam == mp.mpf(q.numerator) / q.denominator
+            assert _man_exp(mp.mpf(q.numerator) / q.denominator) == lam
 
     @pytest.mark.parametrize("m, restarts", [(hilbert_matrix(6), False),
                                              *((inverse_hilbert(n), False) for n in range(1, 13)),
@@ -310,8 +317,8 @@ class TestSpectralNorm:
         # the bit; the value is that one unless the restart from D 1 fires
         lam, v, w = exact_core._signed_iteration(m.num, m.den, 256)
         assert w == [sum(map(mul, row, v)) for row in m.num]
-        assert spectral_norm(m) == lam
-        assert (lam == all_ones_spectral_norm(m, 256)) is not restarts
+        assert _man_exp(spectral_norm(m)) == lam
+        assert (lam == _man_exp(all_ones_spectral_norm(m, 256))) is not restarts
 
     def test_monotone_in_n(self):
         lams = [spectral_norm(inverse_hilbert(n)) for n in range(2, 9)]
@@ -332,7 +339,7 @@ class TestSpectralNorm:
         # signs in D = diag(1, -1), so the restart from D 1 reaches 2
         m = RationalMatrix([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
         assert spectral_norm(m) == 2
-        assert spectral_norm_with_reference(m.num, m.den, 256) == (2, 2)
+        assert spectral_norm_with_reference(m.num, m.den, 256) == ((1, 1), (1, 1))
 
     @pytest.mark.parametrize("m", [
         RationalMatrix([[-1]]),
@@ -361,6 +368,85 @@ class TestSpectralNorm:
         with pytest.raises(SpectralNormError, match="did not converge") as exc:
             exact_core._signed_iteration(m.num, m.den, 256)
         assert 999 < exc.value.last_estimate < 1000
+
+
+def _mp(pair):
+    """The int pair ``(m, e)`` as the exact mpmath float m 2^e."""
+    with mp.workprec(max(53, pair[0].bit_length())):
+        return mp.mpf(pair)
+
+
+class TestIntRounding:
+    """The int kernels that took mpmath's place on the growth path, bit for
+    bit against mpmath: ``_round`` against ``mpf(int)`` and ``mpf_div``,
+    and ``_sqrt``, ``_ln`` and ``_rel_err`` against mpmath's 53-bit sqrt,
+    log and quotient."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 53, 64, 256])
+    def test_round_halfway_ties_to_even(self, bits):
+        # (2h + 1) 2^s has bits + 1 significant bits and ends in 1: exactly between
+        # two neighbours, so ties to even decides; over q it is the quotient q (2h + 1) 2^s / q
+        rng = random.Random(bits)
+        heads = [1 << (bits - 1), (1 << bits) - 1, *(rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(40))]
+        for h in heads:
+            for s in (0, 7):
+                p = (2 * h + 1) << s
+                m, e = exact_core._round(p, 1, bits)
+                assert m << e == (h + (h & 1)) << (s + 1)  # the even neighbour
+                with mp.workprec(bits):
+                    assert (m, e) == _man_exp(mp.mpf(p)), (h, s)
+                for q in (3, 5 << 4, (1 << 70) + 1):
+                    _, man, exp, _ = mpf_div(from_int(p * q), from_int(q), bits, "n")
+                    assert exact_core._round(p * q, q, bits) == (man, exp) == (m, e), (h, s, q)
+
+    def test_round_matches_mpf_div(self):
+        rng = random.Random(45)
+        cases = [(0, 1, 64), (1, 1, 1), (1, 3, 64)]
+        for _ in range(3000):
+            p, q = rng.getrandbits(rng.randint(1, 700)), rng.getrandbits(rng.randint(1, 700)) | 1
+            cases.append((p, q << rng.randint(0, 5), rng.choice([1, 2, 24, 53, 64, 128, 256, 1024])))
+        for p, q, bits in cases:
+            _, man, exp, _ = mpf_div(from_int(p), from_int(q), bits, "n")
+            assert exact_core._round(p, q, bits) == (man, exp), (p, q, bits)
+
+    def test_double_kernels_match_mpmath(self):
+        rng = random.Random(45)
+        pairs = [(1, 0), (1, 1), (1, -1), (3, 0), (9, 4), (1, 1 << 10), ((1 << 200) + 1, -200),
+                 ((1 << 200) - 1, -200), ((1 << 300) + (1 << 40), -300)]
+        for _ in range(2000):
+            m = rng.getrandbits(rng.randint(1, 1100)) | 1
+            pairs.append((m, rng.randint(-600, 600) - m.bit_length() // 2))
+        for a in pairs:
+            b = (a[0] + rng.randint(-(1 << 40), 1 << 40), a[1])
+            x, y = _mp(a), _mp(b)
+            with mp.workprec(53):
+                assert exact_core._sqrt(a) == float(mp.sqrt(x)), a
+                assert exact_core._ln(a) == float(mp.log(x)), a
+                assert exact_core._rel_err(a, b) == float(abs(x - y) / x), (a, b)
+
+    @pytest.mark.parametrize("n_max, precision", [(40, 64), (40, 128), (40, 144), (40, 152), (40, 256),
+                                                  (30, 512), (24, 1024)])
+    def test_growth_doubles_match_mpmath(self, n_max, precision):
+        # every level's value and reference, through the three kernels and through the study
+        rows = exact_core.linv_growth_study(n_max, precision)
+        for (i, (_, h)), row in zip(enumerate(exact_core._inverse_hilbert_levels(n_max), 1), rows):
+            lam, ref = spectral_norm_with_reference(h, 1, precision)
+            x, y = _mp(lam), _mp(ref)
+            with mp.workprec(53):
+                expect = float(mp.sqrt(x)), float(abs(x - y) / x), float(mp.log(x)) / i
+            assert (exact_core._sqrt(lam), exact_core._rel_err(lam, ref), exact_core._ln(lam) / i) == expect, i
+            assert (row["norm"], row["norm_sq_rel_err"], row["ln_spectral_over_i"]) == expect, i
+
+    @pytest.mark.parametrize("m", [*map(hilbert_matrix, range(1, 12)), *map(inverse_hilbert, range(1, 12))],
+                             ids=[f"{name}_{n}" for name in ("hilbert", "inverse_hilbert") for n in range(1, 12)])
+    def test_spectral_norm_keeps_mpmath_bits(self, m):
+        # the oracle rounds l = a/b as mpf(a) / (b den), the way the value was computed with mpmath
+        lam = spectral_norm(m, 300)
+        assert isinstance(lam, mp.mpf) and _man_exp(lam) == _man_exp(all_ones_spectral_norm(m, 300))
+
+    def test_ln2_literal(self):
+        with mp.workprec(300):
+            assert exact_core._LN2 == int(mp.nint(mp.ln2 * 2 ** 128))
 
 
 class TestEdgeBranches:

@@ -295,6 +295,25 @@ class TestGrowthStudy:
             assert row["ln_inf_over_i"] == math.log(float(max(sum(map(abs, r)) for r in hinv.num))) / i
             assert row["norm"] == float(mp.sqrt(spectral_norm(hinv)))
 
+    def test_rows_ignore_mpmath_working_precision(self):
+        # the doubles come from int pairs, so mpmath's context at the call does not reach them;
+        # with mpmath's 53-bit arithmetic, 39 of 40 levels moved at 24 bits and 10 at 300
+        rows = linv_growth_study(40)
+        for prec in (24, 300):
+            with mp.workprec(prec):
+                assert linv_growth_study(40) == rows, prec
+
+    def test_norm_matches_classical_asymptotics(self):
+        # lambda_max(H_n^-1) ~ (1+sqrt 2)^(4n) / (2^(15/4) pi^(3/2) sqrt n), the classical
+        # asymptotic form (Todd, 1954; whether its exponent is 4n or 4n + 4 in that
+        # convention is not checked here): within 1 % from n = 60 (0.93 % there), and
+        # n (ratio - 1) falls strictly on 10..65 (0.59 to 0.56), a 1/n correction
+        ratio = {n: r["norm"] ** 2 * 2 ** 3.75 * math.pi ** 1.5 * math.sqrt(n) / (1 + math.sqrt(2)) ** (4 * n)
+                 for n, r in enumerate(linv_growth_study(65), 1)}
+        assert all(abs(ratio[n] - 1) < 0.01 for n in range(60, 66))
+        excess = [n * (ratio[n] - 1) for n in range(10, 66)]
+        assert all(b < a for a, b in zip(excess, excess[1:]))
+
     def test_levels_build_no_matrix(self, monkeypatch):
         # each level's H_i^-1 stays int rows: the one RationalMatrix, by either
         # constructor, is the padded M that inverse_factor_Linv returns
@@ -315,8 +334,9 @@ class TestGrowthStudy:
         h = inverse_hilbert(12)
         indep = factored_gram_norm(12, precision)
         lam, ref = spectral_norm_with_reference(h.num, h.den, precision)
-        assert lam == spectral_norm(h, precision)
         with mp.workprec(precision):
+            lam, ref = mp.mpf(lam), mp.mpf(ref)
+            assert lam == spectral_norm(h, precision)
             top = max(mp.eigsy(mp.matrix(h.entries), eigvals_only=True))
             assert max(abs(indep - top), abs(ref - top)) / top < mp.mpf(bound) < abs(lam - top) / top
 
