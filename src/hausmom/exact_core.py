@@ -21,9 +21,9 @@ quotient is rounded to that many bits by one int kernel, ``_round``,
 into an int pair ``(m, e)``, the value m 2^e.  That precision is
 required because the entries of the inverse Hilbert matrix grow roughly
 like exp(3.5 n) and double precision is useless long before n = 65.
-Only ``spectral_norm`` (and ``SpectralNormError``'s last estimate) turns
-the pair into an mpmath float, in ``_mpf``, which imports mpmath at its
-first call; importing this module (or the package) does not load it.
+``spectral_norm`` (and ``SpectralNormError``'s last estimate) gives the
+pair as the exact ``Fraction`` m 2^e, by ``_fraction``, so nothing here
+needs mpmath.
 
 The value's iteration starts from the all-ones vector, whose product is
 the matrix's row sums, so its first step computes no product.  If its
@@ -38,10 +38,9 @@ those two pieces alone: each level's H_i^{-1}, int lists from the
 rank-one recurrence ``_inverse_hilbert_levels``, and its norm and
 reference from ``spectral_norm_with_reference`` on those rows.  Its
 doubles come from the int pairs by int arithmetic alone (``_sqrt``,
-``_rel_err``, ``_ln``), each bit for bit the double mpmath's 53-bit
+``_rel_err``, ``_ln_pair``), each bit for bit the double mpmath's 53-bit
 sqrt, quotient and log give.  So the table needs only the standard
-library: it loads neither numpy nor mpmath, and mpmath's working
-precision at the call does not reach it.
+library: it loads no numpy.  ``_ln_pair`` also serves ``lambert_w``.
 """
 
 import numbers
@@ -448,18 +447,14 @@ def _power_iteration(matvec, v, precision, tol, d=1, w=None):
         prev = vw, vv
     raise SpectralNormError(
         f"power iteration did not converge to tol={float(tol):g} in {_MAX_ITER} iterations",
-        last_estimate=_mpf(value(*prev), precision),
+        last_estimate=_fraction(value(*prev)),
         iterations=_MAX_ITER,
     )
 
 
-def _mpf(value, precision):
-    """The int pair ``(m, e)`` as the mpmath float m 2^e at ``precision``
-    bits, exact since m has no more: the one place the power iterations
-    load mpmath, for ``spectral_norm`` and ``SpectralNormError``."""
-    import mpmath as mp
-    with mp.workprec(precision):
-        return mp.mpf(value)
+def _fraction(a):
+    """The int pair ``(m, e)`` as the exact Fraction m 2^e."""
+    return a[0] * Fraction(2) ** a[1]
 
 
 def spectral_norm(m, precision=256):
@@ -473,10 +468,11 @@ def spectral_norm(m, precision=256):
     an iterate with no mixed signs in D, so from the Perron direction.
     That is not a bracket: the value is not certified to be the largest
     eigenvalue.  A negative Rayleigh quotient on the way refuses the
-    matrix with ValueError, as not positive semidefinite.  The value is an
-    mpmath float at ``precision`` bits.
+    matrix with ValueError, as not positive semidefinite.  The value is
+    the Rayleigh quotient rounded once to ``precision`` bits, as an int
+    pair m 2^e (see ``_power_iteration``), returned as that exact Fraction.
     """
-    return _mpf(_signed_iteration(m.num, m.den, precision)[0], precision)
+    return _fraction(_signed_iteration(m.num, m.den, precision)[0])
 
 
 def spectral_norm_with_reference(num, den, precision):
@@ -487,8 +483,8 @@ def spectral_norm_with_reference(num, den, precision):
     also meets relative tolerance 10^-(precision // 8), which leaves an
     error of about 10^-(precision // 4): at 256 bits and above it is far
     more accurate than the value, so their gap is the value's own error.
-    Both come as ``_power_iteration``'s int pairs ``(m, e)``, so this
-    loads no mpmath; ``spectral_norm``'s value is ``_mpf`` of the first.
+    Both come as ``_power_iteration``'s int pairs ``(m, e)``;
+    ``spectral_norm``'s value is ``_fraction`` of the first.
     """
     value, v, w = _signed_iteration(num, den, precision)
     tol = Fraction(10) ** -(precision // 8)
@@ -518,21 +514,22 @@ def _signed_iteration(num, den, precision):
     dv = list(map(mul, signs, found[1]))
     if min(dv) < 0 < max(dv):
         again = _power_iteration(times, [s << shift for s in signs], precision, 1e-20, den)
-        found = max(found, again, key=lambda r: r[0][0] * Fraction(2) ** r[0][1])
+        found = max(found, again, key=lambda r: _fraction(r[0]))
     return found
 
 
-# ln 2 to 128 bits after the point, for _ln; a literal, so nothing is computed at import
+# ln 2 to 128 bits after the point, for _ln_pair; a literal, so nothing is computed at import
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
 
 
-def _ln(a):
-    """ln(m 2^e) for an int pair with m > 0, as the nearest double, which
-    mpmath's 53-bit log also gives.  With m 2^e = f 2^k and f in
+def _ln_pair(a):
+    """ln(m 2^e) for an int pair with m > 0, as a fixed-point int pair
+    ``(t, -bits)``, the value t 2^-bits.  With m 2^e = f 2^k and f in
     [1/sqrt 2, sqrt 2), it is k ln 2 + 2 atanh(z), z = (f - 1)/(f + 1) and
     |z| <= 0.172, the series z + z^3/3 + ... summed in fixed point with 128
     bits after the point (more where f is near 1, so that ln f keeps 128
-    significant bits), then rounded once."""
+    significant bits): within a few units of 2^-128 (1 + |k|).  ``_to_double``
+    rounds it once to the double mpmath's 53-bit log also gives."""
     m, e = a
     b = m.bit_length()
     s, k = 1 << b, e + b  # m 2^e = (m / s) 2^k with m / s in [1/2, 1)
@@ -546,7 +543,7 @@ def _ln(a):
         total += term // j
         term, j = term * z2 >> bits, j + 2
     total = 2 * total if m >= s else -2 * total
-    return _to_double(total + k * (_LN2 << (bits - 128)), -bits)
+    return total + k * (_LN2 << (bits - 128)), -bits
 
 
 def _sqrt(a):
@@ -598,9 +595,8 @@ def linv_growth_study(n_max, precision=256):
     independent power iteration on the factored form.
 
     ``norm``, ``norm_sq_rel_err`` and ``ln_spectral_over_i`` come from the
-    int pairs by ``_sqrt``, ``_rel_err`` and ``_ln``, the doubles mpmath's
-    53-bit arithmetic gives, so the table loads no mpmath and mpmath's
-    working precision at the call does not reach it.
+    int pairs by ``_sqrt``, ``_rel_err`` and ``_ln_pair``, the doubles mpmath's
+    53-bit arithmetic gives, with no mpmath.
 
     H_i^{-1}, as int lists, and row i of M come from exact_core's rank-one
     recurrence, O(i^2) exact work per level, so the exact part is O(n_max^3).
@@ -628,7 +624,7 @@ def linv_growth_study(n_max, precision=256):
             "row_max_col": scaled.index(best) + 1,
             "diag": diag,
             "bound": exp(1.763 * i),
-            "ln_spectral_over_i": _ln(lam) / i,
+            "ln_spectral_over_i": _to_double(*_ln_pair(lam)) / i,
             "ln_inf_over_i": log(inf_norm) / i,
         })
     return rows

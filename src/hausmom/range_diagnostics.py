@@ -14,11 +14,12 @@ Hardy norm stays bounded as long as alpha stays away from -1/2.
 import numbers
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, fsum, isfinite
+from functools import cache
+from math import comb, factorial, fsum, isfinite, prod
 from operator import index, mul, sub
 
 from ._lazy import numpy as np
-from .exact_core import RationalMatrix, _Record, _common_den, _picard_sum, cholesky_factor_L
+from .exact_core import _LN2, RationalMatrix, _Record, _common_den, _picard_sum, cholesky_factor_L
 from .legendre import _frozen
 
 
@@ -195,30 +196,49 @@ def stable_family(alpha, J):
     A* c = sum_j c_j t^(j-1) = (1-t)^alpha.  These are not the moments of
     (1-t)^alpha, which are B(j, alpha+1), with y_1 = 1/(1+alpha).
     hardy_norm_sq is the sum of c_j^2 over all j, Gamma(1+2 alpha) /
-    Gamma(1+alpha)^2 by Gauss's summation of 2F1(-alpha, -alpha; 1; 1),
-    evaluated at 80 bits and rounded once.  J must be an integer.
+    Gamma(1+alpha)^2 by Gauss's summation of 2F1(-alpha, -alpha; 1; 1), from
+    alpha read exactly: a product and Stirling tail rounded once (``_hardy_norm_sq``).
+    J must be an integer.
     """
     if not -0.5 < alpha < 0:
         raise ValueError("alpha must lie strictly inside (-1/2, 0)")
     J = index(J)
     if J < 1:
         raise ValueError("J must be >= 1")
-    import mpmath as mp
     k = np.arange(1, J, dtype=float)
     # |C(alpha,k)| via the ratio |c_k/c_{k-1}| = (k-1-alpha)/k, c_0 = 1
     coeffs = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
-    with mp.workprec(80):
-        a = mp.mpf(alpha)
-        hardy = float(mp.gamma(1 + 2 * a) / mp.gamma(1 + a) ** 2)
+    (p,), q = _common_den([alpha])
     return StableFamilyMember(
         alpha=float(alpha),
         coeffs=coeffs,
         l2_function_norm_sq=1.0 / (1.0 + 2.0 * alpha),
-        hardy_norm_sq=hardy,
+        hardy_norm_sq=_hardy_norm_sq(Fraction(p, q)),
     )
 
 
-_LN2_UPPER = Fraction(6931472, 10**7)  # ln 2 = 0.69314718..., rounded up
+@cache
+def _stirling_tail():
+    """``_hardy_norm_sq``'s S as sum_i d_i a^i, built at the first call: the d_i."""
+    b = [Fraction(1)]
+    for m in range(1, 22):  # sum_{j<=m} C(m+1, j) B_j = 0, so B_1 = -1/2
+        b.append(-sum(comb(m + 1, j) * x for j, x in enumerate(b)) / (m + 1))
+    d = [0] * 22
+    for k, j in ((k, j) for k in range(2, 22) for j in range(k - 1)):
+        d[k - j] += (-1) ** k * comb(k, j) * b[j] * ((1 << (k - j)) - 2) / (k * (k - 1) * 21 ** (k - 1))
+    return tuple(d)
+
+
+def _hardy_norm_sq(a):
+    """Gamma(1+2a) / Gamma(1+a)^2 for a Fraction a in (-1/2, 0), rounded once: the Weierstrass
+    product prod_k (k+a)^2 / (k (k+2a)), k >= 1, its first 20 factors exactly, times the rest,
+    Gamma(z) Gamma(z+2a) / Gamma(z+a)^2 at z = 21, which is exp(S).  In the shifted Stirling
+    series of ln Gamma(z+h) (DLMF 5.11.8) the ln z, z and ln 2pi terms cancel, leaving
+    S = sum_k (-1)^k [B_k(0) + B_k(2a) - 2 B_k(a)] / (k (k-1) z^(k-1)), k = 2..21, with
+    B_k(x) = sum_j C(k,j) B_j x^(k-j): S < 0.013, within 2^-86; exp(S) by Taylor's series."""
+    head = prod((k + a) ** 2 / (k * (k + 2 * a)) for k in range(1, 21))
+    s = Fraction(round(sum(d * a ** i for i, d in enumerate(_stirling_tail())) * 2 ** 200), 2 ** 200)
+    return float(head * sum(s ** j / factorial(j) for j in range(16)))
 
 
 def lacunary_stability_bound(q):
@@ -253,7 +273,7 @@ def lacunary_stability_bound(q):
     gx_max = Fraction(1, 2) + 2 * r / (1 - r)
     k = q.bit_length() - 1
     x = Fraction(q, 1 << k)
-    ln_q = k * _LN2_UPPER + (x - 1 / x) / 2
+    ln_q = k * Fraction(_LN2 + 1, 1 << 128) + (x - 1 / x) / 2  # ln 2 rounded up
     ga_min = Fraction(q * q, q * q + 1) - 4 * ln_q * r / ((1 - r) ** 2 * (1 - r * r))
     if ga_min <= 0:
         raise ValueError(f"the rows of G_A are not diagonally dominant at q = {q}")

@@ -9,13 +9,14 @@ cross-checks of the forward map.  The growth table of the inverse factor,
 """
 
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import count, islice
 from math import exp, fsum, isqrt, ldexp, log, sqrt
 from operator import add, mul
 
 from ._lazy import numpy as np
-from .exact_core import _Record, inverse_factor_Linv
+from .exact_core import _fraction, _ln_pair, _Record, _round, inverse_factor_Linv
 from .functions import TestFunction
 from .legendre import QuadratureRule, _frozen, l2_distance
 from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_moments, pseudoinverse
@@ -76,17 +77,29 @@ class BumpFamily(_Record):
 
 
 def lambert_w(z):
-    """Principal branch W(z) for finite z >= -1/e: ``mpmath.lambertw`` at 80 bits, rounded once.
-
-    W(-1/e) = -1 is returned directly: mpmath's W is complex at that double, just below -1/e.
-    """
+    """Principal branch W(z) for finite z >= -1/e, rounded once to a double: Newton's steps
+    w (w + ln|w| - ln|z|) / (w + 1) on w + ln|w| = ln|z|, either sign, on Fractions rounded to
+    220 bits with exact_core's fixed-point log, until a step is below 2^-100 |w|, from log1p(z)
+    on [-0.25, 3), ln z - ln ln z above, and below from the branch-point series in
+    p = sqrt(2 (e z + 1)), e z + 1 = -expm1(1 + ln|z|).  W(-1/e) = -1: that double is below -1/e."""
     if not -1.0 / math.e <= z < math.inf:
         raise ValueError("lambert_w needs a finite z >= -1/e")
-    if z == -1.0 / math.e:
-        return -1.0
-    import mpmath as mp
-    with mp.workprec(80):
-        return float(mp.lambertw(z))
+    if z == -1.0 / math.e or not z:
+        return -1.0 if z else 0.0
+    ln = lambda x: _fraction(_ln_pair((x.numerator, 1 - x.denominator.bit_length())))  # of a dyadic x > 0
+    ln_z = ln(abs(Fraction(z)))
+    if z < -0.25:
+        p = sqrt(-2.0 * math.expm1(1 + ln_z))
+        w = Fraction(-1 + p - p * p / 3 + 11 * p ** 3 / 72)
+    else:
+        w = Fraction(math.log1p(z) if z < 3 else log(z) - log(log(z)))
+    for _ in range(50):  # no double takes more than 7 steps
+        step = w * (w + ln(abs(w)) - ln_z) / (w + 1)
+        w -= step
+        w = _fraction(_round(abs(w.numerator), w.denominator, 220)) * (1 if w > 0 else -1)
+        if abs(step) <= abs(w) / 2 ** 100:
+            break
+    return float(w)
 
 
 def stability_bound(delta, E, C_hat):

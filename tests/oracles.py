@@ -70,6 +70,15 @@ def matrix_inner_products(values):
     return [x for (x,) in p.num], p.den
 
 
+def exact_mpf(x):
+    """A dyadic Fraction m / 2^k, such as ``spectral_norm``'s value, as the
+    exact mpmath float, whatever the working precision."""
+    m, q = x.as_integer_ratio()
+    assert q & (q - 1) == 0, x
+    with mp.workprec(max(53, m.bit_length())):
+        return mp.mpf((m, 1 - q.bit_length()))
+
+
 def all_ones_spectral_norm(m, precision):
     """``spectral_norm(m, precision)`` by a power iteration from the
     all-ones vector that computes every product H v, the first included.
@@ -134,7 +143,7 @@ def all_ones_growth_rel_errs(n_max, precision):
     from 256 bits on the float should be the study's to the bit."""
     rel = []
     for i in range(1, n_max + 1):
-        lam = spectral_norm(inverse_factor_Linv(i).gram(), precision)
+        lam = exact_mpf(spectral_norm(inverse_factor_Linv(i).gram(), precision))
         indep = factored_gram_norm(i, precision)
         rel.append(float(abs(lam - indep) / lam))
     return rel

@@ -130,24 +130,22 @@ def _import_sites(package):
 
 
 class TestDependencyOwners:
-    """Each dependency's import statements, pinned: scipy and mpmath are imported by the few
-    functions that need them, never at module level; scipy by ``hausmom._lazy.quadpack`` alone,
-    the loader of QUADPACK's extension; mpmath by ``exact_core._mpf``, which turns
-    ``spectral_norm``'s int pair (or a failed iteration's last estimate) into an mpf, and by
-    ``stable_family`` and ``lambert_w``, so not by the growth study; numpy by none, since every
-    layer reaches it through ``hausmom._lazy``; sympy, which only the test oracles use, by none."""
+    """Each dependency's import statements, pinned: scipy is imported by one function, never at
+    module level, ``hausmom._lazy.quadpack``, the loader of QUADPACK's extension; numpy by none,
+    since every layer reaches it through ``hausmom._lazy``; sympy and mpmath, which only the
+    tests use (mpmath as an oracle), by none: the int kernels in ``exact_core`` give
+    ``spectral_norm``'s exact value, ``lambert_w``'s logarithms and ``stable_family``'s Hardy norm."""
 
     @pytest.mark.parametrize("package, owners", [
         ("scipy", {("_lazy", "quadpack")}),
         ("sympy", set()),
         ("numpy", set()),
-        ("mpmath", {("exact_core", "_mpf"), ("range_diagnostics", "stable_family"),
-                    ("stability_lab", "lambert_w")}),
+        ("mpmath", set()),
     ])
     def test_one_owner(self, package, owners):
         assert _import_sites(package) == owners
 
-    @pytest.mark.parametrize("package", ["scipy", "mpmath"])
+    @pytest.mark.parametrize("package", ["scipy"])
     def test_never_at_module_level(self, package):
         sites = _import_sites(package)
         assert sites and all(function is not None for _, function in sites)
@@ -244,7 +242,7 @@ class TestParsing:
                    + "assert 'hausmom._bump_derivatives' not in sys.modules\n")
 
     def test_counterexample_leaves_sympy_and_mpmath_out(self):
-        # the bump derivatives are a frozen table of numpy expressions, and lambert_w is not called
+        # the bump derivatives are a frozen table of numpy expressions
         golden = (BENCH / "golden" / "cli" / "counterexample-mu-0.25.out").read_text()
         out = _run_fresh("from hausmom.cli import run\nassert run(['counterexample', '--mu', '0.25']) == 0\n"
                          + _loaded_none_of("sympy", "mpmath"))
@@ -284,7 +282,8 @@ class TestParsing:
                    f"assert not {_NUMPY_RAN}\n")
 
     def test_stability_bound_leaves_scipy_out_and_numpy_unexecuted(self):
-        # lambert_w is mpmath's, so the balanced truncation level needs neither scipy nor numpy
+        # lambert_w is Newton's iteration on exact_core's int logarithm, so the balanced
+        # truncation level needs neither scipy nor numpy
         _run_fresh("import sys\nfrom hausmom import stability_bound\n"
                    "assert stability_bound(1e-6, 1, 1).N_star > 0\n"
                    f"assert not {_NUMPY_RAN}\n" + _loaded_none_of("scipy"))
@@ -311,14 +310,28 @@ class TestParsing:
         _run_fresh(f"from hausmom.cli import run\nassert all(run(argv) == 0 for argv in {calls!r})\n"
                    + _loaded_none_of("mpmath"))
 
-    def test_spectral_norm_loads_mpmath(self):
-        # spectral_norm returns an mpf; the growth table, which rounds its int pairs itself,
-        # runs with mpmath blocked (below)
-        out = _run_fresh("from hausmom import hilbert_matrix, spectral_norm\n" + _loaded_none_of("mpmath")
-                         + "lam = spectral_norm(hilbert_matrix(3))\nassert 'mpmath' in sys.modules\n"
-                         "print(lam.man, lam.exp)\n")
-        assert out.split() == ["40768047721025885696093513402814353870527745791907829623165642490415255015271",
-                               "-254"]
+    def test_spectral_norm_runs_with_mpmath_blocked(self):
+        # spectral_norm's value is its int pair m 2^e as an exact Fraction, so with mpmath
+        # unimportable, as on an install without it, it keeps the 256-bit value it had as an mpf
+        out = _run_fresh("import sys\nsys.modules['mpmath'] = None\n"
+                         "from hausmom import hilbert_matrix, spectral_norm\n"
+                         "lam = spectral_norm(hilbert_matrix(3))\nprint(type(lam).__name__, lam)\n")
+        m = 40768047721025885696093513402814353870527745791907829623165642490415255015271
+        assert out.split() == ["Fraction", str(Fraction(m, 2 ** 254))]
+
+    def test_failed_iteration_raises_with_mpmath_blocked(self):
+        # a power iteration that does not converge raises SpectralNormError with its last
+        # estimate, an exact Fraction, and growth turns that into exit code 2: with mpmath blocked
+        # the estimate once raised ModuleNotFoundError, which cli.run does not catch
+        out = _run_fresh("import sys\nsys.modules['mpmath'] = None\n"
+                         "from hausmom import exact_core\nfrom hausmom.cli import run\n"
+                         "try:\n    exact_core._signed_iteration(((1000, 0), (0, 999)), 1, 256)\n"
+                         "except exact_core.SpectralNormError as exc:\n"
+                         "    assert 999 < exc.last_estimate < 1000 and exc.iterations == 1000, exc.last_estimate\n"
+                         "else:\n    raise AssertionError('converged')\n"
+                         "exact_core._MAX_ITER = 1\nsys.stderr = sys.stdout\n"
+                         "assert run(['growth', '--n-max', '3']) == 2\n")
+        assert out == "numeric failure: power iteration did not converge to tol=1e-20 in 1 iterations\n"
 
     def test_growth_runs_with_mpmath_blocked(self):
         # with mpmath unimportable, as on an install without it, growth prints its golden

@@ -23,7 +23,14 @@ from hausmom.exact_core import (
     spectral_norm,
     spectral_norm_with_reference,
 )
-from oracles import all_ones_spectral_norm, back_substitution_inverse, binomial, factored_gram_norm, inverse_factor_rows
+from oracles import (
+    all_ones_spectral_norm,
+    back_substitution_inverse,
+    binomial,
+    exact_mpf,
+    factored_gram_norm,
+    inverse_factor_rows,
+)
 from strategies import FRACTION
 
 
@@ -32,7 +39,9 @@ def _rows(r, c):
 
 
 def _man_exp(x):
-    """An mpmath float as the int pair ``(m, e)`` of the value m 2^e, m odd or (0, 0)."""
+    """An mpmath float, or a dyadic Fraction read exactly as one, as the int pair
+    ``(m, e)`` of the value m 2^e, m odd or (0, 0)."""
+    x = exact_mpf(x) if isinstance(x, Fraction) else x
     return x.man, x.exp
 
 
@@ -328,7 +337,7 @@ class TestSpectralNorm:
     def test_matches_eigsy(self, m):
         # hilbert_matrix has den > 1, so this also covers the division by
         # den; tol 1e-20 leaves a Rayleigh quotient error ~1e-40
-        lam = spectral_norm(m)
+        lam = exact_mpf(spectral_norm(m))
         with mp.workprec(256):
             ref = max(mp.eigsy(mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row] for row in m.entries]),
                                eigvals_only=True))
@@ -379,7 +388,7 @@ def _mp(pair):
 class TestIntRounding:
     """The int kernels that took mpmath's place on the growth path, bit for
     bit against mpmath: ``_round`` against ``mpf(int)`` and ``mpf_div``,
-    and ``_sqrt``, ``_ln`` and ``_rel_err`` against mpmath's 53-bit sqrt,
+    and ``_sqrt``, ``_ln_pair`` and ``_rel_err`` against mpmath's 53-bit sqrt,
     log and quotient."""
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 53, 64, 256])
@@ -421,7 +430,7 @@ class TestIntRounding:
             x, y = _mp(a), _mp(b)
             with mp.workprec(53):
                 assert exact_core._sqrt(a) == float(mp.sqrt(x)), a
-                assert exact_core._ln(a) == float(mp.log(x)), a
+                assert exact_core._to_double(*exact_core._ln_pair(a)) == float(mp.log(x)), a
                 assert exact_core._rel_err(a, b) == float(abs(x - y) / x), (a, b)
 
     @pytest.mark.parametrize("n_max, precision", [(40, 64), (40, 128), (40, 144), (40, 152), (40, 256),
@@ -434,7 +443,8 @@ class TestIntRounding:
             x, y = _mp(lam), _mp(ref)
             with mp.workprec(53):
                 expect = float(mp.sqrt(x)), float(abs(x - y) / x), float(mp.log(x)) / i
-            assert (exact_core._sqrt(lam), exact_core._rel_err(lam, ref), exact_core._ln(lam) / i) == expect, i
+            ln = exact_core._to_double(*exact_core._ln_pair(lam))
+            assert (exact_core._sqrt(lam), exact_core._rel_err(lam, ref), ln / i) == expect, i
             assert (row["norm"], row["norm_sq_rel_err"], row["ln_spectral_over_i"]) == expect, i
 
     @pytest.mark.parametrize("m", [*map(hilbert_matrix, range(1, 12)), *map(inverse_hilbert, range(1, 12))],
@@ -442,7 +452,7 @@ class TestIntRounding:
     def test_spectral_norm_keeps_mpmath_bits(self, m):
         # the oracle rounds l = a/b as mpf(a) / (b den), the way the value was computed with mpmath
         lam = spectral_norm(m, 300)
-        assert isinstance(lam, mp.mpf) and _man_exp(lam) == _man_exp(all_ones_spectral_norm(m, 300))
+        assert isinstance(lam, Fraction) and _man_exp(lam) == _man_exp(all_ones_spectral_norm(m, 300))
 
     def test_ln2_literal(self):
         with mp.workprec(300):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -255,6 +256,18 @@ class TestStableFamily:
                 target = mp.gamma(1 + 2 * a) / mp.gamma(1 + a) ** 2
                 err = abs(stable_family(alpha, 10).hardy_norm_sq - target)
             assert err <= 4 * math.ulp(float(target)), alpha
+
+    def test_hardy_norm_matches_mpmath_on_grid(self):
+        # the Weierstrass product and Stirling tail give the 300-bit Gamma ratio rounded once:
+        # the 52 alpha above, the ends of (-1/2, 0) and a fixed random set
+        rng = random.Random(46)
+        alphas = ([-0.5 * i / 51 for i in range(1, 51)] + [-0.45, -0.49, -0.4999999, -1e-9, -5e-324,
+                  math.nextafter(-0.5, 0)] + [-0.5 * rng.random() for _ in range(40)])
+        for alpha in alphas:
+            with mp.workprec(300):
+                a = mp.mpf(alpha)
+                target = float(mp.gamma(1 + 2 * a) / mp.gamma(1 + a) ** 2)
+            assert stable_family(alpha, 1).hardy_norm_sq == target, alpha
 
     def test_positive_and_monotone(self):
         for alpha in (-0.1, -0.25, -0.4):

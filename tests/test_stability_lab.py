@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -55,6 +56,7 @@ from oracles import (
     all_ones_growth_rel_errs,
     choi_trace_inverse_hilbert,
     closed_form_inverse_hilbert,
+    exact_mpf,
     factored_gram_norm,
     kernel_norm_sq,
     loop_choose_m,
@@ -93,6 +95,23 @@ class TestLambertW:
 
     def test_branch_point(self):
         assert lambert_w(-1 / math.e) == -1.0
+
+    def test_matches_mpmath_on_grid(self):
+        # Newton's iteration on exact_core's int logarithm gives mpmath's 300-bit W rounded
+        # once: log-uniform z over the double range, uniform z in (-1/e, 0), the 50 doubles
+        # just above -1/e, the ends of the double range and both sides of the start switches
+        rng = random.Random(46)
+        zs = [10 ** rng.uniform(-300, 308) for _ in range(150)] + [-rng.random() / math.e for _ in range(100)]
+        z = -1 / math.e
+        for _ in range(50):
+            z = math.nextafter(z, 0)
+            zs.append(z)
+        zs += [5e-324, -5e-324, sys.float_info.min, sys.float_info.max, 1e-300, 1e300]
+        zs += [math.nextafter(x, d) for x in (-0.25, 3.0) for d in (-1, 1)] + [-0.25, 3.0]
+        for z in zs:
+            with mp.workprec(300):
+                target = float(mp.lambertw(z))
+            assert lambert_w(z) == target, z
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -246,7 +265,7 @@ class TestAmplification:
     def test_frobenius_target_is_near_operator_norm(self):
         for n in range(2, 41):
             h = inverse_hilbert(n)
-            ratio = mp.sqrt(sum(h[i, i] for i in range(n)) / spectral_norm(h))
+            ratio = math.sqrt(sum(h[i, i] for i in range(n)) / spectral_norm(h))
             assert 1 <= ratio <= 1.026, n
 
     def test_accepts_moment_sequence(self):
@@ -293,7 +312,7 @@ class TestGrowthStudy:
         for i, row in enumerate(linv_growth_study(40), 1):
             hinv = exact_core.inverse_factor_Linv(i).gram()
             assert row["ln_inf_over_i"] == math.log(float(max(sum(map(abs, r)) for r in hinv.num))) / i
-            assert row["norm"] == float(mp.sqrt(spectral_norm(hinv)))
+            assert row["norm"] == float(mp.sqrt(exact_mpf(spectral_norm(hinv))))
 
     def test_rows_ignore_mpmath_working_precision(self):
         # the doubles come from int pairs, so mpmath's context at the call does not reach them;
@@ -336,7 +355,7 @@ class TestGrowthStudy:
         lam, ref = spectral_norm_with_reference(h.num, h.den, precision)
         with mp.workprec(precision):
             lam, ref = mp.mpf(lam), mp.mpf(ref)
-            assert lam == spectral_norm(h, precision)
+            assert lam == exact_mpf(spectral_norm(h, precision))
             top = max(mp.eigsy(mp.matrix(h.entries), eigvals_only=True))
             assert max(abs(indep - top), abs(ref - top)) / top < mp.mpf(bound) < abs(lam - top) / top
 
