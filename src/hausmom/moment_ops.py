@@ -146,18 +146,23 @@ def reconstruction_norm_sq_exact(y):
     return _picard_sum(*_common_den(y.values))
 
 
-def _reference_coefficients(f, n):
-    """f's first max(4n, 96) Legendre coefficients, from which every tail at
-    levels up to n is read; the cut reads ``abs_kink``'s tail 0.8 % low."""
-    return project(f, max(4 * n, 96)).coefficients
+def _reference(f, n):
+    """f's Legendre expansion cut at max(4n, 96) coefficients, which ``_tail`` reads at levels up to n."""
+    return project(f, max(4 * n, 96))
+
+
+def _tail(ref, n):
+    """The l2 norm of ref's coefficients from n on; nothing past ref's cut is read."""
+    return float(np.linalg.norm(ref.coefficients[n:]))
 
 
 def projection_error(f, n):
-    """||(A_n^+ A - I) f|| = l2 tail of the Legendre coefficients from n on,
-    up to ``_reference_coefficients``' cut."""
+    """||(A_n^+ A - I) f||, the Legendre tail from n on, read by ``_tail`` from the max(4n, 96)
+    cut: as nothing past it is read, it is 0.75 % low for ``abs_kink`` at n = 24 and 0.78 % from
+    n = 100, and 35 % low for ``g_alpha(-0.4)``, whose coefficients decay slowly, from n = 24."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(np.linalg.norm(_reference_coefficients(f, n)[n:]))
+    return _tail(_reference(f, n), n)
 
 
 def sobolev_norm(f, kind="H1"):
@@ -185,10 +190,11 @@ def h1_rate_check(f, budget, n_list):
     """Projection-error decay against the smoothness-rate bound.
 
     Rows (n, error, bound) with bound = E/(2n) for H1 budgets (full norm
-    or seminorm) and E/(2 sqrt(2) n^2) for H2; the errors are tails of
-    ``_reference_coefficients`` at the largest level.  The norm the budget
-    names is measured and checked against E before the run; an empty level
-    list or a level below 1 is refused first.
+    or seminorm) and E/(2 sqrt(2) n^2) for H2; the errors are ``_tail``s of
+    the max(4n, 96) cut at the largest level, at most as low as
+    ``projection_error``'s.  The norm the budget names is measured and
+    checked against E before the run; an empty level list or a level below
+    1 is refused first.
     """
     n_list = tuple(n_list)
     if not n_list or min(n_list) < 1:
@@ -197,13 +203,10 @@ def h1_rate_check(f, budget, n_list):
     if measured > budget.E * (1 + 1e-9):
         raise ValueError(f"budget violated: measured {budget.kind} norm "
                          f"{measured:.6g} exceeds E={budget.E:.6g}")
-    coeffs = _reference_coefficients(f, max(n_list))
+    ref = _reference(f, max(n_list))
     rows = []
     for n in n_list:
-        err = float(np.linalg.norm(coeffs[n:]))
-        if budget.kind == "H2":
-            bound = budget.E / (2 * sqrt(2) * n * n)
-        else:
-            bound = budget.E / (2 * n)
+        err = _tail(ref, n)
+        bound = budget.E / (2 * sqrt(2) * n * n) if budget.kind == "H2" else budget.E / (2 * n)
         rows.append({"n": n, "error": err, "bound": bound, "ok": err <= bound})
     return rows

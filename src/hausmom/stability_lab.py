@@ -12,14 +12,14 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import count, islice
-from math import exp, fsum, isqrt, ldexp, log, sqrt
+from math import exp, fsum, hypot, log, sqrt
 from operator import add, mul
 
 from ._lazy import numpy as np
-from .exact_core import _fraction, _ln_pair, _Record, _round, inverse_factor_Linv
+from .exact_core import _fraction, _ln_pair, _Record, _round, _sqrt, inverse_factor_Linv
 from .functions import TestFunction
 from .legendre import QuadratureRule, _frozen, l2_distance
-from .moment_ops import MomentSequence, _quad, _reference_coefficients, forward_moments, pseudoinverse
+from .moment_ops import MomentSequence, _quad, _reference, _tail, forward_moments, pseudoinverse
 
 # The noise levels of the amplification regression: the decades 1e-2 .. 1e-7.
 _DELTAS = tuple(10.0 ** -k for k in range(2, 8))
@@ -164,15 +164,12 @@ def _as_moments(data, n):
 
 
 def _f_exact(n):
-    """sqrt(trace H_n^-1) within 1 ulp, or math.inf past the double range."""
+    """sqrt(trace H_n^-1) correctly rounded, or math.inf past the double range."""
     # trace H_n^-1 = ||Linv_n||_F^2 = sum_i (2i-1) sum_j M_ij^2, an exact int
     t = sum((2 * i + 1) * sum(x * x for x in row)
             for i, row in enumerate(inverse_factor_Linv(n).rational_part.num))
-    # scaled by 4^-s to 110 or 111 bits, so that its isqrt keeps 55 bits
-    s = (t.bit_length() - 110) // 2
-    r = isqrt(t >> 2 * s if s >= 0 else t << -2 * s)
     try:
-        return ldexp(float(r), s)
+        return _sqrt((t, 0))
     except OverflowError:
         return math.inf
 
@@ -213,32 +210,30 @@ def amplification_experiment(f, n, deltas=_DELTAS, R=20, seed=42):
 
 
 def error_split_study(f, n_list):
-    """Measured total error against the split envelope sqrt(f^2 d^2 + tail^2).
+    """Measured total error against the split envelope hypot(f delta, tail).
 
     Rows (n, delta, total, envelope, ok) for delta in 1e-2 .. 1e-7, f the
-    exact f_exact = sqrt(trace H_n^-1), each total the mean of 20
-    realizations from seed 42, drawn as ``amplification_experiment`` draws
-    them, ok when it is at most 1.2 envelopes; the tails are read from
-    ``_reference_coefficients`` at the largest level.  An empty level list
-    or a level below 1 is refused before the reference is built.
+    exact f_exact = sqrt(trace H_n^-1), each total the mean ``l2_distance``
+    to the reference of 20 realizations from seed 42, drawn as
+    ``amplification_experiment`` draws them, ok when it is at most 1.2
+    envelopes.  The reference is the max(4n, 96) cut at the largest level,
+    each tail its ``_tail``, at most as low as ``projection_error``'s.  An
+    empty level list or a level below 1 is refused before it is built.
     """
     n_list = tuple(n_list)
     if not n_list or min(n_list) < 1:
         raise ValueError("levels must be a nonempty list of n >= 1")
     R, seed = 20, 42
-    ref = _reference_coefficients(f, max(n_list))
+    ref = _reference(f, max(n_list))
     rows = []
     for n in n_list:
         y = _as_moments(f, n)
         f_exact = _f_exact(n)
-        tail_sq = float(np.sum(ref[n:] ** 2))
+        tail = _tail(ref, n)
         for delta, lams in zip(_DELTAS, zip(*_noisy_reconstructions(y, _DELTAS, R, seed))):
-            total = fsum(sqrt(float(np.sum((lam.coefficients - ref[:n]) ** 2)) + tail_sq) for lam in lams) / R
-            envelope = sqrt(f_exact**2 * delta**2 + tail_sq)
-            rows.append({
-                "n": n, "delta": delta, "total": total,
-                "envelope": envelope, "ok": total <= 1.2 * envelope,
-            })
+            total = fsum(l2_distance(lam, ref) for lam in lams) / R
+            envelope = hypot(f_exact * delta, tail)
+            rows.append({"n": n, "delta": delta, "total": total, "envelope": envelope, "ok": total <= 1.2 * envelope})
     return rows
 
 

@@ -30,7 +30,7 @@ from hausmom.legendre import QuadratureRule, project
 from hausmom.moment_ops import (
     MomentSequence,
     SobolevBudget,
-    _reference_coefficients,
+    _reference,
     exact_polynomial_moments,
     forward_moments,
     h1_rate_check,
@@ -254,11 +254,10 @@ class TestAmplification:
         for n in range(1, 13):
             h = inverse_hilbert(n)
             assert choi_trace_inverse_hilbert(n) == sum(h[i, i] for i in range(n))
-        for n in range(1, 131):
-            t = choi_trace_inverse_hilbert(n)
-            f = lab._f_exact(n)
-            # sqrt(t) lies strictly between f's neighbours: f is within 1 ulp
-            assert Fraction(math.nextafter(f, 0)) ** 2 < t < Fraction(math.nextafter(f, math.inf)) ** 2, n
+        # every level with a finite root: the 300-bit root rounded once to a double
+        with mp.workprec(300):
+            for n in range(1, 410):
+                assert lab._f_exact(n) == float(mp.sqrt(choi_trace_inverse_hilbert(n))), n
         assert lab._f_exact(2) == 4.0
         assert lab._f_exact(410) == math.inf
 
@@ -709,15 +708,21 @@ class TestErrorSplit:
     def test_any_level_reads_the_shared_tail(self, monkeypatch):
         # a level of 161 runs; its tails come from the shared max(4n, 96) cut at the largest level
         levels = []
-        monkeypatch.setattr(lab, "_reference_coefficients",
-                            lambda f, n: levels.append(n) or _reference_coefficients(f, n))
+        monkeypatch.setattr(lab, "_reference", lambda f, n: levels.append(n) or _reference(f, n))
         rows = error_split_study(peak(), [161])
         assert levels == [161]
         assert len(rows) == 6 and all(math.isfinite(r["total"]) and r["ok"] for r in rows)
 
+    def test_envelope_past_the_square_of_f_exact(self):
+        # f_exact(205) is finite but its square is not: hypot keeps the envelope finite, and no
+        # numpy operation overflows on the way to the totals
+        with np.errstate(all="raise"):
+            rows = error_split_study(polynomial((0, 1)), [205])
+        assert len(rows) == 6 and all(math.isfinite(r["total"]) and math.isfinite(r["envelope"]) for r in rows)
+
     @pytest.mark.parametrize("levels", [[], (), [0, 4], [4, -1]])
     def test_refuses_no_levels_or_level_below_one(self, monkeypatch, levels):
-        monkeypatch.setattr(lab, "_reference_coefficients", lambda f, n: pytest.fail("built the reference expansion"))
+        monkeypatch.setattr(lab, "_reference", lambda f, n: pytest.fail("built the reference expansion"))
         with pytest.raises(ValueError, match="levels must be a nonempty list of n >= 1"):
             error_split_study(peak(), levels)
 
